@@ -499,12 +499,19 @@ def resolve(args) -> ResolvedRun:
                 pc[field] = flag
         alpha = _as_float(pc.get("alpha", 2.0), "alpha")
         dim = _as_int(pc.get("dim", 1), "dim")
-        defaults = {1: (8.0, 0.05), 2: (4.0, 0.1), 3: (2.0, 0.25)}.get(dim, (4.0, 0.25))
+        from .pickands import _DEFAULT_WINDOW
+
+        default_side, default_spacing = _DEFAULT_WINDOW.get(dim, (None, None))
+        if default_side is None and not ("cube_side" in pc and "spacing" in pc):
+            raise ConfigError(
+                "cube_side",
+                f"no default window for dimension {dim}; pass --cube-side and --spacing",
+            )
         config = {
             "alpha": alpha,
             "dim": dim,
-            "cube_side": _as_float(pc.get("cube_side", defaults[0]), "cube_side"),
-            "spacing": _as_float(pc.get("spacing", defaults[1]), "spacing"),
+            "cube_side": _as_float(pc.get("cube_side", default_side), "cube_side"),
+            "spacing": _as_float(pc.get("spacing", default_spacing), "spacing"),
             "reps": _as_int(pc.get("reps", 10_000), "reps"),
             "seed": _resolve_seed(
                 args.seed if getattr(args, "seed", None) is not None else pc.get("seed"), "seed"

@@ -23,6 +23,15 @@ exactly in real arithmetic, but haversine keeps full relative accuracy
 at separations near 1e-6, which the quadratic-form convergence checks
 require.  Elsewhere a half-chord arcsine form is used, with the inner
 product clamped to [-1, 1] (tolerance 1e-12) before any inverse trig.
+
+Pairwise distances on Euclidean space and the flat torus depend on
+each coordinate difference separately, so they are built from one table
+per axis (``sampling._axis_sum_of_squares``): the axis formula runs once
+per pair of distinct axis values, and the squares are gathered into a
+single n x m accumulator.  No (n, m, d) difference array is formed, and
+the peak is 2 n m doubles (3 n^2 for a covariance matrix, counting the
+kernel evaluation).  For up to 7 axes the values are those of the
+broadcast form to the last bit.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChartError, ManifoldMismatchError, ValidationError
+from .sampling import _axis_sum_of_squares
 
 __all__ = [
     "ChartPoint",
@@ -173,8 +183,12 @@ class Euclidean(_ManifoldBase):
         return p.array
 
     def pairwise_geodesic(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        diff = a[:, None, :] - b[None, :, :]
-        return np.sqrt((diff**2).sum(axis=-1))
+        """Euclidean distances between the rows of ``a`` and of ``b``.
+
+        Built from per-axis difference tables; see the module docstring.
+        """
+        dist = _axis_sum_of_squares(a, b, lambda k, delta: delta)
+        return np.sqrt(dist, out=dist)
 
     pairwise_chordal = pairwise_geodesic
 
@@ -231,20 +245,34 @@ class FlatTorus(_ManifoldBase):
         return np.mod(p.array, np.asarray(self.periods))
 
     def pairwise_geodesic(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Wrapped distances between the rows of ``a`` and of ``b``.
+
+        Per axis min(|delta| mod P, P - |delta| mod P), evaluated on
+        per-axis difference tables; see the module docstring.
+        """
         periods = np.asarray(self.periods)
-        delta = np.abs(a[:, None, :] - b[None, :, :])
-        delta = np.mod(delta, periods)
-        delta = np.minimum(delta, periods - delta)
-        return np.sqrt((delta**2).sum(axis=-1))
+
+        def wrapped(k, delta):
+            delta = np.mod(np.abs(delta), periods[k])
+            return np.minimum(delta, periods[k] - delta)
+
+        dist = _axis_sum_of_squares(a, b, wrapped)
+        return np.sqrt(dist, out=dist)
 
     def pairwise_chordal(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Distance after the isometric embedding of each circle factor in
-        # the plane: per axis (P/pi) sin(pi delta / P), agreeing with the
-        # wrapped distance to second order at the diagonal.
+        """Distances after the isometric embedding of each circle factor.
+
+        Per axis (P/pi) sin(pi delta / P) in the plane, agreeing with the
+        wrapped distance to second order at the diagonal; evaluated on
+        per-axis difference tables (see the module docstring).
+        """
         periods = np.asarray(self.periods)
-        delta = a[:, None, :] - b[None, :, :]
-        chords = (periods / math.pi) * np.sin(math.pi * delta / periods)
-        return np.sqrt((chords**2).sum(axis=-1))
+
+        def chord(k, delta):
+            return (periods[k] / math.pi) * np.sin(math.pi * delta / periods[k])
+
+        dist = _axis_sum_of_squares(a, b, chord)
+        return np.sqrt(dist, out=dist)
 
 
 @dataclass(frozen=True)

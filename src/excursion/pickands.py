@@ -57,7 +57,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .sampling import draw_in_batches, factor_covariance, replicate_generator
+from .sampling import (
+    _axis_sum_of_squares,
+    _cap_points,
+    draw_in_batches,
+    factor_covariance,
+    replicate_generator,
+)
 
 __all__ = [
     "PickandsEstimate",
@@ -129,7 +135,9 @@ def cube_lattice(n_dim: int, cube_side: float, spacing: float) -> np.ndarray:
         raise ValidationError(f"cube side must be positive, got {cube_side}")
     if not (math.isfinite(spacing) and 0.0 < spacing <= cube_side):
         raise ValidationError(f"spacing must lie in (0, cube_side], got {spacing}")
-    per_axis = np.arange(math.floor(cube_side / spacing) + 1) * spacing
+    steps = math.floor(cube_side / spacing)
+    _cap_points((steps + 1) ** n_dim)
+    per_axis = np.arange(steps + 1) * spacing
     grids = np.meshgrid(*([per_axis] * n_dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -149,9 +157,9 @@ def _factor_w(
     drift = _drift(lattice, alpha)
     active = drift > 0.0
     pts = lattice[active]
+    _cap_points(pts.shape[0])
     norms = drift[active]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist_a = (np.sum(diff**2, axis=-1)) ** (alpha / 2.0)
+    dist_a = _axis_sum_of_squares(pts, pts, lambda k, delta: delta) ** (alpha / 2.0)
     cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
     cov_w = 0.5 * (cov_w + cov_w.T)
     factor, _ = factor_covariance(cov_w)

@@ -1,6 +1,11 @@
 """Exact joint Gaussian sampling support.
 
-Two pieces shared by the simulation layers:
+Three pieces shared by the simulation layers, and the budget they keep:
+
+* ``_axis_sum_of_squares``: the n x m table of sum_k f_k(a_k - b_k)^2
+  that every coordinate-difference distance starts from, built from one
+  small table per axis (see its docstring), so that no (n, m, d) array
+  is ever formed.
 
 * ``factor_covariance``: lower-triangular factorization of a covariance
   matrix, with a bounded diagonal-inflation retry for matrices that are
@@ -18,6 +23,12 @@ Two pieces shared by the simulation layers:
   a sample on a grid that extends another grid (extra points appended)
   restricts exactly to the sample on the smaller grid: both the
   factorization and the draws depend only on leading blocks.
+
+* the dense-point budget: ``_cap_points`` refuses any point set larger
+  than ``_MAX_GRID_POINTS`` before its covariance is allocated, and
+  validation grids and the Pickands lattice before their coordinates
+  are.  Lattices handed to ``simulate_z`` are checked on the points
+  actually factorized.
 """
 
 from __future__ import annotations
@@ -36,6 +47,50 @@ BATCH = 512
 
 _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
+
+# Largest point set whose covariance is built and factorized densely.
+_MAX_GRID_POINTS = 10_000
+
+
+def _cap_points(n: int) -> None:
+    if n > _MAX_GRID_POINTS:
+        raise ValidationError(
+            f"grid would have {n} points; more than {_MAX_GRID_POINTS} is refused "
+            "(dense factorization budget)"
+        )
+
+
+def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
+    """sum_k per_axis(k, a[:, k] - b[:, k])**2 for every pair of rows.
+
+    Returns the (len(a), len(b)) array.  ``per_axis(k, delta)`` maps a
+    table of axis-k coordinate differences to the per-axis length.  It
+    is evaluated on the unique axis-k values of ``a`` against those of
+    ``b``, so on a tensor grid each table is only resolution x
+    resolution; the squared table is then gathered to len(a) x len(b)
+    and added into one accumulator, axis by axis.  Point sets without
+    that structure simply give len(a) x len(b) tables.
+
+    The work per element is the broadcast form's, on the same operands
+    and in the same order, so for up to 7 axes the result is the same to
+    the last bit as summing the (n, m, d) array over its last axis (from
+    8 axes numpy's reduction sums pairwise and the two may differ in the
+    last place).  Besides the tables, the peak is the accumulator and
+    one gather buffer: 2 n m doubles.
+    """
+    acc = buf = None
+    for k in range(a.shape[1]):
+        ua, ia = np.unique(a[:, k], return_inverse=True)
+        ub, ib = np.unique(b[:, k], return_inverse=True)
+        rows = np.square(per_axis(k, ua[:, None] - ub[None, :]))[ia]
+        # mode="clip" lets take write straight into ``out``; every index
+        # is in range, so it never clips.
+        if acc is None:
+            acc = np.take(rows, ib, axis=1, mode="clip")
+        else:
+            buf = np.take(rows, ib, axis=1, out=buf, mode="clip")
+            acc += buf
+    return acc
 
 
 def factor_covariance(
@@ -59,11 +114,13 @@ def factor_covariance(
     if not scale > 0:
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
 
-    eye = np.eye(n)
+    # The identity is built only on the shifted paths: the plain
+    # factorization, the common case, never reads it.
     if fixed_rel_jitter is not None:
         shift = float(fixed_rel_jitter) * scale
         if not (math.isfinite(shift) and shift >= 0):
             raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+        eye = np.eye(n)
         try:
             return np.linalg.cholesky(matrix + shift * eye), shift
         except np.linalg.LinAlgError:
@@ -80,6 +137,7 @@ def factor_covariance(
     # the cap fails every smaller step fails too: diagnose and abort
     # without walking the ladder.
     cap = _MAX_REL_JITTER * scale
+    eye = np.eye(n)
     try:
         at_cap = np.linalg.cholesky(matrix + cap * eye)
     except np.linalg.LinAlgError:

@@ -35,7 +35,7 @@ import numpy as np
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .manifolds import ChartPoint
-from .sampling import draw_in_batches, factor_covariance
+from .sampling import _cap_points, draw_in_batches, factor_covariance
 from .serialize import csv_line
 
 __all__ = [
@@ -55,8 +55,6 @@ __all__ = [
 # Two-sided 95% normal quantile, frozen so intervals never drift with
 # the scipy version.
 Z95 = 1.959963984540054
-
-_MAX_GRID_POINTS = 10_000
 
 _COMPARISON_COLUMNS = (
     "u",
@@ -125,14 +123,6 @@ class Grid:
     def refine(self) -> "Grid":
         """A finer grid containing this one as an exact prefix."""
         return _refine_grid(self)
-
-
-def _cap_points(n: int) -> None:
-    if n > _MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid would have {n} points; more than {_MAX_GRID_POINTS} is refused "
-            "(dense factorization budget)"
-        )
 
 
 def _tensor(axes: list[np.ndarray]) -> np.ndarray:

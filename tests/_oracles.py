@@ -32,3 +32,39 @@ def tube_volume_by_counting(domain, r, n_points=10_000_000, key=7):
         2.0 * half
     ) ** domain.dim
     return box * float(inside.mean())
+
+
+# The (n, m, d) broadcast forms the pairwise distances were first
+# written in.  The per-axis-table builds must reproduce them bit for bit.
+
+
+def broadcast_euclidean(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1))
+
+
+def broadcast_torus_geodesic(periods, a, b):
+    periods = np.asarray(periods)
+    delta = np.abs(a[:, None, :] - b[None, :, :])
+    delta = np.mod(delta, periods)
+    delta = np.minimum(delta, periods - delta)
+    return np.sqrt((delta**2).sum(axis=-1))
+
+
+def broadcast_torus_chordal(periods, a, b):
+    periods = np.asarray(periods)
+    delta = a[:, None, :] - b[None, :, :]
+    chords = (periods / math.pi) * np.sin(math.pi * delta / periods)
+    return np.sqrt((chords**2).sum(axis=-1))
+
+
+def broadcast_pickands_cov_w(alpha, lattice):
+    """Cov(W) on the nonzero lattice points, as ``pickands._factor_w`` factors it."""
+    norms = (np.sum(lattice**2, axis=1)) ** (alpha / 2.0)
+    active = norms > 0.0
+    pts = lattice[active]
+    norms = norms[active]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist_a = (np.sum(diff**2, axis=-1)) ** (alpha / 2.0)
+    cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
+    return 0.5 * (cov_w + cov_w.T)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -255,6 +256,42 @@ def test_pickands_const_manifest_round_trip(tmp_path):
     header, row = first.read_text().strip().split("\n")
     assert header == "alpha,N,K,spacing,reps,seed,estimate,stderr"
     assert row.split(",")[:2] == ["1.5", "1"]
+
+
+def test_pickands_const_default_windows():
+    from excursion.pickands import _DEFAULT_WINDOW
+
+    for dim, window in _DEFAULT_WINDOW.items():
+        config = _resolve(["pickands-const", "--dim", str(dim), "--seed", "0"]).config
+        assert (config["cube_side"], config["spacing"]) == window
+    # No default beyond the table: both window flags are required.
+    for extra in ([], ["--cube-side", "1"], ["--spacing", "0.25"]):
+        with pytest.raises(ConfigError, match="--cube-side and --spacing"):
+            _resolve(["pickands-const", "--dim", "4", "--seed", "0", *extra])
+    config = _resolve(
+        ["pickands-const", "--dim", "4", "--cube-side", "1", "--spacing", "0.25", "--seed", "0"]
+    ).config
+    assert (config["cube_side"], config["spacing"]) == (1.0, 0.25)
+
+
+def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
+    out = tmp_path / "big.csv"
+    argv = [
+        "pickands-const",
+        "--alpha", "1",
+        "--dim", "3",
+        "--cube-side", "8",
+        "--spacing", "0.05",
+        "--seed", "0",
+        "--output", str(out),
+    ]
+    started = time.perf_counter()
+    assert main(argv) == 1
+    # 161^3 points are refused from their count, before any allocation.
+    assert time.perf_counter() - started < 1.0
+    assert "invalid configuration" in caplog.text
+    assert "dense factorization budget" in caplog.text
+    assert not out.exists()
 
 
 def test_validate_round_trip_and_resolution_column(tmp_path):

@@ -1,0 +1,147 @@
+"""The dense path: per-axis pairwise tables, memory peaks, point budget.
+
+Pairwise distances on Euclidean space and the flat torus, and the
+Pickands W covariance, are built from per-axis difference tables.  They
+must equal the (n, m, d) broadcast forms in ``_oracles`` bit for bit on
+every kind of point set the package produces, and keep the dense path
+within the stated number of n x n arrays.
+"""
+
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from _oracles import (
+    broadcast_euclidean,
+    broadcast_pickands_cov_w,
+    broadcast_torus_chordal,
+    broadcast_torus_geodesic,
+)
+from excursion import pickands
+from excursion.covariance import StableOnChart
+from excursion.curvatures import FullTorus, Rectangle
+from excursion.errors import ValidationError
+from excursion.manifolds import Euclidean, FlatTorus
+from excursion.sampling import _MAX_GRID_POINTS, factor_covariance
+from excursion.validation import build_grid
+
+RNG = np.random.default_rng(31)
+# Unequal periods per dimension, so a swapped axis would show.
+PERIODS = {2: (1.0, 2.5), 3: (1.0, 0.7, 3.0)}
+
+
+def _point_sets():
+    torus = build_grid(FullTorus(PERIODS[2]), 7).coords
+    refined = build_grid(FullTorus(PERIODS[2]), 4).refine().coords
+    rect = build_grid(Rectangle((1.0, 3.0)), 6).coords
+    scattered = RNG.uniform(-4.0, 4.0, size=(40, 2))
+    torus3 = build_grid(FullTorus(PERIODS[3]), 5).coords
+    scattered3 = RNG.uniform(-2.0, 5.0, size=(30, 3))
+    return [
+        pytest.param(torus, torus, id="torus-grid"),
+        pytest.param(refined, refined, id="refined-grid-not-in-tensor-order"),
+        pytest.param(rect, rect, id="rectangle-grid"),
+        pytest.param(torus[5:6], torus, id="one-row-against-a-grid"),
+        pytest.param(torus, scattered[:13], id="grid-against-scattered"),
+        pytest.param(scattered, scattered, id="scattered"),
+        pytest.param(torus3, torus3, id="3d-torus-grid"),
+        pytest.param(torus3[:1], scattered3, id="3d-one-row-against-scattered"),
+        pytest.param(scattered3, scattered3, id="3d-scattered"),
+    ]
+
+
+@pytest.mark.parametrize("a,b", _point_sets())
+def test_pairwise_matches_broadcast(a, b):
+    dim = a.shape[1]
+    torus = FlatTorus(PERIODS[dim])
+    assert np.array_equal(
+        torus.pairwise_geodesic("main", a, b), broadcast_torus_geodesic(PERIODS[dim], a, b)
+    )
+    assert np.array_equal(
+        torus.pairwise_chordal("main", a, b), broadcast_torus_chordal(PERIODS[dim], a, b)
+    )
+    assert np.array_equal(Euclidean(dim).pairwise_geodesic("main", a, b), broadcast_euclidean(a, b))
+
+
+def _captured_cov_w(monkeypatch, alpha, lattice):
+    seen = []
+
+    def capture(matrix, **kwargs):
+        seen.append(np.array(matrix))
+        return factor_covariance(matrix, **kwargs)
+
+    monkeypatch.setattr(pickands, "factor_covariance", capture)
+    pickands._factor_w(alpha, lattice)
+    (cov_w,) = seen
+    return cov_w
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_pickands_cov_w_matches_broadcast(monkeypatch, alpha):
+    centred = pickands.cube_lattice(2, 2.0, 0.25) - 0.25 * 4
+    scattered = RNG.uniform(0.0, 3.0, size=(25, 3))
+    for lattice in (pickands.cube_lattice(2, 2.0, 0.25), centred, scattered):
+        cov_w = _captured_cov_w(monkeypatch, alpha, lattice)
+        assert np.array_equal(cov_w, broadcast_pickands_cov_w(alpha, lattice))
+
+
+def _peak_doubles(fn):
+    """Peak traced allocation of ``fn()`` in units of 8-byte doubles."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 8.0
+
+
+def test_covariance_matrix_peak_is_three_matrices():
+    grid = build_grid(FullTorus((1.0, 1.0)), 40)
+    n = len(grid)
+    model = StableOnChart(FlatTorus((1.0, 1.0)), c=1.0, alpha=1.0)
+    peak = _peak_doubles(lambda: model.covariance_matrix(grid.chart, grid.coords))
+    # The broadcast build peaked at 7 n^2.
+    assert peak <= 3.0 * n * n + 8192, peak / (n * n)
+
+
+def test_plain_factorization_peak_is_the_factor():
+    n = 1600
+    a = np.linspace(0.0, 1.0, n)
+    matrix = np.exp(-np.abs(a[:, None] - a[None, :]))
+    peak = _peak_doubles(lambda: factor_covariance(matrix))
+    # An unused identity used to double it.
+    assert peak <= 1.0 * n * n + 8192, peak / (n * n)
+
+
+def test_lattice_budget_is_checked_before_allocating():
+    # 161^3 = 4,173,281 points: refused from the count alone.
+    with pytest.raises(ValidationError, match="dense factorization budget"):
+        pickands.cube_lattice(3, 8.0, 0.05)
+    with pytest.raises(ValidationError, match="4173281 points"):
+        pickands.estimate_pickands_dy(1.0, 3, 8.0, 0.05, 1000, 0)
+    with pytest.raises(ValidationError, match="dense factorization budget"):
+        pickands.estimate_pickands(1.0, 3, 8.0, 0.05, 1000, 0)
+    # 100^2 points is the budget itself; one more per axis is over it.
+    assert pickands.cube_lattice(2, 99.0, 1.0).shape[0] == _MAX_GRID_POINTS
+    with pytest.raises(ValidationError, match="10201 points"):
+        pickands.cube_lattice(2, 100.0, 1.0)
+
+
+def test_caller_lattice_budget_is_checked_before_the_pairwise_build():
+    lattice = np.arange(1.0, _MAX_GRID_POINTS + 2.0)[:, None]
+    with pytest.raises(ValidationError, match="10001 points"):
+        pickands.simulate_z(1.0, 1, lattice, seed=0)
+
+
+def test_pickands_import_leaves_manifolds_unloaded():
+    code = (
+        "import sys, excursion.pickands; "
+        "sys.exit(1 if 'excursion.manifolds' in sys.modules else 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "excursion.pickands imported excursion.manifolds"
