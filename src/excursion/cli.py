@@ -13,6 +13,17 @@ flags win.  A run manifest produced by an earlier run can be fed back
 as the config (its resolved-config block is unwrapped), which
 reproduces the result files byte for byte.
 
+Shapes and covariance families are declared once, in ``_DOMAINS`` and
+``_MODELS``: each name maps to its constructor and its required fields
+in constructor order, with the converter that checks each.  The same
+tables drive flag-over-file merging, field checks, building, and the
+``--shape`` / ``--family`` choices.  Constructors are named, not
+imported: the package's lazy exports load them on first use.
+
+The ``mc`` block of ``pickands`` holds only the seed of the H estimate
+(``resolve_constant`` fixes its window and replication count);
+``validate`` adds the grid resolution and the replication count.
+
 Rules the implementation keeps to:
 
 * every field is validated before any computation starts, and all
@@ -34,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import secrets
 import sys
@@ -50,15 +62,6 @@ _THREAD_ENV = "EXCURSION_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DEFAULT_U_GRID = (2.0, 2.5, 3.0, 3.5)
-
-_MODEL_FAMILIES = (
-    "squared_exponential",
-    "sphere_schoenberg",
-    "powered_exponential",
-    "stable_on_chart",
-    "local",
-)
-_SHAPES = ("rectangle", "ball", "full_sphere", "full_torus", "great_circle")
 
 
 @dataclass(frozen=True)
@@ -83,6 +86,12 @@ def _as_float(value, field: str) -> float:
     return out
 
 
+def _as_floats(value, field: str) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(field, f"expected a list of numbers, got {value!r}")
+    return [_as_float(v, field) for v in value]
+
+
 def _as_int(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(field, f"expected an integer, got {value!r}")
@@ -93,6 +102,26 @@ def _as_int(value, field: str) -> int:
     if isinstance(value, float) and value != out:
         raise ConfigError(field, f"expected an integer, got {value!r}")
     return out
+
+
+_LOCAL_FIELDS = (("c", _as_float), ("alpha", _as_float))
+
+# Models take the domain's manifold as their first constructor argument.
+_DOMAINS = {
+    "rectangle": ("Rectangle", (("sides", _as_floats),)),
+    "ball": ("Ball", (("dim", _as_int), ("radius", _as_float))),
+    "full_sphere": ("FullSphere", (("dim", _as_int), ("radius", _as_float))),
+    "full_torus": ("FullTorus", (("periods", _as_floats),)),
+    "great_circle": ("GreatCircle", (("radius", _as_float),)),
+}
+_MODELS = {
+    "squared_exponential": ("SquaredExponential", (("length_scale", _as_float),)),
+    "sphere_schoenberg": ("SphereSchoenberg", (("b", _as_floats),)),
+    "powered_exponential": ("PoweredExponential", _LOCAL_FIELDS),
+    "stable_on_chart": ("StableOnChart", _LOCAL_FIELDS),
+    "local": ("LocallyIsotropicModel", _LOCAL_FIELDS),
+}
+_SECTIONS = {"domain": ("shape", _DOMAINS), "model": ("family", _MODELS)}
 
 
 def _load_config_file(path: str) -> dict:
@@ -111,116 +140,74 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _resolve_domain(cfg: dict, args) -> dict:
-    domain = dict(cfg.get("domain") or {})
-    if getattr(args, "shape", None) is not None:
-        domain["shape"] = args.shape
-    if getattr(args, "sides", None) is not None:
-        domain["sides"] = _parse_floats(args.sides, "domain.sides")
-    if getattr(args, "periods", None) is not None:
-        domain["periods"] = _parse_floats(args.periods, "domain.periods")
-    if getattr(args, "radius", None) is not None:
-        domain["radius"] = _as_float(args.radius, "domain.radius")
-    if getattr(args, "dim", None) is not None:
-        domain["dim"] = _as_int(args.dim, "domain.dim")
-
-    shape = domain.get("shape")
-    if shape is None:
-        raise ConfigError("domain.shape", "required (one of: " + ", ".join(_SHAPES) + ")")
-    if shape not in _SHAPES:
-        raise ConfigError("domain.shape", f"unknown shape {shape!r}")
-
-    if shape == "rectangle":
-        if "sides" not in domain:
-            raise ConfigError("domain.sides", "required for shape 'rectangle'")
-        domain = {"shape": shape, "sides": [_as_float(s, "domain.sides") for s in domain["sides"]]}
-    elif shape == "ball":
-        if "dim" not in domain:
-            raise ConfigError("domain.dim", "required for shape 'ball'")
-        if "radius" not in domain:
-            raise ConfigError("domain.radius", "required for shape 'ball'")
-        domain = {
-            "shape": shape,
-            "dim": _as_int(domain["dim"], "domain.dim"),
-            "radius": _as_float(domain["radius"], "domain.radius"),
-        }
-    elif shape == "full_sphere":
-        if "dim" not in domain:
-            raise ConfigError("domain.dim", "required for shape 'full_sphere'")
-        if "radius" not in domain:
-            raise ConfigError("domain.radius", "required for shape 'full_sphere'")
-        domain = {
-            "shape": shape,
-            "dim": _as_int(domain["dim"], "domain.dim"),
-            "radius": _as_float(domain["radius"], "domain.radius"),
-        }
-    elif shape == "full_torus":
-        if "periods" not in domain:
-            raise ConfigError("domain.periods", "required for shape 'full_torus'")
-        domain = {
-            "shape": shape,
-            "periods": [_as_float(p, "domain.periods") for p in domain["periods"]],
-        }
-    else:  # great_circle
-        if "radius" not in domain:
-            raise ConfigError("domain.radius", "required for shape 'great_circle'")
-        domain = {"shape": shape, "radius": _as_float(domain["radius"], "domain.radius")}
-    return domain
+def _section(cfg: dict, name: str) -> dict:
+    raw = cfg.get(name)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(name, f"expected an object, got {raw!r}")
+    return raw
 
 
-def _resolve_model(cfg: dict, args) -> dict:
-    model = dict(cfg.get("model") or {})
-    if getattr(args, "family", None) is not None:
-        model["family"] = args.family
-    if getattr(args, "length_scale", None) is not None:
-        model["length_scale"] = _as_float(args.length_scale, "model.length_scale")
-    if getattr(args, "b", None) is not None:
-        model["b"] = _parse_floats(args.b, "model.b")
-    if getattr(args, "c", None) is not None:
-        model["c"] = _as_float(args.c, "model.c")
-    if getattr(args, "alpha", None) is not None:
-        model["alpha"] = _as_float(args.alpha, "model.alpha")
+def _with_flags(rec: dict, args, keys) -> dict:
+    """``rec`` with each of the flags ``keys`` that was given put over it."""
+    return {**rec, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}
 
-    family = model.get("family")
-    if family is None:
-        raise ConfigError("model.family", "required (one of: " + ", ".join(_MODEL_FAMILIES) + ")")
-    if family not in _MODEL_FAMILIES:
-        raise ConfigError("model.family", f"unknown family {family!r}")
 
-    if family == "squared_exponential":
-        if "length_scale" not in model:
-            raise ConfigError("model.length_scale", "required for family 'squared_exponential'")
-        model = {
-            "family": family,
-            "length_scale": _as_float(model["length_scale"], "model.length_scale"),
-        }
-    elif family == "sphere_schoenberg":
-        if "b" not in model:
-            raise ConfigError("model.b", "required for family 'sphere_schoenberg'")
-        if not isinstance(model["b"], (list, tuple)):
-            raise ConfigError("model.b", "expected a list of coefficients")
-        model = {"family": family, "b": [_as_float(b, "model.b") for b in model["b"]]}
-    else:
-        if "c" not in model:
-            raise ConfigError("model.c", f"required for family {family!r}")
-        if "alpha" not in model:
-            raise ConfigError("model.alpha", f"required for family {family!r}")
-        model = {
-            "family": family,
-            "c": _as_float(model["c"], "model.c"),
-            "alpha": _as_float(model["alpha"], "model.alpha"),
-        }
-    return model
+def _resolve_entry(cfg: dict, args, section: str) -> dict:
+    """One ``domain`` or ``model`` record: flags over file, then checked."""
+    key, table = _SECTIONS[section]
+    rec = _with_flags(_section(cfg, section), args, (key,))
+    kinds = {field: kind for _, fields in table.values() for field, kind in fields}
+    for field, kind in kinds.items():
+        flag = getattr(args, field, None)
+        if flag is not None:
+            path = f"{section}.{field}"
+            rec[field] = kind(_parse_floats(flag, path) if kind is _as_floats else flag, path)
+
+    name = rec.get(key)
+    if name is None:
+        raise ConfigError(f"{section}.{key}", "required (one of: " + ", ".join(table) + ")")
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{section}.{key}", f"unknown {key} {name!r}")
+    out = {key: name}
+    for field, kind in table[name][1]:
+        path = f"{section}.{field}"
+        if field not in rec:
+            raise ConfigError(path, f"required for {key} {name!r}")
+        out[field] = kind(rec[field], path)
+    return out
+
+
+def _constructor(section: str, name: str):
+    return getattr(sys.modules[__package__], _SECTIONS[section][1][name][0])
+
+
+def _is_smooth(family: str) -> bool:
+    from .covariance import SmoothIsotropicModel
+
+    return issubclass(_constructor("model", family), SmoothIsotropicModel)
+
+
+def _construct(config: dict, section: str, *head):
+    key, table = _SECTIONS[section]
+    rec = config[section]
+    try:
+        return _constructor(section, rec[key])(*head, *(rec[f] for f, _ in table[rec[key]][1]))
+    except ValidationError as exc:
+        raise ConfigError(section, str(exc))
+
+
+def _domain_and_model(config: dict):
+    domain = _construct(config, "domain")
+    return domain, _construct(config, "model", domain.manifold)
 
 
 def _resolve_u_grid(cfg: dict, args) -> list[float]:
     if getattr(args, "u", None) is not None:
         levels = _parse_floats(args.u, "u_grid")
     elif "u_grid" in cfg:
-        raw = cfg["u_grid"]
-        if not isinstance(raw, (list, tuple)):
-            raise ConfigError("u_grid", "expected a list of levels")
-        levels = [_as_float(u, "u_grid") for u in raw]
+        levels = _as_floats(cfg["u_grid"], "u_grid")
     else:
         levels = list(_DEFAULT_U_GRID)
     if not levels:
@@ -239,25 +226,35 @@ def _resolve_seed(raw_seed, field: str) -> int:
     return seed
 
 
-def _resolve_mc(cfg: dict, args, *, resolution_default: int = 40, reps_default: int = 10_000) -> dict:
-    mc = dict(cfg.get("mc") or {})
-    if getattr(args, "resolution", None) is not None:
-        mc["resolution"] = args.resolution
-    if getattr(args, "reps", None) is not None:
-        mc["reps"] = args.reps
-    if getattr(args, "seed", None) is not None:
-        mc["seed"] = args.seed
-    resolution = _as_int(mc.get("resolution", resolution_default), "mc.resolution")
-    if resolution < 2:
-        raise ConfigError("mc.resolution", f"must be at least 2, got {resolution}")
-    reps = _as_int(mc.get("reps", reps_default), "mc.reps")
-    if reps < 1:
-        raise ConfigError("mc.reps", f"must be positive, got {reps}")
-    return {
-        "resolution": resolution,
-        "reps": reps,
-        "seed": _resolve_seed(mc.get("seed"), "mc.seed"),
-    }
+def _resolve_mc(cfg: dict, args, *, grid: bool) -> dict:
+    """The ``mc`` block: the seed, plus resolution and reps for a grid run."""
+    mc = _with_flags(_section(cfg, "mc"), args, ("resolution", "reps", "seed"))
+    out = {}
+    if grid:
+        out["resolution"] = _as_int(mc.get("resolution", 40), "mc.resolution")
+        if out["resolution"] < 2:
+            raise ConfigError("mc.resolution", f"must be at least 2, got {out['resolution']}")
+        out["reps"] = _as_int(mc.get("reps", 100_000), "mc.reps")
+        if out["reps"] < 1:
+            raise ConfigError("mc.reps", f"must be positive, got {out['reps']}")
+    out["seed"] = _resolve_seed(mc.get("seed"), "mc.seed")
+    return out
+
+
+def _pinned_h(cfg: dict, args) -> dict | None:
+    """H given by --h-value or the config's ``h`` block, checked; else None."""
+    if getattr(args, "h_value", None) is not None:
+        h_cfg = {"value": args.h_value, "provenance": "user"}
+    else:
+        h_cfg = cfg.get("h")
+        if h_cfg is None:
+            return None
+        if not isinstance(h_cfg, dict) or "value" not in h_cfg:
+            raise ConfigError("h.value", "expected an object with a 'value' entry")
+    value = _as_float(h_cfg["value"], "h.value")
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError("h.value", f"must be finite and positive, got {value}")
+    return {"value": value, "provenance": str(h_cfg.get("provenance", "user"))}
 
 
 def _resolve_output(args) -> str:
@@ -267,48 +264,6 @@ def _resolve_output(args) -> str:
         if not os.path.isdir(parent):
             raise ConfigError("output", f"directory does not exist: {parent}")
     return output
-
-
-def _build_domain(rec: dict):
-    from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
-
-    try:
-        shape = rec["shape"]
-        if shape == "rectangle":
-            return Rectangle(tuple(rec["sides"]))
-        if shape == "ball":
-            return Ball(rec["dim"], rec["radius"])
-        if shape == "full_sphere":
-            return FullSphere(rec["dim"], rec["radius"])
-        if shape == "full_torus":
-            return FullTorus(tuple(rec["periods"]))
-        return GreatCircle(rec["radius"])
-    except ValidationError as exc:
-        raise ConfigError("domain", str(exc))
-
-
-def _build_model(rec: dict, manifold):
-    from .covariance import (
-        LocallyIsotropicModel,
-        PoweredExponential,
-        SphereSchoenberg,
-        SquaredExponential,
-        StableOnChart,
-    )
-
-    try:
-        family = rec["family"]
-        if family == "squared_exponential":
-            return SquaredExponential(manifold, rec["length_scale"])
-        if family == "sphere_schoenberg":
-            return SphereSchoenberg(manifold, tuple(rec["b"]))
-        if family == "powered_exponential":
-            return PoweredExponential(manifold, rec["c"], rec["alpha"])
-        if family == "stable_on_chart":
-            return StableOnChart(manifold, rec["c"], rec["alpha"])
-        return LocallyIsotropicModel(c=rec["c"], alpha=rec["alpha"], manifold=manifold)
-    except ValidationError as exc:
-        raise ConfigError("model", str(exc))
 
 
 def _approx_csv(results) -> str:
@@ -328,55 +283,33 @@ def _approx_csv(results) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _analytic(config: dict, domain, model) -> list:
+    """The analytic value at each level: the tail formula when the run
+    carries an H (it reads (c, alpha) off any model), else the EEC route."""
+    from .approximations import eec_approx, pickands_approx_submanifold
+
+    if "h" not in config:
+        return [eec_approx(model, domain, u) for u in config["u_grid"]]
+    h = config["h"]
+    return [
+        pickands_approx_submanifold(model, domain, u, h["value"], h["provenance"])
+        for u in config["u_grid"]
+    ]
+
+
 def _run_lk(config: dict) -> str:
     from .curvatures import lk_curvatures
     from .serialize import csv_line
 
-    lk = lk_curvatures(_build_domain(config["domain"]))
+    lk = lk_curvatures(_construct(config, "domain"))
     lines = ["j,L_j"]
     for j, value in enumerate(lk):
         lines.append(csv_line([j, float(value)]))
     return "\n".join(lines) + "\n"
 
 
-def _run_eec(config: dict) -> str:
-    from .approximations import eec_approx
-
-    domain = _build_domain(config["domain"])
-    model = _build_model(config["model"], domain.manifold)
-    results = [eec_approx(model, domain, u) for u in config["u_grid"]]
-    return _approx_csv(results)
-
-
-def _resolve_h(model, domain, *, seed: int) -> tuple[float, str]:
-    from .covariance import local_expansion
-    from .pickands import resolve_constant
-
-    _, alpha = local_expansion(model)
-    resolved = resolve_constant(alpha, domain.k, seed=seed)
-    return resolved.value, resolved.provenance
-
-
-def _local_view(model):
-    """The (c, alpha) reading of any model the tail formula accepts."""
-    from .covariance import LocallyIsotropicModel, SmoothIsotropicModel
-
-    if isinstance(model, LocallyIsotropicModel):
-        return model
-    if isinstance(model, SmoothIsotropicModel):
-        return model.local_model()
-    raise ConfigError("model.family", f"no tail-formula reading for {type(model).__name__}")
-
-
-def _run_pickands(config: dict) -> str:
-    from .approximations import pickands_approx, pickands_approx_submanifold
-
-    domain = _build_domain(config["domain"])
-    model = _local_view(_build_model(config["model"], domain.manifold))
-    h_value, h_provenance = config["h"]["value"], config["h"]["provenance"]
-    entry = pickands_approx if domain.k == domain.manifold.dim else pickands_approx_submanifold
-    results = [entry(model, domain, u, h_value, h_provenance) for u in config["u_grid"]]
-    return _approx_csv(results)
+def _run_approx(config: dict) -> str:
+    return _approx_csv(_analytic(config, *_domain_and_model(config)))
 
 
 def _run_pickands_const(config: dict) -> str:
@@ -410,52 +343,54 @@ def _run_pickands_const(config: dict) -> str:
 
 
 def _run_validate(config: dict) -> str:
-    from .approximations import eec_approx, pickands_approx, pickands_approx_submanifold
-    from .covariance import SmoothIsotropicModel
     from .validation import compare_report, empirical_excursion
 
-    domain = _build_domain(config["domain"])
-    model = _build_model(config["model"], domain.manifold)
-    u_grid = config["u_grid"]
-    mc = config["mc"]
+    domain, model = _domain_and_model(config)
+    analytic = _analytic(config, domain, model)
 
-    if isinstance(model, SmoothIsotropicModel):
-        analytic = [eec_approx(model, domain, u) for u in u_grid]
-    else:
-        local = _local_view(model)
-        h_value, h_provenance = config["h"]["value"], config["h"]["provenance"]
-        entry = pickands_approx if domain.k == domain.manifold.dim else pickands_approx_submanifold
-        analytic = [entry(local, domain, u, h_value, h_provenance) for u in u_grid]
-
-    tables = []
-    for resolution in _validate_resolutions(mc["resolution"]):
-        empirical = empirical_excursion(
-            model, domain, u_grid, resolution, mc["reps"], mc["seed"]
-        )
-        tables.append(compare_report(analytic, empirical))
-
-    lines = tables[0].to_csv().splitlines()
-    for table in tables[1:]:
-        lines.extend(table.to_csv().splitlines()[1:])
-    return "\n".join(lines) + "\n"
-
-
-def _validate_resolutions(resolution: int) -> list[int]:
     # The half-resolution pass makes discretization drift visible in the
     # same table; skipped when it would degenerate.
-    out = [resolution]
-    if resolution // 2 >= 2:
-        out.append(resolution // 2)
-    return out
+    mc = config["mc"]
+    resolutions = [mc["resolution"]] + ([mc["resolution"] // 2] if mc["resolution"] >= 4 else [])
+    lines = []
+    for resolution in resolutions:
+        empirical = empirical_excursion(
+            model, domain, config["u_grid"], resolution, mc["reps"], mc["seed"]
+        )
+        table = compare_report(analytic, empirical).to_csv().splitlines()
+        lines.extend(table if not lines else table[1:])
+    return "\n".join(lines) + "\n"
 
 
 _RUNNERS = {
     "lk": _run_lk,
-    "eec": _run_eec,
-    "pickands": _run_pickands,
+    "eec": _run_approx,
+    "pickands": _run_approx,
     "pickands-const": _run_pickands_const,
     "validate": _run_validate,
 }
+
+
+def _resolve_pickands_const(cfg: dict, args) -> dict:
+    from .pickands import _DEFAULT_WINDOW
+
+    pc = _with_flags(cfg, args, ("alpha", "dim", "cube_side", "spacing", "reps", "seed"))
+    alpha = _as_float(pc.get("alpha", 2.0), "alpha")
+    dim = _as_int(pc.get("dim", 1), "dim")
+    default_side, default_spacing = _DEFAULT_WINDOW.get(dim, (None, None))
+    if default_side is None and not ("cube_side" in pc and "spacing" in pc):
+        raise ConfigError(
+            "cube_side",
+            f"no default window for dimension {dim}; pass --cube-side and --spacing",
+        )
+    return {
+        "alpha": alpha,
+        "dim": dim,
+        "cube_side": _as_float(pc.get("cube_side", default_side), "cube_side"),
+        "spacing": _as_float(pc.get("spacing", default_spacing), "spacing"),
+        "reps": _as_int(pc.get("reps", 10_000), "reps"),
+        "seed": _resolve_seed(pc.get("seed"), "seed"),
+    }
 
 
 def resolve(args) -> ResolvedRun:
@@ -463,103 +398,41 @@ def resolve(args) -> ResolvedRun:
     cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     sub = args.subcommand
     output = _resolve_output(args)
+    if sub == "pickands-const":
+        return ResolvedRun(sub, _resolve_pickands_const(cfg, args), output)
 
+    config = {"domain": _resolve_entry(cfg, args, "domain")}
     if sub == "lk":
-        config = {"domain": _resolve_domain(cfg, args)}
-    elif sub == "eec":
-        config = {
-            "domain": _resolve_domain(cfg, args),
-            "model": _resolve_model(cfg, args),
-            "u_grid": _resolve_u_grid(cfg, args),
-        }
-        if config["model"]["family"] not in ("squared_exponential", "sphere_schoenberg"):
+        return ResolvedRun(sub, config, output)
+
+    config["model"] = _resolve_entry(cfg, args, "model")
+    config["u_grid"] = _resolve_u_grid(cfg, args)
+    smooth = _is_smooth(config["model"]["family"])
+    if sub == "eec":
+        if not smooth:
             raise ConfigError(
                 "model.family",
                 "the Euler-characteristic route needs a smooth family "
-                "(squared_exponential or sphere_schoenberg)",
+                f"({' or '.join(filter(_is_smooth, _MODELS))})",
             )
-    elif sub == "pickands":
-        config = {
-            "domain": _resolve_domain(cfg, args),
-            "model": _resolve_model(cfg, args),
-            "u_grid": _resolve_u_grid(cfg, args),
-            "mc": _resolve_mc(cfg, args),
-        }
-    elif sub == "pickands-const":
-        pc = dict(cfg)
-        for key, field in (
-            ("alpha", "alpha"),
-            ("dim", "dim"),
-            ("cube_side", "cube_side"),
-            ("spacing", "spacing"),
-            ("reps", "reps"),
-        ):
-            flag = getattr(args, key, None)
-            if flag is not None:
-                pc[field] = flag
-        alpha = _as_float(pc.get("alpha", 2.0), "alpha")
-        dim = _as_int(pc.get("dim", 1), "dim")
-        from .pickands import _DEFAULT_WINDOW
+        return ResolvedRun(sub, config, output)
 
-        default_side, default_spacing = _DEFAULT_WINDOW.get(dim, (None, None))
-        if default_side is None and not ("cube_side" in pc and "spacing" in pc):
-            raise ConfigError(
-                "cube_side",
-                f"no default window for dimension {dim}; pass --cube-side and --spacing",
-            )
-        config = {
-            "alpha": alpha,
-            "dim": dim,
-            "cube_side": _as_float(pc.get("cube_side", default_side), "cube_side"),
-            "spacing": _as_float(pc.get("spacing", default_spacing), "spacing"),
-            "reps": _as_int(pc.get("reps", 10_000), "reps"),
-            "seed": _resolve_seed(
-                args.seed if getattr(args, "seed", None) is not None else pc.get("seed"), "seed"
-            ),
-        }
-    else:  # validate
-        config = {
-            "domain": _resolve_domain(cfg, args),
-            "model": _resolve_model(cfg, args),
-            "u_grid": _resolve_u_grid(cfg, args),
-            "mc": _resolve_mc(cfg, args, reps_default=100_000),
-        }
+    config["mc"] = _resolve_mc(cfg, args, grid=(sub == "validate"))
+    # The tail formula runs on an H that is pinned or estimated here; a
+    # smooth validate run takes the Euler-characteristic route and records
+    # none (a pinned one is still checked).
+    h = _pinned_h(cfg, args)
+    if sub == "pickands" or not smooth:
+        if h is None:
+            from .covariance import local_expansion
+            from .pickands import resolve_constant
 
-    if sub in ("pickands", "validate"):
-        flag_h = getattr(args, "h_value", None)
-        if flag_h is not None:
-            cfg = dict(cfg)
-            cfg["h"] = {"value": _as_float(flag_h, "h.value"), "provenance": "user"}
-        config = _attach_h(cfg, config, needs_h=(sub == "pickands"))
-
-    return ResolvedRun(subcommand=sub, config=config, output=output)
-
-
-def _attach_h(file_cfg: dict, config: dict, *, needs_h: bool) -> dict:
-    """Pin the H constant in the resolved config (value + provenance).
-
-    ``needs_h`` is False for validate runs, where a smooth family takes
-    the Euler-characteristic route and uses no H at all.
-    """
-    smooth_family = config["model"]["family"] in ("squared_exponential", "sphere_schoenberg")
-
-    h_cfg = file_cfg.get("h")
-    if h_cfg is not None:
-        if not isinstance(h_cfg, dict) or "value" not in h_cfg:
-            raise ConfigError("h.value", "expected an object with a 'value' entry")
-        value = _as_float(h_cfg["value"], "h.value")
-        if value <= 0:
-            raise ConfigError("h.value", f"must be positive, got {value}")
-        config["h"] = {"value": value, "provenance": str(h_cfg.get("provenance", "user"))}
-        return config
-    if smooth_family and not needs_h:
-        return config
-
-    domain = _build_domain(config["domain"])
-    model = _local_view(_build_model(config["model"], domain.manifold))
-    value, provenance = _resolve_h(model, domain, seed=config["mc"]["seed"])
-    config["h"] = {"value": value, "provenance": provenance}
-    return config
+            domain, model = _domain_and_model(config)
+            _, alpha = local_expansion(model)
+            resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"])
+            h = {"value": resolved.value, "provenance": resolved.provenance}
+        config["h"] = h
+    return ResolvedRun(sub, config, output)
 
 
 def run(run_spec: ResolvedRun) -> int:
@@ -632,26 +505,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    def common(p, *, mc: bool = False, model: bool = False, levels: bool = False):
+    def io(p):
         p.add_argument("--config", help="JSON config file (a run manifest also works)")
         p.add_argument("--output", help="output file, or - for stdout (default)")
         p.add_argument("--threads", type=int, help="cap the BLAS/OpenMP thread pool")
-        p.add_argument("--shape", choices=_SHAPES, help="domain shape")
+        return p
+
+    def common(p, *, model: bool = False, h: bool = False, grid: bool = False):
+        io(p)
+        p.add_argument("--shape", choices=list(_DOMAINS), help="domain shape")
         p.add_argument("--sides", help="rectangle side lengths, comma separated")
         p.add_argument("--periods", help="torus periods, comma separated")
         p.add_argument("--radius", help="sphere/ball/circle radius")
         p.add_argument("--dim", type=int, help="sphere/ball dimension")
         if model:
-            p.add_argument("--family", choices=_MODEL_FAMILIES, help="covariance family")
+            p.add_argument("--family", choices=list(_MODELS), help="covariance family")
             p.add_argument("--length-scale", dest="length_scale", help="squared-exponential scale")
             p.add_argument("--b", help="Schoenberg coefficients, comma separated")
             p.add_argument("--c", help="local expansion coefficient")
             p.add_argument("--alpha", help="local expansion exponent")
-        if levels:
             p.add_argument("--u", help="levels, comma separated")
-        if mc:
+        if grid:
             p.add_argument("--resolution", type=int, help="grid resolution per axis")
             p.add_argument("--reps", type=int, help="Monte Carlo replications")
+        if h:
             p.add_argument("--seed", type=int, help="base seed (64-bit)")
             p.add_argument(
                 "--h-value",
@@ -660,17 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     common(sub.add_parser("lk", help="curvature vector of a domain"))
-    common(sub.add_parser("eec", help="Euler-characteristic approximation"), model=True, levels=True)
+    common(sub.add_parser("eec", help="Euler-characteristic approximation"), model=True)
     common(
-        sub.add_parser("pickands", help="fractional-index tail approximation"),
-        model=True,
-        levels=True,
-        mc=True,
+        sub.add_parser("pickands", help="fractional-index tail approximation"), model=True, h=True
     )
-    pc = sub.add_parser("pickands-const", help="Monte Carlo estimate of H")
-    pc.add_argument("--config", help="JSON config file (a run manifest also works)")
-    pc.add_argument("--output", help="output file, or - for stdout (default)")
-    pc.add_argument("--threads", type=int, help="cap the BLAS/OpenMP thread pool")
+    pc = io(sub.add_parser("pickands-const", help="Monte Carlo estimate of H"))
     pc.add_argument("--alpha", type=float, help="index in (0, 2]")
     pc.add_argument("--dim", type=int, help="lattice dimension N")
     pc.add_argument("--cube-side", dest="cube_side", type=float, help="window side K")
@@ -680,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(
         sub.add_parser("validate", help="analytic vs brute-force comparison"),
         model=True,
-        levels=True,
-        mc=True,
+        h=True,
+        grid=True,
     )
     return parser
 

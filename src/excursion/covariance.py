@@ -96,9 +96,7 @@ class SmoothIsotropicModel(_ModelBase):
 
     def local_model(self) -> "LocallyIsotropicModel":
         """The near-diagonal reading of this model: alpha = 2, c = -rho'(0)."""
-        return LocallyIsotropicModel(
-            c=-self.rho_prime_0(), alpha=2.0, manifold=self.manifold, full_model=self
-        )
+        return LocallyIsotropicModel(self.manifold, -self.rho_prime_0(), 2.0, full_model=self)
 
 
 @dataclass(frozen=True)
@@ -200,9 +198,9 @@ class LocallyIsotropicModel(_ModelBase):
     tail approximation but cannot be evaluated or simulated.
     """
 
+    manifold: _ManifoldBase
     c: float
     alpha: float
-    manifold: _ManifoldBase
     full_model: _ModelBase | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -226,59 +224,43 @@ class LocallyIsotropicModel(_ModelBase):
             )
         return self.full_model
 
-    # Subclasses with their own kernel set full_model to themselves;
-    # the guards below keep that from looping back here.
-
     def correlation_from_distance(self, d):
-        target = self._evaluable()
-        if target is self:
-            raise NotImplementedError
-        return target.correlation_from_distance(d)
+        return self._evaluable().correlation_from_distance(d)
 
     def covariance(self, p: ChartPoint, q: ChartPoint) -> float:
-        target = self._evaluable()
-        if target is self:
-            return _ModelBase.covariance(self, p, q)
-        return target.covariance(p, q)
+        return self._evaluable().covariance(p, q)
 
     def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        target = self._evaluable()
-        if target is self:
-            return _ModelBase.covariance_matrix(self, chart, coords)
-        return target.covariance_matrix(chart, coords)
+        return self._evaluable().covariance_matrix(chart, coords)
 
 
-def _check_fractional_params(c, alpha) -> tuple[float, float]:
-    c = float(c)
-    alpha = float(alpha)
-    if not (math.isfinite(c) and c > 0):
-        raise ValidationError(f"coefficient c must be positive, got {c}")
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
-        raise ValidationError(f"exponent alpha must lie in (0, 2], got {alpha}")
-    return c, alpha
+class _ExpPowerKernel(LocallyIsotropicModel):
+    """Evaluates its own C = exp(-c d^alpha), in the distance the subclass measures."""
 
-
-class PoweredExponential(LocallyIsotropicModel):
-    """C(p, q) = exp(-c d_M(p, q)^alpha) in geodesic distance.
-
-    On spheres only alpha <= 1 is accepted; larger exponents do not give
-    a positive semidefinite kernel there.
-    """
-
-    def __init__(self, manifold: _ManifoldBase, c: float, alpha: float):
-        c, alpha = _check_fractional_params(c, alpha)
-        if isinstance(manifold, Sphere) and alpha > 1.0:
-            raise ValidationError(
-                f"geodesic powered-exponential on a sphere needs alpha <= 1, got {alpha}"
-            )
-        super().__init__(c=c, alpha=alpha, manifold=manifold, full_model=self)
+    covariance = _ModelBase.covariance
+    covariance_matrix = _ModelBase.covariance_matrix
 
     def correlation_from_distance(self, d):
         d = np.asarray(d, dtype=float)
         return np.exp(-self.c * d**self.alpha)
 
 
-class StableOnChart(LocallyIsotropicModel):
+class PoweredExponential(_ExpPowerKernel):
+    """C(p, q) = exp(-c d_M(p, q)^alpha) in geodesic distance.
+
+    On spheres only alpha <= 1 is accepted; larger exponents do not give
+    a positive semidefinite kernel there.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        if isinstance(self.manifold, Sphere) and self.alpha > 1.0:
+            raise ValidationError(
+                f"geodesic powered-exponential on a sphere needs alpha <= 1, got {self.alpha}"
+            )
+
+
+class StableOnChart(_ExpPowerKernel):
     """C(p, q) = exp(-c |e(p) - e(q)|^alpha) for an isometric-at-the-
     diagonal flat embedding e of the manifold.
 
@@ -288,19 +270,11 @@ class StableOnChart(LocallyIsotropicModel):
     every catalogue manifold.
     """
 
-    def __init__(self, manifold: _ManifoldBase, c: float, alpha: float):
-        c, alpha = _check_fractional_params(c, alpha)
-        super().__init__(c=c, alpha=alpha, manifold=manifold, full_model=self)
-
     def _distance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         return self.manifold.pairwise_chordal(chart, coords, coords)
 
     def _scalar_distance(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.manifold.chordal_distance(p, q)
-
-    def correlation_from_distance(self, d):
-        d = np.asarray(d, dtype=float)
-        return np.exp(-self.c * d**self.alpha)
 
 
 def covariance(model: _ModelBase, p: ChartPoint, q: ChartPoint) -> float:

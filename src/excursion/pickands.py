@@ -135,7 +135,9 @@ def cube_lattice(n_dim: int, cube_side: float, spacing: float) -> np.ndarray:
         raise ValidationError(f"cube side must be positive, got {cube_side}")
     if not (math.isfinite(spacing) and 0.0 < spacing <= cube_side):
         raise ValidationError(f"spacing must lie in (0, cube_side], got {spacing}")
-    steps = math.floor(cube_side / spacing)
+    steps = cube_side / spacing
+    # A ratio that overflows to inf has no floor; it is refused as over budget.
+    steps = math.floor(steps) if math.isfinite(steps) else steps
     _cap_points((steps + 1) ** n_dim)
     per_axis = np.arange(steps + 1) * spacing
     grids = np.meshgrid(*([per_axis] * n_dim), indexing="ij")

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -13,6 +15,10 @@ from excursion.errors import ConfigError
 LK_RECT = "j,L_j\n0,1\n1,3\n2,2\n"
 EEC_HEADER = "method,u,total,term_0,term_1,term_2,H_value,H_provenance"
 EEC_TORUS_ROW = "eec,3,0.0021160517453817007,0,0,0.0021160517453817007,,"
+PICKANDS_HEADER = "method,u,total,term_0,H_value,H_provenance"
+PICKANDS_CIRCLE_ROW = (
+    "pickands,3,0.014355791786955237,0.014355791786955237,0.56418958354775628,exact"
+)
 
 
 def _resolve(argv):
@@ -69,6 +75,24 @@ def test_eec_rejects_nonsmooth_family():
     assert err.value.field == "model.family"
 
 
+def test_pickands_great_circle_golden(capsys):
+    # k = 1 inside S^2: the exponents and H_{2, 1} use the intrinsic k.
+    rc = main(
+        [
+            "pickands",
+            "--shape", "great_circle",
+            "--radius", "1",
+            "--family", "local",
+            "--c", "1",
+            "--alpha", "2",
+            "--u", "3",
+            "--seed", "0",
+        ]
+    )
+    assert rc == 0
+    assert capsys.readouterr().out.strip().split("\n") == [PICKANDS_HEADER, PICKANDS_CIRCLE_ROW]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(
@@ -123,11 +147,13 @@ def test_model_and_mc_field_paths():
         _resolve(base + ["--family", "stable_on_chart", "--c", "1"])
     assert err.value.field == "model.alpha"
     model = base + ["--family", "stable_on_chart", "--c", "1", "--alpha", "2"]
+    # pickands takes only a seed; the grid fields belong to validate.
+    grid = ["validate", *model[1:]]
     with pytest.raises(ConfigError) as err:
-        _resolve(model + ["--resolution", "1"])
+        _resolve(grid + ["--resolution", "1"])
     assert err.value.field == "mc.resolution"
     with pytest.raises(ConfigError) as err:
-        _resolve(model + ["--reps", "0"])
+        _resolve(grid + ["--reps", "0"])
     assert err.value.field == "mc.reps"
     with pytest.raises(ConfigError) as err:
         _resolve(model + ["--seed", "-1"])
@@ -170,22 +196,38 @@ def test_h_value_validation(tmp_path):
             ]
         )
     assert err.value.field == "h.value"
+    # A smooth validate run uses no H, but a given one is still checked.
+    for value in ("nan", "inf"):
+        with pytest.raises(ConfigError) as err:
+            _resolve(
+                [
+                    "validate",
+                    "--shape", "rectangle",
+                    "--sides", "1,1",
+                    "--family", "squared_exponential",
+                    "--length-scale", "1",
+                    "--seed", "0",
+                    "--h-value", value,
+                ]
+            )
+        assert err.value.field == "h.value"
 
 
 def test_smooth_validate_needs_no_h():
-    spec = _resolve(
-        [
-            "validate",
-            "--shape", "rectangle",
-            "--sides", "1,1",
-            "--family", "squared_exponential",
-            "--length-scale", "1",
-            "--seed", "0",
-            "--reps", "100",
-        ]
-    )
+    argv = [
+        "validate",
+        "--shape", "rectangle",
+        "--sides", "1,1",
+        "--family", "squared_exponential",
+        "--length-scale", "1",
+        "--seed", "0",
+        "--reps", "100",
+    ]
+    spec = _resolve(argv)
     assert "h" not in spec.config
     assert spec.config["mc"]["resolution"] == 40
+    # The Euler-characteristic route reads no H, so a pinned one is not recorded.
+    assert "h" not in _resolve(argv + ["--h-value", "0.5"]).config
 
 
 def test_validate_defaults_to_heavy_sampling():
@@ -258,6 +300,37 @@ def test_pickands_const_manifest_round_trip(tmp_path):
     assert row.split(",")[:2] == ["1.5", "1"]
 
 
+def test_pickands_manifest_holds_seed_and_replays(tmp_path):
+    first = tmp_path / "pk.csv"
+    argv = [
+        "pickands",
+        "--shape", "great_circle",
+        "--radius", "1",
+        "--family", "stable_on_chart",
+        "--c", "1",
+        "--alpha", "1",
+        "--u", "2,3",
+        "--seed", "3",
+        "--output", str(first),
+    ]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "pk.csv.manifest.json").read_text())
+    assert manifest["resolved_config"]["mc"] == {"seed": 3}
+    assert manifest["resolved_config"]["h"]["provenance"] == "mc"
+
+    # Manifests written when pickands still recorded mc.resolution and
+    # mc.reps replay unchanged, with H pinned or estimated again.
+    manifest["resolved_config"]["mc"].update(resolution=40, reps=10_000)
+    unpinned = json.loads(json.dumps(manifest))
+    del unpinned["resolved_config"]["h"]
+    for i, legacy in enumerate((manifest, unpinned)):
+        cfg = tmp_path / f"legacy{i}.json"
+        cfg.write_text(json.dumps(legacy))
+        again = tmp_path / f"again{i}.csv"
+        assert main(["pickands", "--config", str(cfg), "--output", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
+
 def test_pickands_const_default_windows():
     from excursion.pickands import _DEFAULT_WINDOW
 
@@ -276,22 +349,21 @@ def test_pickands_const_default_windows():
 
 def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
     out = tmp_path / "big.csv"
-    argv = [
-        "pickands-const",
-        "--alpha", "1",
-        "--dim", "3",
-        "--cube-side", "8",
-        "--spacing", "0.05",
-        "--seed", "0",
-        "--output", str(out),
+    windows = [
+        # 161^3 points are refused from their count, before any allocation.
+        ["--dim", "3", "--cube-side", "8", "--spacing", "0.05"],
+        # K / spacing overflows a float: no finite step count at all.
+        ["--dim", "1", "--cube-side", "1e300", "--spacing", "1e-10", "--reps", "1000"],
     ]
-    started = time.perf_counter()
-    assert main(argv) == 1
-    # 161^3 points are refused from their count, before any allocation.
-    assert time.perf_counter() - started < 1.0
-    assert "invalid configuration" in caplog.text
-    assert "dense factorization budget" in caplog.text
-    assert not out.exists()
+    for window in windows:
+        caplog.clear()
+        argv = ["pickands-const", "--alpha", "1", *window, "--seed", "0", "--output", str(out)]
+        started = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - started < 1.0
+        assert "invalid configuration" in caplog.text
+        assert "dense factorization budget" in caplog.text
+        assert not out.exists()
 
 
 def test_validate_round_trip_and_resolution_column(tmp_path):
@@ -367,7 +439,7 @@ def test_output_directory_must_exist(tmp_path):
     assert not target.exists()
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, caplog):
     assert main(["lk", "--config", str(tmp_path / "absent.json")]) == 1
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -375,6 +447,32 @@ def test_config_file_errors(tmp_path):
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     assert main(["lk", "--config", str(listy)]) == 1
+    # Sections and list fields of the wrong JSON type name their field.
+    torus = {"shape": "full_torus", "periods": [1, 1]}
+    model = {"family": "stable_on_chart", "c": 1, "alpha": 2}
+    wrong_types = [
+        ("lk", {"domain": ["rectangle"]}, "domain"),
+        ("lk", {"domain": {"shape": "rectangle", "sides": 5}}, "domain.sides"),
+        ("pickands", {"domain": torus, "model": model, "mc": "abc"}, "mc"),
+    ]
+    for sub, data, field in wrong_types:
+        typed = tmp_path / "typed.json"
+        typed.write_text(json.dumps(data))
+        caplog.clear()
+        assert main([sub, "--config", str(typed)]) == 1
+        assert f"invalid configuration: {field}: " in caplog.text
+
+
+def test_resolve_leaves_numpy_unloaded():
+    # The --threads cap only works if numpy is not loaded before it is set.
+    code = (
+        "import sys\n"
+        "from excursion.cli import build_parser, resolve\n"
+        "resolve(build_parser().parse_args(['lk', '--shape', 'rectangle', '--sides', '1,2']))\n"
+        "sys.exit(1 if 'numpy' in sys.modules else 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "importing and resolving loaded numpy"
 
 
 def test_thread_cap_flag(monkeypatch, capsys):
