@@ -266,21 +266,19 @@ def _resolve_output(args) -> str:
     return output
 
 
-def _approx_csv(results) -> str:
+def _csv(header: list[str], rows) -> str:
     from .serialize import csv_line
 
-    k = len(results[0].terms) - 1
-    header = ["method", "u", "total"] + [f"term_{j}" for j in range(k + 1)] + [
-        "H_value",
-        "H_provenance",
-    ]
-    lines = [",".join(header)]
-    for res in results:
-        md = res.metadata
-        lines.append(
-            csv_line([res.method, res.u, res.total, *res.terms, md.h_value, md.h_provenance])
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *(csv_line(row) for row in rows)]) + "\n"
+
+
+def _approx_csv(results) -> str:
+    terms = [f"term_{j}" for j in range(len(results[0].terms))]
+    rows = (
+        [res.method, res.u, res.total, *res.terms, res.metadata.h_value, res.metadata.h_provenance]
+        for res in results
+    )
+    return _csv(["method", "u", "total", *terms, "H_value", "H_provenance"], rows)
 
 
 def _analytic(config: dict, domain, model) -> list:
@@ -299,13 +297,9 @@ def _analytic(config: dict, domain, model) -> list:
 
 def _run_lk(config: dict) -> str:
     from .curvatures import lk_curvatures
-    from .serialize import csv_line
 
     lk = lk_curvatures(_construct(config, "domain"))
-    lines = ["j,L_j"]
-    for j, value in enumerate(lk):
-        lines.append(csv_line([j, float(value)]))
-    return "\n".join(lines) + "\n"
+    return _csv(["j", "L_j"], ([j, float(value)] for j, value in enumerate(lk)))
 
 
 def _run_approx(config: dict) -> str:
@@ -314,32 +308,14 @@ def _run_approx(config: dict) -> str:
 
 def _run_pickands_const(config: dict) -> str:
     from .pickands import estimate_pickands
-    from .serialize import csv_line
 
-    est = estimate_pickands(
-        config["alpha"],
-        config["dim"],
-        config["cube_side"],
-        config["spacing"],
-        config["reps"],
-        config["seed"],
+    fields = ("alpha", "dim", "cube_side", "spacing", "reps", "seed")
+    est = estimate_pickands(*(config[f] for f in fields))
+    inputs = [est.alpha, est.n_dim, est.cube_side, est.spacing, est.reps, est.seed]
+    return _csv(
+        ["alpha", "N", "K", "spacing", "reps", "seed", "estimate", "stderr"],
+        [inputs + [est.estimate, est.stderr]],
     )
-    lines = ["alpha,N,K,spacing,reps,seed,estimate,stderr"]
-    lines.append(
-        csv_line(
-            [
-                est.alpha,
-                est.n_dim,
-                est.cube_side,
-                est.spacing,
-                est.reps,
-                est.seed,
-                est.estimate,
-                est.stderr,
-            ]
-        )
-    )
-    return "\n".join(lines) + "\n"
 
 
 def _run_validate(config: dict) -> str:

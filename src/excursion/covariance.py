@@ -234,8 +234,14 @@ class LocallyIsotropicModel(_ModelBase):
         return self._evaluable().covariance_matrix(chart, coords)
 
 
+@dataclass(frozen=True)
 class _ExpPowerKernel(LocallyIsotropicModel):
-    """Evaluates its own C = exp(-c d^alpha), in the distance the subclass measures."""
+    """Evaluates its own C = exp(-c d^alpha), in the distance the subclass measures.
+
+    The kernel is its own full covariance, so ``full_model`` cannot be set.
+    """
+
+    full_model: None = field(default=None, init=False, compare=False)
 
     covariance = _ModelBase.covariance
     covariance_matrix = _ModelBase.covariance_matrix

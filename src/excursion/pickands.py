@@ -136,8 +136,9 @@ def cube_lattice(n_dim: int, cube_side: float, spacing: float) -> np.ndarray:
     if not (math.isfinite(spacing) and 0.0 < spacing <= cube_side):
         raise ValidationError(f"spacing must lie in (0, cube_side], got {spacing}")
     steps = cube_side / spacing
-    # A ratio that overflows to inf has no floor; it is refused as over budget.
-    steps = math.floor(steps) if math.isfinite(steps) else steps
+    if not math.isfinite(steps):
+        raise ValidationError(f"cube_side / spacing overflows: {cube_side} / {spacing}")
+    steps = math.floor(steps)
     _cap_points((steps + 1) ** n_dim)
     per_axis = np.arange(steps + 1) * spacing
     grids = np.meshgrid(*([per_axis] * n_dim), indexing="ij")

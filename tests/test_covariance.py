@@ -131,6 +131,8 @@ def test_model_parameter_validation():
         PoweredExponential(Sphere(2, 1.0), 1.0, 1.5)
     with pytest.raises(ValidationError):
         LocallyIsotropicModel(c=1.0, alpha=0.0, manifold=e2)
+    with pytest.raises(TypeError):
+        PoweredExponential(e2, 1.0, 1.0, full_model=SquaredExponential(e2, 1.0))
 
 
 def test_bare_local_model_cannot_be_evaluated():
