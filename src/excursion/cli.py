@@ -319,23 +319,30 @@ def _run_pickands_const(config: dict) -> str:
 
 
 def _run_validate(config: dict) -> str:
-    from .validation import compare_report, empirical_excursion
+    from . import validation
 
     domain, model = _domain_and_model(config)
     analytic = _analytic(config, domain, model)
 
-    # The half-resolution pass makes discretization drift visible in the
-    # same table; skipped when it would degenerate.
+    # From R = 4 on, rows at half resolution make discretization drift
+    # visible in the same table.  Both grids are sampled in one pass: the
+    # refined half-resolution grid holds the coarse one as its prefix.
+    # Below 4 the prefix is the whole grid, and zip drops its second row.
     mc = config["mc"]
-    resolutions = [mc["resolution"]] + ([mc["resolution"] // 2] if mc["resolution"] >= 4 else [])
-    lines = []
-    for resolution in resolutions:
-        empirical = empirical_excursion(
-            model, domain, config["u_grid"], resolution, mc["reps"], mc["seed"]
+    if mc["resolution"] < 4:
+        grids = [validation.build_grid(domain, mc["resolution"])]
+    else:
+        coarse = validation.build_grid(domain, mc["resolution"] // 2)
+        grids = [coarse.refine(), coarse]
+    sups = validation.sample_field(model, grids[0], mc["reps"], mc["seed"], prefix=len(grids[-1]))
+    rows = []
+    for grid, grid_sups in zip(grids, sups):
+        empirical = validation.estimates_from_sups(
+            grid_sups, config["u_grid"], grid_size=len(grid), resolution=grid.resolution,
+            seed=mc["seed"],
         )
-        table = compare_report(analytic, empirical).to_csv().splitlines()
-        lines.extend(table if not lines else table[1:])
-    return "\n".join(lines) + "\n"
+        rows.extend(validation.compare_report(analytic, empirical).rows)
+    return validation.ComparisonTable(tuple(rows)).to_csv()
 
 
 _RUNNERS = {

@@ -52,11 +52,16 @@ class _ModelBase:
 
     manifold: _ManifoldBase
 
-    def _distance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self.manifold.pairwise_geodesic(chart, coords, coords)
+    # The correlation hooks, over a coordinate array and for one pair;
+    # ``covariance_matrix`` and ``covariance`` add the point checks, the
+    # symmetrization and the diagonal pin.  Both default to geodesic distance.
+    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        return self.correlation_from_distance(
+            self.manifold.pairwise_geodesic(chart, coords, coords)
+        )
 
-    def _scalar_distance(self, p: ChartPoint, q: ChartPoint) -> float:
-        return self.manifold.geodesic_distance(p, q)
+    def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
+        return self.correlation_from_distance(self.manifold.geodesic_distance(p, q))
 
     def correlation_from_distance(self, d):
         """Correlation as a function of separation distance (vectorized)."""
@@ -66,7 +71,7 @@ class _ModelBase:
         """C(p, q); symmetric in its arguments to the last bit."""
         self.manifold.validate_point(p)
         self.manifold.validate_point(q)
-        return float(self.correlation_from_distance(self._scalar_distance(p, q)))
+        return float(self._correlation(p, q))
 
     def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         """Dense covariance matrix for an (n, dim) coordinate array."""
@@ -75,7 +80,7 @@ class _ModelBase:
             raise ValidationError(
                 f"expected an (n, {self.manifold.dim}) coordinate array, got shape {coords.shape}"
             )
-        mat = np.asarray(self.correlation_from_distance(self._distance_matrix(chart, coords)))
+        mat = np.asarray(self._correlation_matrix(chart, coords))
         # Symmetrize and pin the diagonal: pairwise distance kernels are
         # symmetric only up to rounding.
         mat = 0.5 * (mat + mat.T)
@@ -159,28 +164,17 @@ class SphereSchoenberg(SmoothIsotropicModel):
         d = np.asarray(d, dtype=float)
         return self._poly(np.cos(d / self.manifold.radius))
 
-    def covariance(self, p: ChartPoint, q: ChartPoint) -> float:
-        # Evaluate through the inner product directly: cheaper than going
-        # distance -> cos(distance), and exact where the remark form is.
-        self.manifold.validate_point(p)
-        self.manifold.validate_point(q)
+    # Both hooks evaluate through the inner product directly: cheaper
+    # than going distance -> cos(distance), and exact where the remark
+    # form is.
+    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        u = self.manifold._unit_embed_coords(chart, coords)
+        return self._poly(np.clip(u @ u.T, -1.0, 1.0))
+
+    def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         u = self.manifold._unit_embed_coords(p.chart, p.array)[0]
         v = self.manifold._unit_embed_coords(q.chart, q.array)[0]
-        t = min(1.0, max(-1.0, float(u @ v)))
-        return float(self._poly(t))
-
-    def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[1] != self.manifold.dim:
-            raise ValidationError(
-                f"expected an (n, {self.manifold.dim}) coordinate array, got shape {coords.shape}"
-            )
-        u = self.manifold._unit_embed_coords(chart, coords)
-        t = np.clip(u @ u.T, -1.0, 1.0)
-        mat = np.asarray(self._poly(t))
-        mat = 0.5 * (mat + mat.T)
-        np.fill_diagonal(mat, 1.0)
-        return mat
+        return self._poly(min(1.0, max(-1.0, float(u @ v))))
 
     def rho_prime_0(self) -> float:
         # rho(s) = sum b_n cos^n(sqrt(s)/r); each cos^n term contributes
@@ -276,11 +270,11 @@ class StableOnChart(_ExpPowerKernel):
     every catalogue manifold.
     """
 
-    def _distance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self.manifold.pairwise_chordal(chart, coords, coords)
+    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        return self.correlation_from_distance(self.manifold.pairwise_chordal(chart, coords, coords))
 
-    def _scalar_distance(self, p: ChartPoint, q: ChartPoint) -> float:
-        return self.manifold.chordal_distance(p, q)
+    def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
+        return self.correlation_from_distance(self.manifold.chordal_distance(p, q))
 
 
 def covariance(model: _ModelBase, p: ChartPoint, q: ChartPoint) -> float:

@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .sampling import (
+    _MAX_REPS,
     _axis_sum_of_squares,
     _cap_points,
     draw_in_batches,
@@ -201,13 +202,31 @@ def _check_window(cube_side: float, spacing: float, reps: int) -> tuple[float, f
         raise ValidationError(f"cube side must be at least 1, got {cube_side}")
     if not 0.0 < spacing <= 0.25:
         raise ValidationError(f"spacing must lie in (0, 0.25], got {spacing}")
-    if not isinstance(reps, (int, np.integer)) or reps < 1000:
-        raise ValidationError(f"at least 1000 replications required, got {reps!r}")
+    if not isinstance(reps, (int, np.integer)) or not 1000 <= reps <= _MAX_REPS:
+        raise ValidationError(f"replication count must lie in [1000, {_MAX_REPS}], got {reps!r}")
     return cube_side, spacing, int(reps)
 
 
-def _record(alpha, n_dim, cube_side, spacing, reps, seed, stats, norm) -> PickandsEstimate:
-    """The estimate norm * mean(stats) with its standard error."""
+def _lattice_mean(
+    statistic, alpha, n_dim, cube_side, spacing, reps, seed, *, centred: bool
+) -> PickandsEstimate:
+    """norm * mean of ``statistic`` (one value per column of a block of Z
+    draws) on the cube lattice: [0, K]^N with norm K^-N, or, centred on
+    the origin, with norm spacing^-N."""
+    alpha = _check_alpha(alpha)
+    n_dim = _check_dim(n_dim)
+    cube_side, spacing, reps = _check_window(cube_side, spacing, reps)
+
+    lattice = cube_lattice(n_dim, cube_side, spacing)
+    if centred:
+        lattice = lattice - spacing * (math.floor(cube_side / spacing) // 2)
+    factor, active, drift = _factor_w(alpha, lattice)
+    drift_active = drift[active]
+
+    stats = np.empty(reps)
+    for start, block in draw_in_batches(factor, reps, seed):
+        stats[start : start + block.shape[1]] = statistic(SQRT2 * block - drift_active[:, None])
+    norm = (spacing if centred else cube_side) ** (-n_dim)
     return PickandsEstimate(
         alpha=alpha,
         n_dim=n_dim,
@@ -224,21 +243,13 @@ def estimate_pickands(
     alpha: float, n_dim: int, cube_side: float, spacing: float, reps: int, seed: int
 ) -> PickandsEstimate:
     """Window estimate K^{-N} E[(e^M - 1)^+] on a [0, K]^N lattice."""
-    alpha = _check_alpha(alpha)
-    n_dim = _check_dim(n_dim)
-    cube_side, spacing, reps = _check_window(cube_side, spacing, reps)
 
-    lattice = cube_lattice(n_dim, cube_side, spacing)
-    factor, active, drift = _factor_w(alpha, lattice)
-    drift_active = drift[active]
-
-    stats = np.empty(reps)
-    for start, block in draw_in_batches(factor, reps, seed):
-        z_vals = SQRT2 * block - drift_active[:, None]
+    def excess(z_vals):
         # Z(0) = 0 exactly, so the window maximum is at least 0.
         m = np.maximum(z_vals.max(axis=0), 0.0)
-        stats[start : start + m.shape[0]] = np.maximum(np.expm1(m), 0.0)
-    return _record(alpha, n_dim, cube_side, spacing, reps, seed, stats, cube_side ** (-n_dim))
+        return np.maximum(np.expm1(m), 0.0)
+
+    return _lattice_mean(excess, alpha, n_dim, cube_side, spacing, reps, seed, centred=False)
 
 
 def estimate_pickands_dy(
@@ -253,24 +264,14 @@ def estimate_pickands_dy(
     preconditions and the returned record are those of
     ``estimate_pickands``.
     """
-    alpha = _check_alpha(alpha)
-    n_dim = _check_dim(n_dim)
-    cube_side, spacing, reps = _check_window(cube_side, spacing, reps)
 
-    lattice = cube_lattice(n_dim, cube_side, spacing)
-    lattice = lattice - spacing * (math.floor(cube_side / spacing) // 2)
-    factor, active, drift = _factor_w(alpha, lattice)
-    drift_active = drift[active]
-
-    stats = np.empty(reps)
-    for start, block in draw_in_batches(factor, reps, seed):
-        z_vals = SQRT2 * block - drift_active[:, None]
+    def ratio(z_vals):
         # Z(0) = 0 is the pinned lattice point: it enters both the
         # maximum and the sum.  Shifting by the maximum keeps exp <= 1.
         top = np.maximum(z_vals.max(axis=0), 0.0)
-        mass = np.exp(-top) + np.exp(z_vals - top).sum(axis=0)
-        stats[start : start + top.shape[0]] = 1.0 / mass
-    return _record(alpha, n_dim, cube_side, spacing, reps, seed, stats, spacing ** (-n_dim))
+        return 1.0 / (np.exp(-top) + np.exp(z_vals - top).sum(axis=0))
+
+    return _lattice_mean(ratio, alpha, n_dim, cube_side, spacing, reps, seed, centred=True)
 
 
 def resolve_constant(

@@ -21,14 +21,17 @@ Three pieces shared by the simulation layers, and the budget they keep:
   reproducible, order independent, and parallelizable, and a run with
   more replications extends a shorter run instead of reshuffling it.  For the same reason
   a sample on a grid that extends another grid (extra points appended)
-  restricts exactly to the sample on the smaller grid: both the
-  factorization and the draws depend only on leading blocks.
+  restricts to the sample on the smaller grid: the draws extend
+  exactly, and the factor's leading block is the smaller grid's factor
+  up to rounding (LAPACK blocks the factorization by matrix size).
 
-* the dense-point budget: ``_cap_points`` refuses any point set larger
-  than ``_MAX_GRID_POINTS`` before its covariance is allocated, and
+* the budgets: ``_cap_points`` refuses any point set larger than
+  ``_MAX_GRID_POINTS`` before its covariance is allocated, and
   validation grids and the Pickands lattice before their coordinates
   are.  Lattices handed to ``simulate_z`` are checked on the points
-  actually factorized.
+  actually factorized.  The replication checks of the grid sampler and
+  the Pickands estimators refuse more than ``_MAX_REPS`` replications
+  before the per-replication statistics are allocated.
 """
 
 from __future__ import annotations
@@ -50,6 +53,9 @@ _MAX_REL_JITTER = 1e-6
 
 # Largest point set whose covariance is built and factorized densely.
 _MAX_GRID_POINTS = 10_000
+# Largest replication count one run may ask for: a run holds one or two
+# floats per replication, at most 160 MB at this count.
+_MAX_REPS = 10_000_000
 
 
 def _cap_points(n: int) -> None:

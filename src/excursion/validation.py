@@ -4,8 +4,9 @@ The oracle is direct: simulate the Gaussian field itself on a dense
 grid over the domain, count how often the grid maximum exceeds each
 level, and put a Wilson interval around the count.  A grid maximum can
 only under-shoot the continuum supremum, so the empirical curve bounds
-the target from below; the drift under grid refinement is reported (a
-second run at half resolution) rather than corrected.
+the target from below; the drift under grid refinement is reported
+(``validate`` adds rows at half resolution, taken from the same
+sample) rather than corrected.
 
 Grids:
 
@@ -20,9 +21,12 @@ Grids:
 ``Grid.refine`` returns a grid that contains the parent's points as an
 exact prefix (same floating-point values, same order) followed by the
 new points.  Combined with replication-keyed draws, a refined run
-restricts to the coarse run sample for sample: that is what makes
-"finer grid never lowers the empirical curve" a testable invariant
-rather than a statistical accident.
+restricts to the coarse run sample for sample (up to rounding in the
+factorization, whose blocking depends on the matrix size):
+``sample_field`` with a ``prefix`` reduces each draw over the parent's
+points and over the whole grid, so one pass gives both samples, and
+"finer grid never lowers the empirical curve" holds draw by draw
+rather than by statistical accident.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .manifolds import ChartPoint
-from .sampling import _cap_points, draw_in_batches, factor_covariance
+from .sampling import _MAX_REPS, _cap_points, draw_in_batches, factor_covariance
 from .serialize import csv_line
 
 __all__ = [
@@ -190,70 +194,50 @@ def build_grid(domain, resolution: int) -> Grid:
     raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
 
 
-def _interleave_new(fine_axes: list[np.ndarray]) -> np.ndarray:
-    """Points of the fine tensor grid with at least one odd index."""
-    dim = len(fine_axes)
-    fine_sizes = [a.shape[0] for a in fine_axes]
-    rows = []
-    for flat in range(int(np.prod(fine_sizes))):
-        idx = []
-        rem = flat
-        for size in reversed(fine_sizes):
-            idx.append(rem % size)
-            rem //= size
-        idx.reverse()
-        if all(i % 2 == 0 for i in idx):
-            continue
-        rows.append([fine_axes[d][idx[d]] for d in range(dim)])
-    return np.asarray(rows, dtype=float).reshape(len(rows), dim)
-
-
 def _refine_grid(grid: Grid) -> Grid:
-    domain = grid.domain
-
-    if isinstance(domain, Rectangle):
-        # 2R - 1 points per axis keep the coarse lattice as the even
-        # indices of the fine one; plain doubling would not nest.
-        fine_res = 2 * grid.resolution - 1
-        new = _interleave_new([np.linspace(0.0, s, fine_res) for s in domain.sides])
-    elif isinstance(domain, FullTorus):
-        fine_res = 2 * grid.resolution
-        new = _interleave_new(
-            [np.arange(fine_res) * (p / fine_res) for p in domain.periods]
-        )
-    elif isinstance(domain, FullSphere) and domain.dim == 2:
-        # Doubled resolution moves every latitude row (midpoint rows never
-        # coincide across resolutions), so the whole fine grid is new.
-        fine_res = 2 * grid.resolution
-        new = build_grid(domain, fine_res).coords
-    elif isinstance(domain, (GreatCircle, FullSphere)):
-        fine_res = 2 * grid.resolution
-        fine_phis = np.arange(fine_res) * (2.0 * math.pi / fine_res)
-        odd = fine_phis[1::2]
-        if isinstance(domain, GreatCircle):
-            new = np.stack([np.full(odd.shape[0], math.pi / 2.0), odd], axis=-1)
-        else:
-            new = odd[:, None]
-    else:
-        raise UnsupportedShapeError(f"no refinement scheme for {type(domain).__name__}")
-
-    coords = np.concatenate([grid.coords, new], axis=0)
+    # The parent's points recur bit for bit among the fine grid's: at
+    # doubled resolution on tori and circles, at 2R - 1 points per axis on
+    # rectangles (plain doubling would not nest there).  On the 2-sphere
+    # no latitude row survives doubling, so the refined grid is the union.
+    fine_res = 2 * grid.resolution - isinstance(grid.domain, Rectangle)
+    both = np.concatenate([grid.coords, build_grid(grid.domain, fine_res).coords])
+    # First occurrences (np.unique sorts stably) past the parent's rows are
+    # the fine points the parent lacks, kept in fine-grid order.
+    first = np.unique(both, axis=0, return_index=True)[1]
+    coords = np.concatenate([grid.coords, both[np.sort(first[first >= len(grid)])]])
     _cap_points(coords.shape[0])
-    return Grid(domain, grid.chart, coords, fine_res)
+    return Grid(grid.domain, grid.chart, coords, fine_res)
 
 
 def sample_field(
-    model, grid: Grid, reps: int, seed: int, *, fixed_rel_jitter: float | None = None
+    model,
+    grid: Grid,
+    reps: int,
+    seed: int,
+    *,
+    prefix: int | None = None,
+    fixed_rel_jitter: float | None = None,
 ) -> np.ndarray:
-    """Per-replication grid maxima of exact joint field samples."""
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
+    """Per-replication grid maxima of exact joint field samples.
+
+    With ``prefix`` = m, a (2, reps) array instead: the maxima over the
+    whole grid (row 0) and over its first m points (row 1), from the
+    same draws.  Row 1 is the sample of those m points alone, up to
+    rounding in the factorization.
+    """
+    if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
+        raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
+    head = len(grid) if prefix is None else prefix
+    if not isinstance(head, (int, np.integer)) or not 1 <= head <= len(grid):
+        raise ValidationError(f"prefix must lie in [1, {len(grid)}], got {prefix!r}")
     cov = model.covariance_matrix(grid.chart, grid.coords)
     factor, _ = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)
-    sups = np.empty(int(reps))
+    sups = np.empty((2, int(reps)))
     for start, block in draw_in_batches(factor, int(reps), seed):
-        sups[start : start + block.shape[1]] = block.max(axis=0)
-    return sups
+        cols = slice(start, start + block.shape[1])
+        sups[1, cols] = block[:head].max(axis=0)
+        sups[0, cols] = np.maximum(sups[1, cols], block[head:].max(axis=0, initial=-np.inf))
+    return sups[0] if prefix is None else sups
 
 
 def estimates_from_sups(

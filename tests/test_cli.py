@@ -349,15 +349,32 @@ def test_pickands_const_default_windows():
 
 def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
     out = tmp_path / "big.csv"
-    windows = [
+    pickands_const = ["pickands-const", "--alpha", "1"]
+    commands = [
         # 161^3 points are refused from their count, before any allocation.
-        (["--dim", "3", "--cube-side", "8", "--spacing", "0.05"], "dense factorization budget"),
+        (
+            [*pickands_const, "--dim", "3", "--cube-side", "8", "--spacing", "0.05"],
+            "dense factorization budget",
+        ),
         # K / spacing overflows a float: no finite step count at all.
-        (["--dim", "1", "--cube-side", "1e300", "--spacing", "1e-10", "--reps", "1000"], None),
+        (
+            [*pickands_const, "--dim", "1", "--cube-side", "1e300", "--spacing", "1e-10",
+             "--reps", "1000"],
+            None,
+        ),
+        # Replication counts over the budget are refused before one float
+        # per replication is allocated.
+        ([*pickands_const, "--dim", "1", "--reps", "100000000000000"], "replication count"),
+        (
+            ["validate", "--shape", "full_torus", "--periods", "1", "--family",
+             "stable_on_chart", "--c", "1", "--alpha", "1", "--h-value", "1",
+             "--resolution", "2", "--reps", "100000000000000"],
+            "replication count",
+        ),
     ]
-    for window, reason in windows:
+    for command, reason in commands:
         caplog.clear()
-        argv = ["pickands-const", "--alpha", "1", *window, "--seed", "0", "--output", str(out)]
+        argv = [*command, "--seed", "0", "--output", str(out)]
         started = time.perf_counter()
         assert main(argv) == 1
         assert time.perf_counter() - started < 1.0
@@ -368,42 +385,87 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
 
 
 def test_validate_round_trip_and_resolution_column(tmp_path):
-    first = tmp_path / "val.csv"
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    rectangle = ["--shape", "rectangle", "--sides", "1,1"]
+    # The full rows are labelled with the refined half-resolution grid
+    # that was sampled: 2 (R // 2) points per axis, 2 (R // 2) - 1 on a
+    # rectangle.
+    for shape, resolution, labels in [
+        (torus, "4", ["4", "4", "2", "2"]),
+        (torus, "5", ["4", "4", "2", "2"]),
+        (rectangle, "8", ["7", "7", "4", "4"]),
+    ]:
+        first = tmp_path / "val.csv"
+        argv = [
+            "validate",
+            *shape,
+            "--family", "stable_on_chart",
+            "--c", "1",
+            "--alpha", "2",
+            "--u", "1,2",
+            "--resolution", resolution,
+            "--reps", "200",
+            "--seed", "5",
+            "--output", str(first),
+        ]
+        assert main(argv) == 0
+        lines = first.read_text().strip().split("\n")
+        # One header, then each level at full and at half resolution.
+        assert lines[0].split(",")[0] == "u"
+        assert len(lines) == 5
+        assert [line.split(",")[7] for line in lines[1:]] == labels
+
+        second = tmp_path / "val2.csv"
+        rc = main(
+            [
+                "validate",
+                "--config", str(tmp_path / "val.csv.manifest.json"),
+                "--output", str(second),
+            ]
+        )
+        assert rc == 0
+        assert first.read_bytes() == second.read_bytes()
+        m1 = json.loads((tmp_path / "val.csv.manifest.json").read_text())
+        m2 = json.loads((tmp_path / "val2.csv.manifest.json").read_text())
+        m1.pop("wall_time_seconds")
+        m2.pop("wall_time_seconds")
+        assert m1 == m2
+
+
+def test_validate_rows_share_one_sample(capsys):
+    from excursion.covariance import StableOnChart
+    from excursion.curvatures import FullTorus
+    from excursion.manifolds import FlatTorus
+    from excursion.validation import empirical_excursion
+
+    levels = [0.5, 1.0, 1.5, 2.0, 2.5]
     argv = [
         "validate",
         "--shape", "full_torus",
         "--periods", "1,1",
         "--family", "stable_on_chart",
         "--c", "1",
-        "--alpha", "2",
-        "--u", "1,2",
-        "--resolution", "4",
-        "--reps", "200",
-        "--seed", "5",
-        "--output", str(first),
+        "--alpha", "1",
+        "--h-value", "1",
+        "--u", ",".join(map(str, levels)),
+        "--resolution", "8",
+        "--reps", "2000",
+        "--seed", "7",
     ]
     assert main(argv) == 0
-    lines = first.read_text().strip().split("\n")
-    # One header, then each level at full and at half resolution.
-    assert lines[0].split(",")[0] == "u"
-    assert len(lines) == 5
-    assert [line.split(",")[7] for line in lines[1:]] == ["4", "4", "2", "2"]
-
-    second = tmp_path / "val2.csv"
-    rc = main(
-        [
-            "validate",
-            "--config", str(tmp_path / "val.csv.manifest.json"),
-            "--output", str(second),
-        ]
-    )
-    assert rc == 0
-    assert first.read_bytes() == second.read_bytes()
-    m1 = json.loads((tmp_path / "val.csv.manifest.json").read_text())
-    m2 = json.loads((tmp_path / "val2.csv.manifest.json").read_text())
-    m1.pop("wall_time_seconds")
-    m2.pop("wall_time_seconds")
-    assert m1 == m2
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    full, half = rows[: len(levels)], rows[len(levels) :]
+    assert {row[7] for row in full} == {"8"} and {row[7] for row in half} == {"4"}
+    # The half-resolution grid is a prefix of the sampled one: no draw's
+    # full-grid maximum lies below its prefix maximum.
+    assert all(float(f[2]) >= float(h[2]) for f, h in zip(full, half))
+    # Neither covariance needs a diagonal shift here, so the half rows are
+    # exactly the sample of the half-resolution grid alone.
+    model = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)
+    alone = empirical_excursion(model, FullTorus((1.0, 1.0)), levels, 4, 2000, 7)
+    assert [(float(h[2]), float(h[3]), float(h[4])) for h in half] == [
+        (e.p_hat, e.ci_low, e.ci_high) for e in alone
+    ]
 
 
 def test_numerical_failure_exits_2_without_partial_output(tmp_path):

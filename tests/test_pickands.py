@@ -82,6 +82,8 @@ def test_estimator_preconditions():
             estimate(2.0, 1, 8.0, 0.3, 2000, 0)
         with pytest.raises(ValidationError):
             estimate(2.0, 1, 8.0, 0.05, 999, 0)
+        with pytest.raises(ValidationError, match="replication count"):
+            estimate(2.0, 1, 8.0, 0.05, 10**14, 0)
 
 
 def test_estimator_deterministic_and_nonnegative():

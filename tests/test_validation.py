@@ -101,11 +101,16 @@ def test_grid_guards():
 
 
 def test_grid_refinement_keeps_parent_prefix():
-    for domain, res in [
-        (FullTorus((1.0, 1.0)), 6),
-        (Rectangle((1.0, 2.0)), 5),
-        (GreatCircle(1.0), 8),
-        (FullSphere(2, 1.0), 6),
+    # fine_res: the grid the refined point set equals (None: the 2-sphere,
+    # whose refinement is the union of the R and 2R grids).
+    for domain, res, fine_res in [
+        (FullTorus((1.0, 1.0)), 6, 12),
+        (FullTorus((1.0, 2.5, 0.7)), 3, 6),
+        (Rectangle((1.0, 2.0)), 5, 9),
+        (Rectangle((0.7, 3.0, 1.3)), 3, 5),
+        (GreatCircle(1.0), 8, 16),
+        (FullSphere(1, 1.0), 5, 10),
+        (FullSphere(2, 1.0), 6, None),
     ]:
         coarse = build_grid(domain, res)
         fine = coarse.refine()
@@ -113,6 +118,12 @@ def test_grid_refinement_keeps_parent_prefix():
         assert np.array_equal(fine.coords[: len(coarse)], coarse.coords)
         # No coordinate row may appear twice after refinement.
         assert len(np.unique(fine.coords, axis=0)) == len(fine)
+        # The point set a refined run samples is the one its resolution
+        # label names.
+        if fine_res is not None:
+            assert fine.resolution == fine_res
+            target = build_grid(domain, fine_res).coords
+            assert np.array_equal(np.unique(fine.coords, axis=0), np.unique(target, axis=0))
 
 
 def test_single_point_grid_matches_marginal():
@@ -180,6 +191,18 @@ def test_refinement_monotonicity_with_shared_replications():
     assert pc == pytest.approx([0.5088, 0.3058, 0.1552, 0.0594], abs=1e-12)
     assert pf == pytest.approx([0.5184, 0.3136, 0.1604, 0.0634], abs=1e-12)
     assert all(a <= b for a, b in zip(pc, pf))
+
+    # One pass with the coarse grid as prefix gives both samples: the fine
+    # one exactly, the coarse one up to rounding in the factorization.
+    both = sample_field(
+        stable, fine_grid, 5000, 11, prefix=len(coarse_grid), fixed_rel_jitter=1e-10
+    )
+    assert np.array_equal(both[0], sf)
+    assert [float(np.mean(both[1] >= u)) for u in u_grid] == pc
+    assert np.all(both[1] <= both[0])
+    for prefix in (0, len(fine_grid) + 1):
+        with pytest.raises(ValidationError, match="prefix"):
+            sample_field(stable, fine_grid, 10, 11, prefix=prefix)
 
 
 def test_bonferroni_over_quarter_squares():
