@@ -11,7 +11,9 @@ Subcommands:
 Configuration comes from a JSON file (--config) with flag overrides;
 flags win.  A run manifest produced by an earlier run can be fed back
 as the config (its resolved-config block is unwrapped), which
-reproduces the result files byte for byte.
+reproduces the result files byte for byte at the same thread cap (the
+manifest records it; BLAS results can differ in the last bits between
+thread counts).
 
 Shapes and covariance families are declared once, in ``_DOMAINS`` and
 ``_MODELS``: each name maps to its constructor and its required fields
@@ -418,8 +420,12 @@ def resolve(args) -> ResolvedRun:
     return ResolvedRun(sub, config, output)
 
 
-def run(run_spec: ResolvedRun) -> int:
-    """Execute a resolved run and emit its outputs."""
+def run(run_spec: ResolvedRun, *, threads: int | None = None) -> int:
+    """Execute a resolved run and emit its outputs.
+
+    ``threads`` is the BLAS thread cap the run was started under, or
+    None when none was set; it goes into the manifest only.
+    """
     started = time.monotonic()
     data = _RUNNERS[run_spec.subcommand](run_spec.config)
     wall = time.monotonic() - started
@@ -435,6 +441,7 @@ def run(run_spec: ResolvedRun) -> int:
         "resolved_config": run_spec.config,
         "versions": _versions(),
         "wall_time_seconds": round(wall, 3),
+        "threads": threads,
     }
     with open(run_spec.output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -457,11 +464,13 @@ def _versions() -> dict:
     }
 
 
-def _apply_thread_cap(threads: int | None) -> None:
+def _apply_thread_cap(threads: int | None) -> int | None:
+    """Put the --threads or EXCURSION_THREADS cap into the BLAS
+    environment; returns the cap, or None when neither is given."""
     if threads is None:
         raw = os.environ.get(_THREAD_ENV)
         if raw is None:
-            return
+            return None
         try:
             threads = int(raw)
         except ValueError:
@@ -470,6 +479,7 @@ def _apply_thread_cap(threads: int | None) -> None:
         raise ConfigError("threads", f"thread cap must be positive, got {threads}")
     for var in _BLAS_VARS:
         os.environ[var] = str(threads)
+    return threads
 
 
 class _Parser(argparse.ArgumentParser):
@@ -544,8 +554,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     try:
         args = build_parser().parse_args(argv)
-        _apply_thread_cap(getattr(args, "threads", None))
-        return run(resolve(args))
+        threads = _apply_thread_cap(getattr(args, "threads", None))
+        return run(resolve(args), threads=threads)
     except FactorizationError as exc:
         log.error("numerical failure: %s", exc)
         return 2

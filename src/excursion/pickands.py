@@ -61,6 +61,7 @@ from .sampling import (
     _MAX_REPS,
     _axis_sum_of_squares,
     _cap_points,
+    _check_stream,
     draw_in_batches,
     factor_covariance,
     replicate_generator,
@@ -188,8 +189,9 @@ def simulate_z(alpha: float, n_dim: int, lattice: np.ndarray, seed: int) -> np.n
     alpha = _check_alpha(alpha)
     n_dim = _check_dim(n_dim)
     lattice = _validate_lattice(n_dim, lattice)
+    stream = replicate_generator(seed, 0)
     factor, active, drift = _factor_w(alpha, lattice)
-    z = replicate_generator(seed, 0).standard_normal(factor.shape[0])
+    z = stream.standard_normal(factor.shape[0])
     out = np.zeros(lattice.shape[0])
     out[active] = SQRT2 * (factor @ z)
     return out - drift
@@ -216,6 +218,7 @@ def _lattice_mean(
     alpha = _check_alpha(alpha)
     n_dim = _check_dim(n_dim)
     cube_side, spacing, reps = _check_window(cube_side, spacing, reps)
+    seed = _check_stream(seed, reps - 1)
 
     lattice = cube_lattice(n_dim, cube_side, spacing)
     if centred:
@@ -235,7 +238,7 @@ def _lattice_mean(
         reps=reps,
         estimate=norm * float(np.mean(stats)),
         stderr=norm * float(np.std(stats, ddof=1)) / math.sqrt(reps),
-        seed=int(seed),
+        seed=seed,
     )
 
 

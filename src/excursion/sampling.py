@@ -24,6 +24,10 @@ Three pieces shared by the simulation layers, and the budget they keep:
   restricts to the sample on the smaller grid: the draws extend
   exactly, and the factor's leading block is the smaller grid's factor
   up to rounding (LAPACK blocks the factorization by matrix size).
+  ``replicate_generator`` defines the stream.  ``draw_in_batches``
+  builds one Philox per call and re-keys it for each replication (key
+  words written, counter at 0, buffer empty), which gives the same
+  streams bit for bit without constructing a generator per replication.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -162,33 +166,53 @@ def factor_covariance(
     return at_cap, cap
 
 
-def replicate_generator(seed: int, index: int) -> np.random.Generator:
-    """The dedicated stream for replication ``index`` under ``seed``."""
+def _check_stream(seed, index) -> int:
+    """``seed`` as an int, after refusing a seed or a replication index
+    that does not fit its 64-bit word of the Philox key."""
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
     if not 0 <= int(seed) < 2**64:
         raise ValidationError(f"seed must fit in 64 bits, got {seed}")
     if not isinstance(index, (int, np.integer)) or not 0 <= index < 2**64:
         raise ValidationError(f"replication index must fit in 64 bits, got {index!r}")
+    return int(seed)
+
+
+def replicate_generator(seed: int, index: int) -> np.random.Generator:
+    """The dedicated stream for replication ``index`` under ``seed``."""
+    seed = _check_stream(seed, index)
     # Disjoint key ranges per seed; XOR-style mixing would alias nearby
     # seeds onto the same stream set.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) | int(index)))
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | int(index)))
 
 
 def draw_in_batches(factor: np.ndarray, reps: int, seed: int):
     """Yield blocks of exact joint draws as (first_index, samples).
 
     ``samples`` has one column per replication: column j of a block
-    starting at i is L z with z standard normal from the stream of
-    replication i + j.  Block size is fixed at BATCH so the partition
+    starting at i is L z with z = replicate_generator(seed, i + j)
+    .standard_normal(n).  Block size is fixed at BATCH so the partition
     never influences the values.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
+    seed = _check_stream(seed, reps - 1)
     n = factor.shape[0]
+    # A fresh Philox's state is the start of a stream: counter 0, empty
+    # buffer.  Assigning it back with only the key changed starts the
+    # stream of another replication.  The key array holds the 128-bit key
+    # low word first.  Local to this call, so interleaved loops share
+    # nothing.
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
+    key[1] = seed
     for start in range(0, int(reps), BATCH):
         width = min(BATCH, int(reps) - start)
         z = np.empty((n, width))
         for j in range(width):
-            z[:, j] = replicate_generator(seed, start + j).standard_normal(n)
+            key[0] = start + j
+            bitgen.state = fresh
+            z[:, j] = gen.standard_normal(n)
         yield start, factor @ z

@@ -39,7 +39,7 @@ import numpy as np
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .manifolds import ChartPoint
-from .sampling import _MAX_REPS, _cap_points, draw_in_batches, factor_covariance
+from .sampling import _MAX_REPS, _cap_points, _check_stream, draw_in_batches, factor_covariance
 from .serialize import csv_line
 
 __all__ = [
@@ -227,6 +227,7 @@ def sample_field(
     """
     if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
         raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
+    _check_stream(seed, reps - 1)
     head = len(grid) if prefix is None else prefix
     if not isinstance(head, (int, np.integer)) or not 1 <= head <= len(grid):
         raise ValidationError(f"prefix must lie in [1, {len(grid)}], got {prefix!r}")

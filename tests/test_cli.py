@@ -558,6 +558,23 @@ def test_thread_cap_env(monkeypatch, capsys):
         assert os.environ[var] == "3"
 
 
+def test_manifest_records_thread_cap(tmp_path, monkeypatch):
+    # Replay is byte-identical only at the same thread cap, so the
+    # manifest says which one applied; replay reads do not take it.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "sentinel")
+    lk = ["lk", "--shape", "rectangle", "--sides", "1,2", "--output", str(tmp_path / "lk.csv")]
+    for env, flags, recorded in ((None, [], None), ("1", [], 1), (None, ["--threads", "1"], 1)):
+        if env is None:
+            monkeypatch.delenv("EXCURSION_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("EXCURSION_THREADS", env)
+        assert main([*lk, *flags]) == 0
+        manifest = json.loads((tmp_path / "lk.csv.manifest.json").read_text())
+        assert manifest["threads"] == recorded
+        assert "threads" not in manifest["resolved_config"]
+
+
 def test_thread_cap_validation(monkeypatch):
     monkeypatch.setenv("EXCURSION_THREADS", "zero")
     assert main(["lk", "--shape", "rectangle", "--sides", "1,2"]) == 1

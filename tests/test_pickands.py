@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from excursion import pickands
 from excursion.errors import ValidationError
 from excursion.pickands import (
     cube_lattice,
@@ -72,10 +73,20 @@ def test_simulate_z_validation():
         simulate_z(1.0, 1, np.array([[-0.5]]), 0)
     with pytest.raises(ValidationError):
         simulate_z(1.0, 1, np.empty((0, 1)), 0)
+    with pytest.raises(ValidationError, match="seed"):
+        simulate_z(1.0, 1, lattice, -1)
 
 
-def test_estimator_preconditions():
+def test_estimator_preconditions(monkeypatch):
+    # Every case must be refused before the lattice is factorized.
+    def unreachable(*args):
+        raise AssertionError("the lattice was factorized before the arguments were checked")
+
+    monkeypatch.setattr(pickands, "_factor_w", unreachable)
     for estimate in (estimate_pickands, estimate_pickands_dy):
+        for seed in (-1, 2**64, 1.5, True):
+            with pytest.raises(ValidationError, match="seed"):
+                estimate(1.0, 2, 4.0, 0.1, 10_000, seed)
         with pytest.raises(ValidationError):
             estimate(2.0, 1, 0.5, 0.05, 2000, 0)
         with pytest.raises(ValidationError):

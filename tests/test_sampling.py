@@ -127,12 +127,43 @@ def test_draws_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_draws_match_replicate_generator():
+    # The draw loop re-keys one generator; column i must still be the
+    # factor times replication i's own stream, bit for bit, across a
+    # block boundary and a width-1 last block.  The oracle multiplies
+    # block by block, as the loop does: a matrix-vector product may
+    # round differently from the matrix-matrix one.
+    factor, _ = factor_covariance(spd_matrix(5, 6))
+    for seed in (0, 12345, 2**64 - 1):
+        widths = []
+        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+            widths.append(block.shape[1])
+            streams = range(start, start + block.shape[1])
+            z = np.column_stack([replicate_generator(seed, i).standard_normal(5) for i in streams])
+            assert np.array_equal(block, factor @ z), (seed, start)
+        assert widths == [BATCH, BATCH, 1]
+
+
+def test_interleaved_draw_loops_do_not_share_state():
+    factor, _ = factor_covariance(spd_matrix(3, 7))
+    alone = {seed: [b for _, b in draw_in_batches(factor, 2 * BATCH + 1, seed)] for seed in (1, 2)}
+    loops = {seed: draw_in_batches(factor, 2 * BATCH + 1, seed) for seed in (1, 2)}
+    for k in range(3):
+        for seed in (1, 2):
+            start, block = next(loops[seed])
+            assert start == k * BATCH
+            assert np.array_equal(block, alone[seed][k])
+
+
 def test_draws_validation():
     factor, _ = factor_covariance(spd_matrix(2, 5))
     with pytest.raises(ValidationError):
         list(draw_in_batches(factor, 0, 1))
     with pytest.raises(ValidationError):
         list(draw_in_batches(factor, 2.5, 1))
+    for seed in (-1, 2**64, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            list(draw_in_batches(factor, 3, seed))
 
 
 def test_draws_have_target_covariance():

@@ -168,6 +168,19 @@ def test_sample_field_rejects_indefinite_kernel():
         sample_field(model, grid, 10, 0)
 
 
+def test_bad_seed_refused_before_the_covariance_is_built(monkeypatch):
+    # At resolution 60 the covariance is 3600 x 3600: the seed is checked
+    # beside the replication count, before it is built and factorized.
+    def unreachable(*args):
+        raise AssertionError("the covariance was built before the seed was checked")
+
+    monkeypatch.setattr(StableOnChart, "covariance_matrix", unreachable)
+    stable = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)
+    for seed in (-1, 2**64, 1.5, True):
+        with pytest.raises(ValidationError, match="seed"):
+            empirical_excursion(stable, FullTorus((1.0, 1.0)), [2.0], 60, 1000, seed)
+
+
 def test_refinement_monotonicity_with_shared_replications():
     stable = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 2.0)
     coarse_grid = build_grid(FullTorus((1.0, 1.0)), 6)
