@@ -158,9 +158,13 @@ def _factor_w(
 
     Returns (factor, active_mask, drift) where ``active_mask`` flags the
     rows that were factorized; the others (the origin) are pinned to 0.
+    With no positive-variance point the factor is 0 x 0 and nothing is
+    factorized.
     """
     drift = _drift(lattice, alpha)
     active = drift > 0.0
+    if not active.any():
+        return np.empty((0, 0)), active, drift
     pts = lattice[active]
     _cap_points(pts.shape[0])
     norms = drift[active]
@@ -228,7 +232,11 @@ def _lattice_mean(
 
     stats = np.empty(reps)
     for start, block in draw_in_batches(factor, reps, seed):
-        stats[start : start + block.shape[1]] = statistic(SQRT2 * block - drift_active[:, None])
+        # SQRT2 * block - drift by the same IEEE operations, in the
+        # block's own buffer instead of two block-sized temporaries.
+        block *= SQRT2
+        block -= drift_active[:, None]
+        stats[start : start + block.shape[1]] = statistic(block)
     norm = (spacing if centred else cube_side) ** (-n_dim)
     return PickandsEstimate(
         alpha=alpha,

@@ -49,6 +49,15 @@ def test_z_is_pinned_at_origin():
         assert z[0] == 0.0
 
 
+def test_origin_only_lattice_is_pinned_without_factorizing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a lattice with no positive-variance point was factorized")
+
+    monkeypatch.setattr(pickands, "factor_covariance", unreachable)
+    assert np.array_equal(simulate_z(1.0, 1, [[0.0]], 0), [0.0])
+    assert np.array_equal(simulate_z(1.5, 2, np.zeros((3, 2)), 7), np.zeros(3))
+
+
 def test_z_moments_at_fixed_point():
     # Two-point lattice: origin pinned, one active point s = 0.8.
     s = 0.8
@@ -110,6 +119,16 @@ def test_estimator_deterministic_and_nonnegative():
     # a is now the Dieker-Yakir estimate: its per-replication ratio lies
     # in (0, spacing^-N].
     assert 0.0 < a.estimate <= 0.25**-1
+
+
+def test_estimates_frozen_below_the_row_block():
+    # 33 lattice points, 32 factorized: below ROW_BLOCK the draws are the
+    # plain dense product, and the statistic is taken in the draw
+    # block's own buffer.  Values recorded before either change.
+    a = estimate_pickands(1.0, 1, 8.0, 0.25, 1000, 3)
+    assert (a.estimate, a.stderr) == (0.39212928697168126, 0.054371335235619635)
+    b = estimate_pickands_dy(1.0, 1, 8.0, 0.25, 1000, 3)
+    assert (b.estimate, b.stderr) == (0.7264490826566156, 0.008611392406921131)
 
 
 def test_estimate_rises_as_spacing_shrinks():

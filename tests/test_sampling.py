@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from excursion.errors import FactorizationError, ValidationError
-from excursion.sampling import BATCH, draw_in_batches, factor_covariance, replicate_generator
+from excursion.sampling import (
+    BATCH,
+    ROW_BLOCK,
+    _lower_product,
+    draw_in_batches,
+    factor_covariance,
+    replicate_generator,
+)
 
 
 def spd_matrix(n, seed):
@@ -53,6 +60,8 @@ def test_factor_validation():
         factor_covariance(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
         factor_covariance(np.zeros((3, 3)))
+    with pytest.raises(ValidationError):
+        factor_covariance(np.zeros((0, 0)))
     with pytest.raises(ValidationError):
         factor_covariance(spd_matrix(3, 2), fixed_rel_jitter=-1e-9)
 
@@ -132,7 +141,11 @@ def test_draws_match_replicate_generator():
     # factor times replication i's own stream, bit for bit, across a
     # block boundary and a width-1 last block.  The oracle multiplies
     # block by block, as the loop does: a matrix-vector product may
-    # round differently from the matrix-matrix one.
+    # round differently from the matrix-matrix one.  At n = 5 that is
+    # the dense product; above ROW_BLOCK it is the row-blocked one, fed
+    # the normals as the loop lays them out (one row per replication):
+    # the one-row last block is a matrix-vector product, whose rounding
+    # depends on that layout.
     factor, _ = factor_covariance(spd_matrix(5, 6))
     for seed in (0, 12345, 2**64 - 1):
         widths = []
@@ -142,6 +155,35 @@ def test_draws_match_replicate_generator():
             z = np.column_stack([replicate_generator(seed, i).standard_normal(5) for i in streams])
             assert np.array_equal(block, factor @ z), (seed, start)
         assert widths == [BATCH, BATCH, 1]
+    n = ROW_BLOCK + 1
+    factor, _ = factor_covariance(spd_matrix(n, 6))
+    for seed in (0, 12345, 2**64 - 1):
+        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+            streams = range(start, start + block.shape[1])
+            z = np.vstack([replicate_generator(seed, i).standard_normal(n) for i in streams]).T
+            assert np.array_equal(block, _lower_product(factor, z)), (seed, start)
+
+
+def test_lower_product_agrees_with_dense():
+    # Rounding-level agreement above the row block (a ragged last block
+    # at 2 * ROW_BLOCK + 37), bit-identity at or below it, and entries
+    # right of each row block's diagonal block are never read: NaN put
+    # there must not reach the result.
+    rng = np.random.default_rng(9)
+    for n in (ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37):
+        factor = np.tril(rng.standard_normal((n, n)))
+        poisoned = factor.copy()
+        for a in range(0, n, ROW_BLOCK):
+            poisoned[a : a + ROW_BLOCK, a + ROW_BLOCK :] = np.nan
+        for width in (1, BATCH):
+            z = rng.standard_normal((width, n)).T
+            dense = factor @ z
+            got = _lower_product(factor, z)
+            if n <= ROW_BLOCK:
+                assert np.array_equal(got, dense)
+            else:
+                assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense)), (n, width)
+            assert np.array_equal(_lower_product(poisoned, z), got), (n, width)
 
 
 def test_interleaved_draw_loops_do_not_share_state():
