@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import FactorizationError, ValidationError
 
-__all__ = ["factor_covariance", "replicate_generator", "draw_in_batches", "BATCH", "ROW_BLOCK"]
+__all__ = ["factor_covariance", "replicate_generator", "draw_in_batches", "BATCH"]
 
 # Replications per matrix-product block.  Fixed: results must not
 # depend on how the replicate loop is carved up.
@@ -205,12 +205,10 @@ def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     half the flops of the dense product once n is several blocks.  The
     upper halves of the diagonal blocks are read, and must be zero.
     Each entry sums the same products as the dense product but may
-    round differently (about 1e-15 relative); at n <= ROW_BLOCK it is
-    the plain ``factor @ z``, bit for bit.
+    round differently (about 1e-15 relative); at n <= ROW_BLOCK the one
+    block is the whole ``factor @ z``, bit for bit.
     """
     n = factor.shape[0]
-    if n <= ROW_BLOCK:
-        return factor @ z
     out = np.empty((n, z.shape[1]))
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
