@@ -420,13 +420,15 @@ def resolve(args) -> ResolvedRun:
     return ResolvedRun(sub, config, output)
 
 
-def run(run_spec: ResolvedRun, *, threads: int | None = None) -> int:
+def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) -> int:
     """Execute a resolved run and emit its outputs.
 
-    ``threads`` is the BLAS thread cap the run was started under, or
-    None when none was set; it goes into the manifest only.
+    ``started`` is the ``time.monotonic()`` reading the manifest's wall
+    time counts from: ``main`` takes it before ``resolve``, so an H
+    estimated there is timed too.  ``threads`` is the BLAS thread cap the
+    run was started under, or None when none was set; it goes into the
+    manifest only.
     """
-    started = time.monotonic()
     data = _RUNNERS[run_spec.subcommand](run_spec.config)
     wall = time.monotonic() - started
 
@@ -552,10 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+    started = time.monotonic()
     try:
         args = build_parser().parse_args(argv)
         threads = _apply_thread_cap(getattr(args, "threads", None))
-        return run(resolve(args), threads=threads)
+        return run(resolve(args), threads=threads, started=started)
     except FactorizationError as exc:
         log.error("numerical failure: %s", exc)
         return 2

@@ -14,6 +14,17 @@ Conventions used throughout:
 
 All three are exact evaluations (no quadrature): Psi goes through the
 complementary error function, which has no cancellation in the tail.
+
+The complementary error function is a port of the Cephes ``ndtr.c``
+``erfc`` (S. L. Moshier, *Methods and Programs for Mathematical
+Functions*, 1989), the routine ``scipy.special.erfc`` evaluates for real
+doubles.  The coefficients, the branch points, the underflow cut and
+the Horner order are Cephes', so the result is bit-identical to
+``scipy.special.erfc``, provided the exponential is the C library's
+``exp``: ``math.exp`` calls it, whereas ``np.exp`` has its own SIMD
+loops that differ from it in the last bit.  Keeping the port here keeps
+``scipy.special`` out of every command-line run; only the scaled tail,
+which no command uses, imports it.
 """
 
 from __future__ import annotations
@@ -21,7 +32,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .errors import ValidationError
 
@@ -55,16 +65,112 @@ def hermite(j: int, x):
     return h if h.ndim else float(h)
 
 
+# Cephes ndtr.c: erfc(x) = exp(-x^2) P(|x|)/Q(|x|) on 1 <= |x| < 8,
+# exp(-x^2) R(|x|)/S(|x|) beyond, and 1 - x T(x^2)/U(x^2) on |x| < 1;
+# 2 minus the value at |x| for negative x.  The leading 1 of Q, S and U
+# is implicit (p1evl).
+_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_S = (
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+# Natural log of the largest double: exp(-x^2) underflows past it.
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a: float) -> float:
+    """Complementary error function of a finite float, as Cephes computes it."""
+    x = abs(a)
+    if x < 1.0:
+        z = a * a
+        return 1.0 - a * _polevl(z, _T) / _p1evl(z, _U)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    if x < 8.0:
+        p, q = _polevl(x, _P), _p1evl(x, _Q)
+    else:
+        p, q = _polevl(x, _R), _p1evl(x, _S)
+    y = (math.exp(z) * p) / q
+    return 2.0 - y if a < 0.0 else y
+
+
 def gaussian_tail(u):
     """Standard normal upper tail Psi(u) = P{N(0,1) >= u}.
 
     Computed as erfc(u / sqrt(2)) / 2, accurate to full double precision
     for every representable u (the tail underflows to 0 near u ~ 38.5).
+    erfc is the Cephes port above, applied element by element; the
+    result is bit-identical to ``0.5 * scipy.special.erfc(u / sqrt(2))``
+    as long as its exponential stays the C library's (``math.exp``,
+    never ``np.exp``).
     """
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValidationError("gaussian_tail argument must be finite")
-    out = 0.5 * special.erfc(u / math.sqrt(2.0))
+    x = u / math.sqrt(2.0)
+    erfc = np.fromiter(map(_erfc, x.ravel().tolist()), dtype=float, count=x.size)
+    out = 0.5 * erfc.reshape(x.shape)
     return out if out.ndim else float(out)
 
 
@@ -74,6 +180,8 @@ def gaussian_tail_scaled(u):
     Stays representable far beyond the underflow point of Psi itself;
     used for Mills-ratio checks and leading-order tail algebra at large u.
     """
+    from scipy import special
+
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValidationError("gaussian_tail_scaled argument must be finite")

@@ -3,12 +3,11 @@
 import json
 import math
 import os
-import subprocess
-import sys
 import time
 
 import pytest
 
+from _oracles import run_fresh
 from excursion.cli import build_parser, main, resolve
 from excursion.errors import ConfigError
 
@@ -270,6 +269,28 @@ def test_output_file_and_manifest(tmp_path):
     assert manifest["resolved_config"]["domain"] == {"shape": "rectangle", "sides": [1.0, 2.0]}
     assert set(manifest["versions"]) == {"python", "numpy", "scipy", "excursion"}
     assert manifest["wall_time_seconds"] >= 0.0
+
+
+def test_manifest_wall_time_covers_the_h_estimate(tmp_path, monkeypatch):
+    # Without a pinned H, cli.resolve estimates it before run() is called;
+    # the recorded wall time must still include that estimate.
+    from excursion import pickands
+
+    real = pickands.resolve_constant
+    pause = 0.5
+
+    def slow_resolve_constant(*args, **kwargs):
+        time.sleep(pause)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pickands, "resolve_constant", slow_resolve_constant)
+    out = tmp_path / "pickands.csv"
+    argv = ["pickands", "--shape", "great_circle", "--radius", "1", "--family", "local",
+            "--c", "1", "--alpha", "2", "--u", "3", "--seed", "0", "--output", str(out)]
+    assert main(argv) == 0
+    assert out.read_text().strip().split("\n") == [PICKANDS_HEADER, PICKANDS_CIRCLE_ROW]
+    manifest = json.loads((tmp_path / "pickands.csv.manifest.json").read_text())
+    assert manifest["wall_time_seconds"] >= pause
 
 
 def test_pickands_const_manifest_round_trip(tmp_path):
@@ -534,8 +555,28 @@ def test_resolve_leaves_numpy_unloaded():
         "resolve(build_parser().parse_args(['lk', '--shape', 'rectangle', '--sides', '1,2']))\n"
         "sys.exit(1 if 'numpy' in sys.modules else 0)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr or "importing and resolving loaded numpy"
+
+
+def test_cli_runs_leave_scipy_special_unloaded(tmp_path):
+    # The Gaussian tail is a Cephes port, so no eec or pickands run (nor
+    # importing the validate modules) should pay for scipy.special.
+    eec = ["eec", "--shape", "full_torus", "--periods", "1,1", "--family",
+           "squared_exponential", "--length-scale", "0.2", "--u", "3"]
+    pickands = ["pickands", "--shape", "great_circle", "--radius", "1", "--family", "local",
+                "--c", "1", "--alpha", "1", "--h-value", "0.5", "--u", "3", "--seed", "0"]
+    code = (
+        "import sys\n"
+        "import excursion.approximations, excursion.validation\n"
+        "from excursion.cli import main\n"
+        f"assert main({eec + ['--output', str(tmp_path / 'eec.csv')]!r}) == 0\n"
+        f"assert main({pickands + ['--output', str(tmp_path / 'pickands.csv')]!r}) == 0\n"
+        "sys.exit(sorted(m for m in sys.modules if m.startswith('scipy.special')) or 0)"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eec.csv").exists() and (tmp_path / "pickands.csv").exists()
 
 
 def test_thread_cap_flag(monkeypatch, capsys):

@@ -7,8 +7,6 @@ every kind of point set the package produces, and keep the dense path
 within the stated number of n x n arrays.
 """
 
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +17,7 @@ from _oracles import (
     broadcast_pickands_cov_w,
     broadcast_torus_chordal,
     broadcast_torus_geodesic,
+    run_fresh,
 )
 from excursion import pickands
 from excursion.covariance import StableOnChart
@@ -143,5 +142,5 @@ def test_pickands_import_leaves_manifolds_unloaded():
         "import sys, excursion.pickands; "
         "sys.exit(1 if 'excursion.manifolds' in sys.modules else 0)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr or "excursion.pickands imported excursion.manifolds"

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from excursion.errors import ValidationError
 from excursion.kernels import beta_j, gaussian_tail, gaussian_tail_scaled, hermite
@@ -61,6 +62,42 @@ def test_gaussian_tail_array_matches_scalar():
     assert out.shape == u.shape
     for i, v in enumerate(u):
         assert out[i] == gaussian_tail(float(v))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _scipy_tail(u):
+    return 0.5 * special.erfc(np.asarray(u, dtype=float) / math.sqrt(2.0))
+
+
+def _edge_levels():
+    """Levels u whose x = u / sqrt(2) sits on and beside each erfc branch edge."""
+    maxlog = 7.09782712893383996843e2
+    levels = [0.0, -0.0, 5e-324, -5e-324, 38.5, -38.5, 1e300, -1e300]
+    for edge in (1.0, 8.0, math.sqrt(maxlog), -1.0, -8.0, -math.sqrt(maxlog)):
+        around = [edge * math.sqrt(2.0)]
+        for _ in range(3):
+            around = [np.nextafter(around[0], -np.inf), *around, np.nextafter(around[-1], np.inf)]
+        xs = {float(u) / math.sqrt(2.0) for u in around}
+        assert {np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)} <= xs
+        levels += around
+    return np.array(levels, dtype=float)
+
+
+def test_gaussian_tail_bit_identical_to_scipy_erfc():
+    # The Cephes port must reproduce scipy.special.erfc bit for bit, with
+    # no tolerance: a seeded sweep, every branch edge, scalars and arrays.
+    sweep = np.random.default_rng(20150801).uniform(-40.0, 40.0, 100_000)
+    for levels in (sweep, _edge_levels()):
+        assert _same_bits(gaussian_tail(levels), _scipy_tail(levels))
+        assert _same_bits(gaussian_tail(levels.reshape(-1, 2)), _scipy_tail(levels).reshape(-1, 2))
+    for u in _edge_levels().tolist() + sweep[:2_000].tolist():
+        out = gaussian_tail(u)
+        assert isinstance(out, float)
+        assert _same_bits(out, _scipy_tail(u))
 
 
 def test_hermite_against_exact_values():
