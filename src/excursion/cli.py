@@ -49,6 +49,7 @@ import json
 import logging
 import math
 import os
+import re
 import secrets
 import sys
 import time
@@ -64,6 +65,8 @@ _THREAD_ENV = "EXCURSION_THREADS"
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DEFAULT_U_GRID = (2.0, 2.5, 3.0, 3.5)
+
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
 
 
 @dataclass(frozen=True)
@@ -485,6 +488,14 @@ def _apply_thread_cap(threads: int | None) -> int | None:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts with a minus sign and a digit (or ".digit")
+        # is a value, so "--u -1,2" and "--u -1e-3,2" reach their option;
+        # by default only a lone number such as -1 does.  No option here
+        # looks like a number, so "--no-such-flag" is still refused.
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
     # Usage problems are configuration errors (exit 1); the default
     # argparse exit code would collide with the numerical-failure code.
     def error(self, message):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, ValidationError
 from .manifolds import ChartPoint, Sphere, _ManifoldBase
+from .sampling import _symmetrize
 
 __all__ = [
     "SmoothIsotropicModel",
@@ -55,13 +56,18 @@ class _ModelBase:
     # The correlation hooks, over a coordinate array and for one pair;
     # ``covariance_matrix`` and ``covariance`` add the point checks, the
     # symmetrization and the diagonal pin.  Both default to geodesic distance.
+    # The matrix hook hands the kernel the distance buffer it just made.
     def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self.correlation_from_distance(
-            self.manifold.pairwise_geodesic(chart, coords, coords)
-        )
+        return self._kernel(self.manifold.pairwise_geodesic(chart, coords, coords))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.correlation_from_distance(self.manifold.geodesic_distance(p, q))
+
+    def _kernel(self, d: np.ndarray) -> np.ndarray:
+        """Correlation at the distances in the float array ``d``, which a
+        family may overwrite with the result.  This default, for families
+        that define only ``correlation_from_distance``, leaves it intact."""
+        return self.correlation_from_distance(d)
 
     def correlation_from_distance(self, d):
         """Correlation as a function of separation distance (vectorized)."""
@@ -83,7 +89,7 @@ class _ModelBase:
         mat = np.asarray(self._correlation_matrix(chart, coords))
         # Symmetrize and pin the diagonal: pairwise distance kernels are
         # symmetric only up to rounding.
-        mat = 0.5 * (mat + mat.T)
+        _symmetrize(mat)
         np.fill_diagonal(mat, 1.0)
         return mat
 
@@ -118,8 +124,14 @@ class SquaredExponential(SmoothIsotropicModel):
         object.__setattr__(self, "length_scale", ell)
 
     def correlation_from_distance(self, d):
-        d = np.asarray(d, dtype=float)
-        return np.exp(-(d**2) / (2.0 * self.length_scale**2))
+        return self._kernel(np.array(d, dtype=float))[()]
+
+    def _kernel(self, d):
+        # exp(-(d**2) / (2 l^2)) in d's buffer, by the same IEEE operations.
+        d **= 2
+        np.negative(d, out=d)
+        d /= 2.0 * self.length_scale**2
+        return np.exp(d, out=d)
 
     def rho_prime_0(self) -> float:
         return -1.0 / (2.0 * self.length_scale**2)
@@ -241,8 +253,14 @@ class _ExpPowerKernel(LocallyIsotropicModel):
     covariance_matrix = _ModelBase.covariance_matrix
 
     def correlation_from_distance(self, d):
-        d = np.asarray(d, dtype=float)
-        return np.exp(-self.c * d**self.alpha)
+        return self._kernel(np.array(d, dtype=float))[()]
+
+    def _kernel(self, d):
+        # exp(-c * d**alpha) in d's buffer, by the same IEEE operations
+        # (in-place ** takes the same scalar-power path as **).
+        d **= self.alpha
+        d *= -self.c
+        return np.exp(d, out=d)
 
 
 class PoweredExponential(_ExpPowerKernel):
@@ -271,7 +289,7 @@ class StableOnChart(_ExpPowerKernel):
     """
 
     def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self.correlation_from_distance(self.manifold.pairwise_chordal(chart, coords, coords))
+        return self._kernel(self.manifold.pairwise_chordal(chart, coords, coords))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.correlation_from_distance(self.manifold.chordal_distance(p, q))

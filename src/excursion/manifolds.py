@@ -29,9 +29,10 @@ each coordinate difference separately, so they are built from one table
 per axis (``sampling._axis_sum_of_squares``): the axis formula runs once
 per pair of distinct axis values, and the squares are gathered into a
 single n x m accumulator.  No (n, m, d) difference array is formed, and
-the peak is 2 n m doubles (3 n^2 for a covariance matrix, counting the
-kernel evaluation).  For up to 7 axes the values are those of the
-broadcast form to the last bit.
+the peak is 2 n m doubles.  Every pairwise method returns a fresh array,
+which the covariance families evaluate their kernel in and symmetrize in
+place, so a covariance matrix also peaks at 2 n^2.  For up to 7 axes the
+values are those of the broadcast form to the last bit.
 """
 
 from __future__ import annotations

@@ -62,6 +62,7 @@ from .sampling import (
     _axis_sum_of_squares,
     _cap_points,
     _check_stream,
+    _symmetrize,
     draw_in_batches,
     factor_covariance,
     replicate_generator,
@@ -170,8 +171,7 @@ def _factor_w(
     norms = drift[active]
     dist_a = _axis_sum_of_squares(pts, pts, lambda k, delta: delta) ** (alpha / 2.0)
     cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
-    cov_w = 0.5 * (cov_w + cov_w.T)
-    factor, _ = factor_covariance(cov_w)
+    factor, _ = factor_covariance(_symmetrize(cov_w))
     return factor, active, drift
 
 

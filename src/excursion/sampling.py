@@ -1,6 +1,6 @@
 """Exact joint Gaussian sampling support.
 
-Three pieces shared by the simulation layers, and the budget they keep:
+Four pieces shared by the simulation layers, and the budget they keep:
 
 * ``_axis_sum_of_squares``: the n x m table of sum_k f_k(a_k - b_k)^2
   that every coordinate-difference distance starts from, built from one
@@ -14,6 +14,13 @@ Three pieces shared by the simulation layers, and the budget they keep:
   of 1e-6; a matrix that cannot be factored within the cap raises
   FactorizationError (its smallest eigenvalue goes in the message, so a
   genuinely indefinite kernel is distinguishable from conditioning).
+  The matrix must be exactly symmetric: LAPACK gets its Fortran-order
+  view (``matrix.T``), which numpy copies contiguously instead of by
+  strided columns.
+
+* ``_symmetrize``: 0.5 * (mat + mat.T) in place, by square tiles, so
+  the covariance builders symmetrize in the buffer their kernel wrote
+  without an n x n temporary, bit for bit.
 
 * counter-based generators: replication i draws from a Philox stream
   whose 128-bit key is the seed in the high word and i in the low word,
@@ -59,6 +66,8 @@ BATCH = 512
 # Rows per block of the lower-triangular draw product.  Fixed for the
 # same reason: the blocking decides how each entry's sum is rounded.
 ROW_BLOCK = 256
+# Edge of the square tiles ``_symmetrize`` works on.
+SYM_TILE = 256
 
 _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
@@ -111,16 +120,45 @@ def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
     return acc
 
 
+def _symmetrize(mat: np.ndarray) -> np.ndarray:
+    """Set ``mat`` to 0.5 * (mat + mat.T) in place, and return it.
+
+    Works by SYM_TILE x SYM_TILE tiles: each pair of mirrored tiles is
+    summed into one reused tile buffer, halved, and written back to both
+    places, so no n x n temporary is made.  IEEE addition commutes, so
+    every entry is the one ``0.5 * (mat + mat.T)`` gives, bit for bit.
+    """
+    n = mat.shape[0]
+    edge = min(SYM_TILE, n)
+    buf = np.empty((edge, edge))
+    for i in range(0, n, SYM_TILE):
+        ie = min(i + SYM_TILE, n)
+        for j in range(i, n, SYM_TILE):
+            je = min(j + SYM_TILE, n)
+            upper, lower = mat[i:ie, j:je], mat[j:je, i:ie]
+            tile = np.add(upper, lower.T, out=buf[: ie - i, : je - j])
+            tile *= 0.5
+            upper[...] = tile
+            lower[...] = tile.T
+    return mat
+
+
 def factor_covariance(
     matrix: np.ndarray, *, fixed_rel_jitter: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a covariance matrix.
+    """Lower Cholesky factor of a symmetric covariance matrix.
 
     Returns (L, shift) with L lower triangular such that
     L @ L.T = matrix + shift * I; shift is 0.0 when no inflation was
     needed.  ``fixed_rel_jitter`` bypasses the ladder and applies
     exactly that relative shift (tests that compare runs across grids
     use it to keep the factorizations structurally identical).
+
+    ``matrix`` must be symmetric to the last bit: LAPACK is handed
+    ``matrix.T``, which for a C-ordered matrix is its Fortran-order
+    view, so numpy copies it to LAPACK's column-major buffer
+    contiguously, and the upper triangle of a C-ordered input is what
+    gets read.  Every caller in the package symmetrizes first.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -142,14 +180,14 @@ def factor_covariance(
             raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
         eye = np.eye(n)
         try:
-            return np.linalg.cholesky(matrix + shift * eye), shift
+            return np.linalg.cholesky((matrix + shift * eye).T), shift
         except np.linalg.LinAlgError:
             raise FactorizationError(
                 f"factorization failed at the requested diagonal shift {shift:.3e}"
             ) from None
 
     try:
-        return np.linalg.cholesky(matrix), 0.0
+        return np.linalg.cholesky(matrix.T), 0.0
     except np.linalg.LinAlgError:
         pass
 
@@ -159,7 +197,7 @@ def factor_covariance(
     cap = _MAX_REL_JITTER * scale
     eye = np.eye(n)
     try:
-        at_cap = np.linalg.cholesky(matrix + cap * eye)
+        at_cap = np.linalg.cholesky((matrix + cap * eye).T)
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(matrix)[0])
         raise FactorizationError(
@@ -170,7 +208,7 @@ def factor_covariance(
     shift = _BASE_REL_JITTER * scale
     while shift < cap:
         try:
-            return np.linalg.cholesky(matrix + shift * eye), shift
+            return np.linalg.cholesky((matrix + shift * eye).T), shift
         except np.linalg.LinAlgError:
             shift *= 2.0
     return at_cap, cap

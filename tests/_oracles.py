@@ -85,3 +85,24 @@ def broadcast_pickands_cov_w(alpha, lattice):
     dist_a = (np.sum(diff**2, axis=-1)) ** (alpha / 2.0)
     cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
     return 0.5 * (cov_w + cov_w.T)
+
+
+# The whole-array expressions the dense covariance path was first
+# written in.  The in-place builds must reproduce them bit for bit.
+
+
+def transpose_symmetrized(mat):
+    return 0.5 * (mat + mat.T)
+
+
+def exp_power_kernel(c, alpha, d):
+    return np.exp(-c * d**alpha)
+
+
+def squared_exponential_kernel(length_scale, d):
+    return np.exp(-(d**2) / (2.0 * length_scale**2))
+
+
+def c_order_cholesky(mat):
+    """The factor LAPACK gives from the C-ordered matrix itself."""
+    return np.linalg.cholesky(mat)

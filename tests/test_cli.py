@@ -19,6 +19,21 @@ PICKANDS_CIRCLE_ROW = (
     "pickands,3,0.014355791786955237,0.014355791786955237,0.56418958354775628,exact"
 )
 
+# The validate CSV at n = 400 (20 x 20 torus), past one symmetrization
+# tile and one draw row block, as the whole-array covariance build and
+# C-order factorization gave it.
+VALIDATE_TORUS_20_CSV = """\
+u,analytic_total,p_hat,ci_low,ci_high,ratio,within_ci,resolution,reps,seed
+2,0.35672206894745007,0.25,0.19508168006817497,0.31434098312045833,1.4268882757898003,false,20,200,0
+2.5,0.23771375075236781,0.105,0.069707487926810169,0.15518031991123041,2.263940483355884,false,20,200,0
+3,0.107154905750797,0.059999999999999998,0.034652194254331872,0.1019316929576627,1.7859150958466168,false,20,200,0
+3.5,0.034210723149313102,0.01,0.0027466581335444384,0.035721761716176803,3.42107231493131,true,20,200,0
+2,0.35672206894745007,0.20000000000000001,0.15045200926098115,0.26085518656537876,1.7836103447372502,false,10,200,0
+2.5,0.23771375075236781,0.085000000000000006,0.053745750177475612,0.13189587071565567,2.7966323617925624,false,10,200,0
+3,0.107154905750797,0.050000000000000003,0.027382645600763929,0.089578148138775987,2.1430981150159401,false,10,200,0
+3.5,0.034210723149313102,0.0050000000000000001,0.00088316871560097966,0.02777370439789293,6.8421446298626201,false,10,200,0
+"""
+
 
 def _resolve(argv):
     return resolve(build_parser().parse_args(argv))
@@ -514,6 +529,47 @@ def test_usage_errors_exit_1():
     assert main(["lk", "--no-such-flag"]) == 1
     assert main([]) == 1
     assert main(["lk", "--shape", "rectangle"]) == 1
+
+
+def test_level_list_may_start_with_a_minus_sign(capsys):
+    head = [
+        "eec",
+        "--shape", "rectangle",
+        "--sides", "1,2",
+        "--family", "squared_exponential",
+        "--length-scale", "0.3",
+    ]
+    for levels in ("-1,2", "-1e-3,2", "-.5,2"):
+        assert main([*head, f"--u={levels}"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*head, "--u", levels]) == 0
+        assert capsys.readouterr().out == joined
+        assert [row.split(",")[1] for row in joined.splitlines()[1:]] == [
+            "%.17g" % float(u) for u in levels.split(",")
+        ]
+    # An unknown option is still refused, also where a value is expected,
+    # and a stray number list is not taken for a value.
+    assert main([*head, "--u", "-1,2", "--bogus"]) == 1
+    assert main([*head, "--u", "--bogus"]) == 1
+    assert main([*head, "-1,2"]) == 1
+    assert main([*head, "-x", "--u", "2"]) == 1
+
+
+def test_validate_torus_golden_across_tiles(capsys):
+    argv = [
+        "validate",
+        "--shape", "full_torus",
+        "--periods", "1,1",
+        "--family", "stable_on_chart",
+        "--c", "1",
+        "--alpha", "1",
+        "--h-value", "0.98",
+        "--resolution", "20",
+        "--reps", "200",
+        "--seed", "0",
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == VALIDATE_TORUS_20_CSV
 
 
 def test_output_directory_must_exist(tmp_path):

@@ -200,6 +200,37 @@ def test_covariance_matrix_symmetric_unit_diagonal():
     assert np.array_equal(np.diag(mat), np.ones(8))
 
 
+DISTANCE_FAMILIES = [
+    ("sqexp", SquaredExponential(Euclidean(2), 0.5)),
+    ("schoenberg", SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.5, 0.3))),
+    (
+        "local-with-full-model",
+        LocallyIsotropicModel(
+            Euclidean(2), 2.0, 2.0, full_model=SquaredExponential(Euclidean(2), 0.5)
+        ),
+    ),
+    ("powexp", PoweredExponential(FlatTorus((1.0,)), 1.0, 1.0)),
+    ("stable", StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "label,model", DISTANCE_FAMILIES, ids=[x[0] for x in DISTANCE_FAMILIES]
+)
+def test_correlation_from_distance_leaves_its_argument(label, model):
+    # The matrix build runs each kernel in the distance buffer; the
+    # public method must not do that to its caller's array.
+    d = np.linspace(0.0, 1.5, 40).reshape(5, 8)
+    before = d.copy()
+    values = model.correlation_from_distance(d)
+    assert np.array_equal(d, before)
+    assert values.shape == d.shape and values[0, 0] == 1.0
+    assert np.all(values[d > 0] < 1.0)
+    scalar = model.correlation_from_distance(float(d[1, 3]))
+    assert isinstance(scalar, float)
+    assert scalar == pytest.approx(values[1, 3], rel=1e-15)
+
+
 def test_covariance_depends_only_on_distance():
     # Isotropic families: pairs at one geodesic separation, any
     # placement or orientation, give one covariance value.

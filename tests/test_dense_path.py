@@ -1,10 +1,14 @@
-"""The dense path: per-axis pairwise tables, memory peaks, point budget.
+"""The dense path: per-axis pairwise tables, in-place builds, memory
+peaks, point budget.
 
 Pairwise distances on Euclidean space and the flat torus, and the
 Pickands W covariance, are built from per-axis difference tables.  They
 must equal the (n, m, d) broadcast forms in ``_oracles`` bit for bit on
 every kind of point set the package produces, and keep the dense path
-within the stated number of n x n arrays.
+within the stated number of n x n arrays.  Covariance matrices are
+built in the distance buffer (kernel in place, tiled symmetrization)
+and factored from their Fortran-order view; they and their factors must
+equal the whole-array expressions in ``_oracles`` bit for bit.
 """
 
 import tracemalloc
@@ -17,14 +21,24 @@ from _oracles import (
     broadcast_pickands_cov_w,
     broadcast_torus_chordal,
     broadcast_torus_geodesic,
+    c_order_cholesky,
+    exp_power_kernel,
     run_fresh,
+    squared_exponential_kernel,
+    transpose_symmetrized,
 )
 from excursion import pickands
-from excursion.covariance import StableOnChart
-from excursion.curvatures import FullTorus, Rectangle
+from excursion.covariance import (
+    LocallyIsotropicModel,
+    PoweredExponential,
+    SphereSchoenberg,
+    SquaredExponential,
+    StableOnChart,
+)
+from excursion.curvatures import FullSphere, FullTorus, Rectangle
 from excursion.errors import ValidationError
-from excursion.manifolds import Euclidean, FlatTorus
-from excursion.sampling import _MAX_GRID_POINTS, factor_covariance
+from excursion.manifolds import Euclidean, FlatTorus, Sphere
+from excursion.sampling import SYM_TILE, _MAX_GRID_POINTS, _symmetrize, factor_covariance
 from excursion.validation import build_grid
 
 RNG = np.random.default_rng(31)
@@ -87,6 +101,134 @@ def test_pickands_cov_w_matches_broadcast(monkeypatch, alpha):
         assert np.array_equal(cov_w, broadcast_pickands_cov_w(alpha, lattice))
 
 
+# Sizes on both sides of one and two symmetrization tiles.
+TILE_EDGE_SIZES = [1, SYM_TILE - 1, SYM_TILE, SYM_TILE + 1, 600]
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+def test_symmetrize_matches_transpose_sum(n):
+    mat = np.random.default_rng(n).standard_normal((n, n))
+    expected = transpose_symmetrized(mat)
+    assert _symmetrize(mat) is mat
+    assert np.array_equal(mat, expected)
+
+
+def _oracle_covariance_matrix(model, chart, coords):
+    """``covariance_matrix`` by whole-array expressions."""
+    if isinstance(model, LocallyIsotropicModel) and model.full_model is not None:
+        model = model.full_model
+    manifold = model.manifold
+    if isinstance(model, SphereSchoenberg):
+        u = manifold._unit_embed_coords(chart, coords)
+        mat = model._poly(np.clip(u @ u.T, -1.0, 1.0))
+    elif isinstance(model, SquaredExponential):
+        d = manifold.pairwise_geodesic(chart, coords, coords)
+        mat = squared_exponential_kernel(model.length_scale, d)
+    else:
+        pairwise = (
+            manifold.pairwise_chordal
+            if isinstance(model, StableOnChart)
+            else manifold.pairwise_geodesic
+        )
+        mat = exp_power_kernel(model.c, model.alpha, pairwise(chart, coords, coords))
+    mat = transpose_symmetrized(mat)
+    np.fill_diagonal(mat, 1.0)
+    return mat
+
+
+def _matrix_cases():
+    torus = FlatTorus(PERIODS[2])
+    torus_grid = build_grid(FullTorus(PERIODS[2]), 17)
+    rect_grid = build_grid(Rectangle((1.0, 3.0)), 16)
+    sphere, sphere_grid = Sphere(2, 1.0), build_grid(FullSphere(2, 1.0), 20)
+    cases = []
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        cases += [
+            pytest.param(StableOnChart(torus, 1.3, alpha), torus_grid, id=f"stable-torus-{alpha}"),
+            pytest.param(
+                PoweredExponential(torus, 0.7, alpha), torus_grid, id=f"powexp-torus-{alpha}"
+            ),
+        ]
+    squared = SquaredExponential(Euclidean(2), 0.3)
+    cases += [
+        pytest.param(squared, rect_grid, id="sqexp-rectangle"),
+        pytest.param(SquaredExponential(torus, 0.3), torus_grid, id="sqexp-torus"),
+        pytest.param(StableOnChart(Euclidean(2), 1.0, 1.5), rect_grid, id="stable-rectangle"),
+        pytest.param(
+            LocallyIsotropicModel(Euclidean(2), 1.0 / 0.18, 2.0, full_model=squared),
+            rect_grid,
+            id="local-with-full-model",
+        ),
+        pytest.param(
+            SphereSchoenberg(sphere, (0.2, 0.3, 0.3, 0.2)), sphere_grid, id="schoenberg-sphere"
+        ),
+        pytest.param(PoweredExponential(sphere, 1.0, 0.5), sphere_grid, id="powexp-sphere"),
+        pytest.param(StableOnChart(sphere, 1.0, 1.5), sphere_grid, id="stable-sphere"),
+        pytest.param(SquaredExponential(sphere, 0.4), sphere_grid, id="sqexp-sphere"),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("model,grid", _matrix_cases())
+def test_covariance_matrix_matches_whole_array_build(model, grid):
+    got = model.covariance_matrix(grid.chart, grid.coords)
+    assert np.array_equal(got, _oracle_covariance_matrix(model, grid.chart, grid.coords))
+
+
+def _scattered_covariance(n):
+    model = StableOnChart(Euclidean(2), 1.0, 1.0)
+    coords = np.random.default_rng(n).uniform(0.0, 3.0, size=(n, 2))
+    mat = model.covariance_matrix("main", coords)
+    assert np.array_equal(mat, _oracle_covariance_matrix(model, "main", coords))
+    return mat
+
+
+@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+def test_factor_matches_c_order_cholesky(n):
+    mat = _scattered_covariance(n)
+    factor, shift = factor_covariance(mat)
+    assert shift == 0.0
+    assert np.array_equal(factor, c_order_cholesky(mat))
+    factor, shift = factor_covariance(mat, fixed_rel_jitter=1e-10)
+    assert shift == 1e-10 * (float(np.trace(mat)) / n)
+    assert np.array_equal(factor, c_order_cholesky(mat + shift * np.eye(n)))
+
+
+def test_ladder_factor_matches_c_order_cholesky():
+    # Degree-3 Schoenberg kernel: rank 16 on 326 points, so only a
+    # shifted matrix factors.
+    grid = build_grid(FullSphere(2, 1.0), 16)
+    model = SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.3, 0.3, 0.2))
+    mat = model.covariance_matrix(grid.chart, grid.coords)
+    with pytest.raises(np.linalg.LinAlgError):
+        c_order_cholesky(mat)
+    factor, shift = factor_covariance(mat)
+    assert 0.0 < shift < 1e-6
+    assert np.array_equal(factor, c_order_cholesky(mat + shift * np.eye(len(mat))))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
+    shifts = []
+
+    def record(matrix, **kwargs):
+        factor, shift = factor_covariance(matrix, **kwargs)
+        shifts.append(shift)
+        return factor, shift
+
+    monkeypatch.setattr(pickands, "factor_covariance", record)
+    lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
+    factor, active, _ = pickands._factor_w(alpha, lattice)
+    assert active.sum() > SYM_TILE
+    cov_w = broadcast_pickands_cov_w(alpha, lattice)
+    # At alpha = 2, W is linear in s: rank 2, so it takes the ladder.
+    (shift,) = shifts
+    assert (shift > 0.0) == (alpha == 2.0)
+    if shift:
+        cov_w = cov_w + shift * np.eye(len(cov_w))
+    assert np.array_equal(factor, c_order_cholesky(cov_w))
+
+
 def _peak_doubles(fn):
     """Peak traced allocation of ``fn()`` in units of 8-byte doubles."""
     tracemalloc.start()
@@ -106,6 +248,16 @@ def test_covariance_matrix_peak_is_three_matrices():
     peak = _peak_doubles(lambda: model.covariance_matrix(grid.chart, grid.coords))
     # The broadcast build peaked at 7 n^2.
     assert peak <= 3.0 * n * n + 8192, peak / (n * n)
+
+
+def test_covariance_matrix_peak_is_two_matrices():
+    grid = build_grid(FullTorus((1.0, 1.0)), 40)
+    n = len(grid)
+    model = StableOnChart(FlatTorus((1.0, 1.0)), c=1.0, alpha=1.0)
+    peak = _peak_doubles(lambda: model.covariance_matrix(grid.chart, grid.coords))
+    # The distance buffer and the pairwise gather buffer; the kernel and
+    # the symmetrization reuse the first, plus one tile.
+    assert peak <= 2.0 * n * n + 2 * SYM_TILE**2, peak / (n * n)
 
 
 def test_plain_factorization_peak_is_the_factor():
