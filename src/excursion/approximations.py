@@ -142,7 +142,12 @@ def _pickands_core(model, domain, u, h_value, h_provenance, k: int) -> ApproxRes
         raise ValidationError(f"constant H must be positive, got {h_value}")
     c, alpha = local_expansion(model)
     volume = float(lk_curvatures(domain)[-1])
-    total = volume * c ** (k / alpha) * h_value * u ** (2.0 * k / alpha) * gaussian_tail(u)
+    try:
+        total = volume * c ** (k / alpha) * h_value * u ** (2.0 * k / alpha) * gaussian_tail(u)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValidationError(f"tail formula overflows at c = {c!r}, alpha = {alpha!r}, u = {u!r}")
     notes = (_BOUNDARY_NOTE,) if isinstance(domain, (Rectangle, Ball)) else ()
     return ApproxResult(
         u=u,

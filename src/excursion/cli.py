@@ -259,7 +259,11 @@ def _pinned_h(cfg: dict, args) -> dict | None:
     value = _as_float(h_cfg["value"], "h.value")
     if not (math.isfinite(value) and value > 0):
         raise ConfigError("h.value", f"must be finite and positive, got {value}")
-    return {"value": value, "provenance": str(h_cfg.get("provenance", "user"))}
+    # Only the provenances the program writes: the value lands in a CSV cell.
+    provenance = h_cfg.get("provenance", "user")
+    if provenance not in ("exact", "mc", "user"):
+        raise ConfigError("h.provenance", f"expected exact, mc or user, got {provenance!r}")
+    return {"value": value, "provenance": provenance}
 
 
 def _resolve_output(args) -> str:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DegenerateModelError, ValidationError
 from .manifolds import ChartPoint, Sphere, _ManifoldBase
-from .sampling import _symmetrize
 
 __all__ = [
     "SmoothIsotropicModel",
@@ -54,9 +53,10 @@ class _ModelBase:
     manifold: _ManifoldBase
 
     # The correlation hooks, over a coordinate array and for one pair;
-    # ``covariance_matrix`` and ``covariance`` add the point checks, the
-    # symmetrization and the diagonal pin.  Both default to geodesic distance.
-    # The matrix hook hands the kernel the distance buffer it just made.
+    # ``covariance_matrix`` and ``covariance`` add the point checks and
+    # the diagonal pin.  Both default to geodesic distance.  The matrix
+    # hook hands the kernel the distance buffer it just made, which is
+    # symmetric by construction, so the matrix is too.
     def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         return self._kernel(self.manifold.pairwise_geodesic(chart, coords, coords))
 
@@ -87,9 +87,7 @@ class _ModelBase:
                 f"expected an (n, {self.manifold.dim}) coordinate array, got shape {coords.shape}"
             )
         mat = np.asarray(self._correlation_matrix(chart, coords))
-        # Symmetrize and pin the diagonal: pairwise distance kernels are
-        # symmetric only up to rounding.
-        _symmetrize(mat)
+        # Symmetric by construction; pin the diagonal, where a distance can round away from 0.
         np.fill_diagonal(mat, 1.0)
         return mat
 
@@ -180,8 +178,7 @@ class SphereSchoenberg(SmoothIsotropicModel):
     # than going distance -> cos(distance), and exact where the remark
     # form is.
     def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        u = self.manifold._unit_embed_coords(chart, coords)
-        return self._poly(np.clip(u @ u.T, -1.0, 1.0))
+        return self._poly(self.manifold._unit_inner(chart, coords, coords))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         u = self.manifold._unit_embed_coords(p.chart, p.array)[0]

@@ -207,7 +207,11 @@ def lk_curvatures(domain) -> np.ndarray:
     """(L_0, ..., L_k) for a catalogue domain."""
     if not isinstance(domain, _CATALOGUE):
         raise UnsupportedShapeError(f"no curvature catalogue entry for {type(domain).__name__}")
-    return domain.lk()
+    try:
+        return domain.lk()
+    except OverflowError:
+        # Gamma of a large dimension, or a large radius to a high power.
+        raise ValidationError(f"curvatures of {domain} overflow a float") from None
 
 
 def rescale_lk(lk: np.ndarray, kappa: float) -> np.ndarray:

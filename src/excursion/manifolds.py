@@ -30,9 +30,12 @@ per axis (``sampling._axis_sum_of_squares``): the axis formula runs once
 per pair of distinct axis values, and the squares are gathered into a
 single n x m accumulator.  No (n, m, d) difference array is formed, and
 the peak is 2 n m doubles.  Every pairwise method returns a fresh array,
-which the covariance families evaluate their kernel in and symmetrize in
-place, so a covariance matrix also peaks at 2 n^2.  For up to 7 axes the
-values are those of the broadcast form to the last bit.
+which the covariance families evaluate their kernel in, so a covariance
+matrix also peaks at 2 n^2.  A table of a point set against itself is
+symmetric by construction (|delta| comes before any odd function, and
+the sphere multiplies one embedding by its own transpose), so nothing
+symmetrizes it.  For up to 7 axes the values are those of the broadcast
+form to the last bit.
 """
 
 from __future__ import annotations
@@ -269,8 +272,9 @@ class FlatTorus(_ManifoldBase):
         """
         periods = np.asarray(self.periods)
 
+        # |delta| first, so the table's symmetry does not rest on np.sin.
         def chord(k, delta):
-            return (periods[k] / math.pi) * np.sin(math.pi * delta / periods[k])
+            return (periods[k] / math.pi) * np.sin(math.pi * np.abs(delta) / periods[k])
 
         dist = _axis_sum_of_squares(a, b, chord)
         return np.sqrt(dist, out=dist)
@@ -376,16 +380,21 @@ class Sphere(_ManifoldBase):
             angle = math.pi - 2.0 * math.asin(min(1.0, half_anti))
         return self.radius * angle
 
-    def pairwise_geodesic(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _unit_inner(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Clipped unit-sphere inner products of the rows of ``a`` and ``b``.
+
+        For ``b is a`` this is ``u @ u.T``, which numpy runs as a symmetric
+        rank-k update: symmetric to the last bit, unlike two copies of u.
+        """
         ua = self._unit_embed_coords(chart, a)
-        ub = self._unit_embed_coords(chart, b)
-        ip = np.clip(ua @ ub.T, -1.0, 1.0)
-        return self.radius * np.arccos(ip)
+        ub = ua if b is a else self._unit_embed_coords(chart, b)
+        return np.clip(ua @ ub.T, -1.0, 1.0)
+
+    def pairwise_geodesic(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.radius * np.arccos(self._unit_inner(chart, a, b))
 
     def pairwise_chordal(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ua = self._unit_embed_coords(chart, a)
-        ub = self._unit_embed_coords(chart, b)
-        ip = np.clip(ua @ ub.T, -1.0, 1.0)
+        ip = self._unit_inner(chart, a, b)
         return self.radius * np.sqrt(np.maximum(2.0 - 2.0 * ip, 0.0))
 
     def chordal_distance(self, p: ChartPoint, q: ChartPoint) -> float:

@@ -62,7 +62,6 @@ from .sampling import (
     _axis_sum_of_squares,
     _cap_points,
     _check_stream,
-    _symmetrize,
     draw_in_batches,
     factor_covariance,
     replicate_generator,
@@ -142,7 +141,7 @@ def cube_lattice(n_dim: int, cube_side: float, spacing: float) -> np.ndarray:
     if not math.isfinite(steps):
         raise ValidationError(f"cube_side / spacing overflows: {cube_side} / {spacing}")
     steps = math.floor(steps)
-    _cap_points((steps + 1) ** n_dim)
+    _cap_points(steps + 1, n_dim)
     per_axis = np.arange(steps + 1) * spacing
     grids = np.meshgrid(*([per_axis] * n_dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=-1)
@@ -170,8 +169,9 @@ def _factor_w(
     _cap_points(pts.shape[0])
     norms = drift[active]
     dist_a = _axis_sum_of_squares(pts, pts, lambda k, delta: delta) ** (alpha / 2.0)
+    # Symmetric by construction: one gather index per side, commuting sums.
     cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
-    factor, _ = factor_covariance(_symmetrize(cov_w))
+    factor, _ = factor_covariance(cov_w)
     return factor, active, drift
 
 

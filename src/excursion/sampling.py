@@ -1,6 +1,6 @@
 """Exact joint Gaussian sampling support.
 
-Four pieces shared by the simulation layers, and the budget they keep:
+Three pieces shared by the simulation layers, and the budgets they keep:
 
 * ``_axis_sum_of_squares``: the n x m table of sum_k f_k(a_k - b_k)^2
   that every coordinate-difference distance starts from, built from one
@@ -16,11 +16,8 @@ Four pieces shared by the simulation layers, and the budget they keep:
   genuinely indefinite kernel is distinguishable from conditioning).
   The matrix must be exactly symmetric: LAPACK gets its Fortran-order
   view (``matrix.T``), which numpy copies contiguously instead of by
-  strided columns.
-
-* ``_symmetrize``: 0.5 * (mat + mat.T) in place, by square tiles, so
-  the covariance builders symmetrize in the buffer their kernel wrote
-  without an n x n temporary, bit for bit.
+  strided columns.  The package's covariance builders are symmetric by
+  construction, so nothing symmetrizes them.
 
 * counter-based generators: replication i draws from a Philox stream
   whose 128-bit key is the seed in the high word and i in the low word,
@@ -66,8 +63,6 @@ BATCH = 512
 # Rows per block of the lower-triangular draw product.  Fixed for the
 # same reason: the blocking decides how each entry's sum is rounded.
 ROW_BLOCK = 256
-# Edge of the square tiles ``_symmetrize`` works on.
-SYM_TILE = 256
 
 _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
@@ -79,12 +74,22 @@ _MAX_GRID_POINTS = 10_000
 _MAX_REPS = 10_000_000
 
 
-def _cap_points(n: int) -> None:
-    if n > _MAX_GRID_POINTS:
-        raise ValidationError(
-            f"grid would have {n} points; more than {_MAX_GRID_POINTS} is refused "
-            "(dense factorization budget)"
-        )
+def _cap_points(base: int, exponent: int = 1) -> None:
+    """Refuse ``base ** exponent`` points over the budget.
+
+    2 ** _MAX_GRID_POINTS.bit_length() is already over it, so no larger
+    power is ever formed; a count of 18 digits or more is printed as the
+    power.
+    """
+    small = exponent < _MAX_GRID_POINTS.bit_length()
+    if base < 2 or (small and base**exponent <= _MAX_GRID_POINTS):
+        return
+    large = exponent > 1 and exponent * math.log10(base) >= 18
+    shown = f"{base}^{exponent}" if large else base**exponent
+    raise ValidationError(
+        f"grid would have {shown} points; more than {_MAX_GRID_POINTS} is refused "
+        "(dense factorization budget)"
+    )
 
 
 def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
@@ -120,29 +125,6 @@ def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
     return acc
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    """Set ``mat`` to 0.5 * (mat + mat.T) in place, and return it.
-
-    Works by SYM_TILE x SYM_TILE tiles: each pair of mirrored tiles is
-    summed into one reused tile buffer, halved, and written back to both
-    places, so no n x n temporary is made.  IEEE addition commutes, so
-    every entry is the one ``0.5 * (mat + mat.T)`` gives, bit for bit.
-    """
-    n = mat.shape[0]
-    edge = min(SYM_TILE, n)
-    buf = np.empty((edge, edge))
-    for i in range(0, n, SYM_TILE):
-        ie = min(i + SYM_TILE, n)
-        for j in range(i, n, SYM_TILE):
-            je = min(j + SYM_TILE, n)
-            upper, lower = mat[i:ie, j:je], mat[j:je, i:ie]
-            tile = np.add(upper, lower.T, out=buf[: ie - i, : je - j])
-            tile *= 0.5
-            upper[...] = tile
-            lower[...] = tile.T
-    return mat
-
-
 def factor_covariance(
     matrix: np.ndarray, *, fixed_rel_jitter: float | None = None
 ) -> tuple[np.ndarray, float]:
@@ -158,7 +140,9 @@ def factor_covariance(
     ``matrix.T``, which for a C-ordered matrix is its Fortran-order
     view, so numpy copies it to LAPACK's column-major buffer
     contiguously, and the upper triangle of a C-ordered input is what
-    gets read.  Every caller in the package symmetrizes first.
+    gets read.  Every covariance the package builds is symmetric by
+    construction: its pairwise tables are (see ``manifolds``), and so is
+    the Pickands W covariance.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

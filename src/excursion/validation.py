@@ -142,27 +142,17 @@ def _check_resolution(resolution: int) -> int:
     return int(resolution)
 
 
-def _sphere_rows(resolution: int) -> list[tuple[float, np.ndarray]]:
-    """(latitude, longitude array) rows of the 2-sphere grid."""
-    rows = []
-    for i in range(resolution):
-        theta = (i + 0.5) * math.pi / resolution
-        count = max(1, int(round(2.0 * resolution * math.sin(theta))))
-        rows.append((theta, np.arange(count) * (2.0 * math.pi / count)))
-    return rows
-
-
 def build_grid(domain, resolution: int) -> Grid:
     """Quasi-uniform evaluation grid on a catalogue domain."""
     resolution = _check_resolution(resolution)
 
     if isinstance(domain, Rectangle):
-        _cap_points(resolution ** len(domain.sides))
+        _cap_points(resolution, len(domain.sides))
         axes = [np.linspace(0.0, side, resolution) for side in domain.sides]
         return Grid(domain, "main", _tensor(axes), resolution)
 
     if isinstance(domain, FullTorus):
-        _cap_points(resolution ** len(domain.periods))
+        _cap_points(resolution, len(domain.periods))
         axes = [np.arange(resolution) * (p / resolution) for p in domain.periods]
         return Grid(domain, "main", _tensor(axes), resolution)
 
@@ -172,11 +162,16 @@ def build_grid(domain, resolution: int) -> Grid:
             coords = (np.arange(resolution) * (2.0 * math.pi / resolution))[:, None]
             return Grid(domain, "north", coords, resolution)
         if domain.dim == 2:
-            rows = _sphere_rows(resolution)
-            _cap_points(sum(r[1].shape[0] for r in rows))
+            # Every latitude row holds at least one point, so the row
+            # count is checked first, then the point count; only then
+            # are longitudes built.
+            _cap_points(resolution)
+            thetas = [(i + 0.5) * math.pi / resolution for i in range(resolution)]
+            counts = [max(1, int(round(2.0 * resolution * math.sin(t)))) for t in thetas]
+            _cap_points(sum(counts))
             blocks = [
-                np.stack([np.full(phis.shape[0], theta), phis], axis=-1)
-                for theta, phis in rows
+                np.stack([np.full(count, theta), np.arange(count) * (2.0 * math.pi / count)], -1)
+                for theta, count in zip(thetas, counts)
             ]
             return Grid(domain, "north", np.concatenate(blocks, axis=0), resolution)
         raise UnsupportedShapeError(

@@ -19,9 +19,9 @@ PICKANDS_CIRCLE_ROW = (
     "pickands,3,0.014355791786955237,0.014355791786955237,0.56418958354775628,exact"
 )
 
-# The validate CSV at n = 400 (20 x 20 torus), past one symmetrization
-# tile and one draw row block, as the whole-array covariance build and
-# C-order factorization gave it.
+# The validate CSV at n = 400 (20 x 20 torus), past one 256-row draw
+# block, as the whole-array covariance build and C-order factorization
+# gave it.
 VALIDATE_TORUS_20_CSV = """\
 u,analytic_total,p_hat,ci_low,ci_high,ratio,within_ci,resolution,reps,seed
 2,0.35672206894745007,0.25,0.19508168006817497,0.31434098312045833,1.4268882757898003,false,20,200,0
@@ -225,6 +225,18 @@ def test_h_value_validation(tmp_path):
                 ]
             )
         assert err.value.field == "h.value"
+    # The provenance lands in a CSV cell: only the values the program
+    # itself writes are accepted, so a manifest still replays.
+    pickands = ["pickands", "--config", str(cfg), "--shape", "full_torus", "--periods", "1,1",
+                "--family", "stable_on_chart", "--c", "1", "--alpha", "1", "--seed", "0"]
+    for provenance in ("exact", "mc", "user"):
+        cfg.write_text(json.dumps({"h": {"value": 0.5, "provenance": provenance}}))
+        assert _resolve(pickands).config["h"] == {"value": 0.5, "provenance": provenance}
+    for provenance in ("a,b\nc", "MC", "", 1, None, ["mc"]):
+        cfg.write_text(json.dumps({"h": {"value": 0.5, "provenance": provenance}}))
+        with pytest.raises(ConfigError) as err:
+            _resolve(pickands)
+        assert err.value.field == "h.provenance"
 
 
 def test_smooth_validate_needs_no_h():
@@ -398,6 +410,24 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
              "--reps", "1000"],
             None,
         ),
+        # 5^6200 and 5^10^9 points: decided without forming the power.
+        ([*pickands_const, "--dim", "6200", "--cube-side", "1", "--spacing", "0.25",
+          "--reps", "1000"], "5^6200 points"),
+        ([*pickands_const, "--dim", "1000000000", "--cube-side", "1", "--spacing", "0.25",
+          "--reps", "1000"], "5^1000000000 points"),
+        (
+            ["validate", "--shape", "full_torus", "--periods", ",".join(["1"] * 15),
+             "--family", "stable_on_chart", "--c", "1", "--alpha", "1", "--h-value", "1",
+             "--resolution", "1" * 301, "--reps", "10"],
+            "dense factorization budget",
+        ),
+        # More latitude rows than the budget has points: refused before
+        # any row is laid out.
+        (
+            ["validate", "--shape", "full_sphere", "--dim", "2", "--radius", "1", "--family",
+             "sphere_schoenberg", "--b", "0.5,0.5", "--resolution", "12000", "--reps", "10"],
+            "dense factorization budget",
+        ),
         # Replication counts over the budget are refused before one float
         # per replication is allocated.
         ([*pickands_const, "--dim", "1", "--reps", "100000000000000"], "replication count"),
@@ -418,6 +448,38 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
         if reason is not None:
             assert reason in caplog.text
         assert not out.exists()
+
+
+def test_overflowing_analytic_values_exit_1(tmp_path, caplog):
+    out = tmp_path / "overflow.csv"
+    local = ["--family", "local", "--h-value", "1", "--seed", "0"]
+    commands = [
+        # Gamma((N + 1) / 2) past the float range.
+        (["lk", "--shape", "ball", "--dim", "342", "--radius", "1"], "dim=342"),
+        (["lk", "--shape", "full_sphere", "--dim", "343", "--radius", "1"], "dim=343"),
+        (["eec", "--shape", "ball", "--dim", "342", "--radius", "1", "--family",
+          "squared_exponential", "--length-scale", "1", "--u", "3"], "dim=342"),
+        (["pickands", "--shape", "full_sphere", "--dim", "343", "--radius", "1", *local,
+          "--c", "1", "--alpha", "1", "--u", "3"], "dim=343"),
+        # u^(2k/alpha) and c^(k/alpha) past the float range.
+        (["pickands", "--shape", "full_torus", "--periods", "1,1", *local, "--c", "1",
+          "--alpha", "0.001", "--u", "3"], "alpha = 0.001"),
+        (["pickands", "--shape", "rectangle", "--sides", "1", *local, "--c", "1",
+          "--alpha", "0.01", "--u", "40"], "u = 40.0"),
+        (["pickands", "--shape", "rectangle", "--sides", "1", *local, "--c", "1e10",
+          "--alpha", "0.01", "--u", "3"], "c = 10000000000.0"),
+    ]
+    for command, named in commands:
+        caplog.clear()
+        assert main([*command, "--output", str(out)]) == 1, command
+        assert "invalid configuration" in caplog.text
+        assert named in caplog.text
+        assert not out.exists()
+    # The largest dimensions whose curvatures are finite still run.
+    for shape, dim in (("ball", "341"), ("full_sphere", "342")):
+        assert main(["lk", "--shape", shape, "--dim", dim, "--radius", "1",
+                     "--output", str(out)]) == 0
+        assert out.read_text().count("\n") == int(dim) + 2
 
 
 def test_validate_round_trip_and_resolution_column(tmp_path):
@@ -677,3 +739,17 @@ def test_thread_cap_validation(monkeypatch):
     assert main(["lk", "--shape", "rectangle", "--sides", "1,2"]) == 1
     monkeypatch.delenv("EXCURSION_THREADS")
     assert main(["lk", "--shape", "rectangle", "--sides", "1,2", "--threads", "0"]) == 1
+
+
+def test_bench_tracer_installs_on_the_package():
+    # bench/traced.py patches functions it looks up by name in the
+    # package's modules; renaming or deleting one breaks every traced run.
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {bench!r})\n"
+        "import traced\n"
+        "traced.install(traced.Tracer())\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr

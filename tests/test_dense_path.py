@@ -5,12 +5,15 @@ Pairwise distances on Euclidean space and the flat torus, and the
 Pickands W covariance, are built from per-axis difference tables.  They
 must equal the (n, m, d) broadcast forms in ``_oracles`` bit for bit on
 every kind of point set the package produces, and keep the dense path
-within the stated number of n x n arrays.  Covariance matrices are
-built in the distance buffer (kernel in place, tiled symmetrization)
-and factored from their Fortran-order view; they and their factors must
-equal the whole-array expressions in ``_oracles`` bit for bit.
+within the stated number of n x n arrays.  A table of a point set
+against itself must be symmetric by construction, since nothing
+symmetrizes it afterwards.  Covariance matrices are built in the
+distance buffer (kernel in place) and factored from their Fortran-order
+view; they and their factors must equal the whole-array expressions in
+``_oracles`` bit for bit, which symmetrize explicitly.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,10 +38,10 @@ from excursion.covariance import (
     SquaredExponential,
     StableOnChart,
 )
-from excursion.curvatures import FullSphere, FullTorus, Rectangle
+from excursion.curvatures import FullSphere, FullTorus, GreatCircle, Rectangle
 from excursion.errors import ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
-from excursion.sampling import SYM_TILE, _MAX_GRID_POINTS, _symmetrize, factor_covariance
+from excursion.sampling import _MAX_GRID_POINTS, factor_covariance
 from excursion.validation import build_grid
 
 RNG = np.random.default_rng(31)
@@ -98,19 +101,55 @@ def test_pickands_cov_w_matches_broadcast(monkeypatch, alpha):
     scattered = RNG.uniform(0.0, 3.0, size=(25, 3))
     for lattice in (pickands.cube_lattice(2, 2.0, 0.25), centred, scattered):
         cov_w = _captured_cov_w(monkeypatch, alpha, lattice)
+        # Nothing symmetrizes it before it is factored.
+        assert np.array_equal(cov_w, cov_w.T)
         assert np.array_equal(cov_w, broadcast_pickands_cov_w(alpha, lattice))
 
 
-# Sizes on both sides of one and two symmetrization tiles.
-TILE_EDGE_SIZES = [1, SYM_TILE - 1, SYM_TILE, SYM_TILE + 1, 600]
+def _self_point_sets():
+    # Its own generator, so the draws of the module's RNG stay as they were.
+    rng = np.random.default_rng(37)
+    sphere_scattered = np.column_stack([rng.uniform(0.0, np.pi, 60), rng.uniform(0.0, 7.0, 60)])
+    flat = {
+        "torus-grid": build_grid(FullTorus(PERIODS[2]), 7).coords,
+        "refined-grid": build_grid(FullTorus(PERIODS[2]), 4).refine().coords,
+        "rectangle-grid": build_grid(Rectangle((1.0, 3.0)), 6).coords,
+        "scattered": rng.uniform(-4.0, 4.0, size=(40, 2)),
+        "3d-torus-grid": build_grid(FullTorus(PERIODS[3]), 5).coords,
+        "3d-scattered": rng.uniform(-2.0, 5.0, size=(30, 3)),
+    }
+    sets = [
+        # 300-point circles: the sphere tables here were asymmetric when
+        # they multiplied two copies of one embedding.
+        pytest.param(Sphere(2, 1.0), build_grid(GreatCircle(1.0), 300).coords, id="great-circle"),
+        pytest.param(Sphere(1, 2.0), build_grid(FullSphere(1, 2.0), 300).coords, id="1-sphere"),
+        pytest.param(
+            Sphere(2, 1.0), build_grid(FullSphere(2, 1.0), 8).refine().coords, id="refined-2-sphere"
+        ),
+        pytest.param(Sphere(2, 1.5), sphere_scattered, id="scattered-2-sphere"),
+        pytest.param(Sphere(1, 1.0), rng.uniform(-7.0, 7.0, (50, 1)), id="scattered-1-sphere"),
+    ]
+    for name, x in flat.items():
+        dim = x.shape[1]
+        sets += [
+            pytest.param(Euclidean(dim), x, id=f"euclidean-{name}"),
+            pytest.param(FlatTorus(PERIODS[dim]), x, id=f"torus-{name}"),
+        ]
+    return sets
 
 
-@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
-def test_symmetrize_matches_transpose_sum(n):
-    mat = np.random.default_rng(n).standard_normal((n, n))
-    expected = transpose_symmetrized(mat)
-    assert _symmetrize(mat) is mat
-    assert np.array_equal(mat, expected)
+@pytest.mark.parametrize("manifold,x", _self_point_sets())
+def test_self_pairwise_is_symmetric_by_construction(manifold, x):
+    # Nothing symmetrizes these tables: a kernel evaluated on them must
+    # already give a symmetric covariance, to the last bit.
+    chart = manifold.charts[0]
+    for pairwise in (manifold.pairwise_geodesic, manifold.pairwise_chordal):
+        table = pairwise(chart, x, x)
+        assert np.array_equal(table, table.T), pairwise.__name__
+
+
+# Sizes on both sides of one and two 256-point blocks.
+TILE_EDGE_SIZES = [1, 255, 256, 257, 600]
 
 
 def _oracle_covariance_matrix(model, chart, coords):
@@ -219,7 +258,7 @@ def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
     factor, active, _ = pickands._factor_w(alpha, lattice)
-    assert active.sum() > SYM_TILE
+    assert active.sum() > 256
     cov_w = broadcast_pickands_cov_w(alpha, lattice)
     # At alpha = 2, W is linear in s: rank 2, so it takes the ladder.
     (shift,) = shifts
@@ -255,9 +294,9 @@ def test_covariance_matrix_peak_is_two_matrices():
     n = len(grid)
     model = StableOnChart(FlatTorus((1.0, 1.0)), c=1.0, alpha=1.0)
     peak = _peak_doubles(lambda: model.covariance_matrix(grid.chart, grid.coords))
-    # The distance buffer and the pairwise gather buffer; the kernel and
-    # the symmetrization reuse the first, plus one tile.
-    assert peak <= 2.0 * n * n + 2 * SYM_TILE**2, peak / (n * n)
+    # The distance buffer and the pairwise gather buffer; the kernel
+    # reuses the first.
+    assert peak <= 2.0 * n * n + 2 * 256**2, peak / (n * n)
 
 
 def test_plain_factorization_peak_is_the_factor():
@@ -281,6 +320,35 @@ def test_lattice_budget_is_checked_before_allocating():
     assert pickands.cube_lattice(2, 99.0, 1.0).shape[0] == _MAX_GRID_POINTS
     with pytest.raises(ValidationError, match="10201 points"):
         pickands.cube_lattice(2, 100.0, 1.0)
+
+
+def test_huge_lattice_powers_are_refused_without_forming_them():
+    # 5^10^9 points: refused without forming the power, which is printed.
+    for n_dim in (6200, 1_000_000_000):
+        started = time.perf_counter()
+        with pytest.raises(ValidationError, match=rf"grid would have 5\^{n_dim} points"):
+            pickands.cube_lattice(n_dim, 1.0, 0.25)
+        assert time.perf_counter() - started < 1.0
+    with pytest.raises(ValidationError, match=r"10\^20 points"):
+        build_grid(FullTorus((1.0,) * 20), 10)
+    # A count of fewer than 18 digits is printed exactly.
+    with pytest.raises(ValidationError, match="1000000000000000 points"):
+        build_grid(FullTorus((1.0,) * 5), 1000)
+
+
+def test_sphere_grid_budget_is_checked_before_building_rows():
+    # About 5.1 million points on 2000 rows: refused from the row counts.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="dense factorization budget"):
+            build_grid(FullSphere(2, 1.0), 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+    # More rows than the budget has points: refused before any row is laid out.
+    with pytest.raises(ValidationError, match="12000 points"):
+        build_grid(FullSphere(2, 1.0), 12_000)
 
 
 def test_caller_lattice_budget_is_checked_before_the_pairwise_build():
