@@ -9,8 +9,8 @@ Two routes, valid in different smoothness regimes:
 
   with kappa = -2 rho'(0) and L_j the domain's intrinsic volumes.  For
   large u this also approximates P{sup X >= u}; the error is
-  super-exponentially small in u but carries no computable constant, so
-  it is reported as a note, never as a number.
+  super-exponentially small in u but has no computable constant, so it
+  is never reported as a number.
 
 * ``pickands_approx`` (locally isotropic models, 1 - C = c d^alpha):
   the fractional-index tail formula
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import LocallyIsotropicModel, SmoothIsotropicModel, local_expansion
-from .curvatures import Ball, Rectangle, lk_curvatures, rescale_lk
+from .curvatures import lk_curvatures, rescale_lk
 from .errors import (
     DegenerateChartError,
     DegenerateModelError,
@@ -49,7 +49,6 @@ from .kernels import beta_j, gaussian_tail
 from .manifolds import Euclidean, FlatTorus, Sphere
 
 __all__ = [
-    "ApproxMetadata",
     "ApproxResult",
     "eec_approx",
     "pickands_approx",
@@ -58,41 +57,24 @@ __all__ = [
     "metric_sqrt_field",
 ]
 
-_EEC_NOTE = "tail error super-exponentially small in u; no computable constant"
-_BOUNDARY_NOTE = "domain has a boundary; the fractional-index formula ignores boundary effects"
-_TORUS_NOTE = "boundaryless flat torus; used as a validation domain"
-
-
-@dataclass(frozen=True)
-class ApproxMetadata:
-    """Identifiers and provenance carried alongside a result."""
-
-    model: str
-    domain: str
-    h_value: float | None = None
-    h_provenance: str | None = None
-    notes: tuple[str, ...] = ()
-
-
 @dataclass(frozen=True)
 class ApproxResult:
-    """One evaluated approximation at level u."""
+    """One evaluated approximation at level u.
+
+    ``h_value`` and ``h_provenance`` are the constant H the tail formula
+    used and where it came from; both are None on the EEC route.
+    """
 
     u: float
     total: float
     terms: tuple[float, ...]
     method: str
-    metadata: ApproxMetadata
+    h_value: float | None = None
+    h_provenance: str | None = None
 
     def __post_init__(self):
         if abs(self.total - math.fsum(self.terms)) > 1e-12 * max(1.0, abs(self.total)):
             raise ValidationError("result total must equal the sum of its terms")
-
-
-def _label(obj, skip=("manifold", "full_model")) -> str:
-    fields = getattr(obj, "__dataclass_fields__", {})
-    parts = [f"{name}={getattr(obj, name)!r}" for name in fields if name not in skip]
-    return f"{type(obj).__name__}({', '.join(parts)})"
 
 
 def _check_level(u, *, positive: bool = False) -> float:
@@ -125,14 +107,7 @@ def eec_approx(model: SmoothIsotropicModel, domain, u) -> ApproxResult:
         raise DegenerateModelError(f"derivative variance must be positive, got {kappa}")
     lk = rescale_lk(lk_curvatures(domain), kappa)
     terms = tuple(float(lk[j] * beta_j(j, u)) for j in range(lk.shape[0]))
-    notes = (_EEC_NOTE,) + ((_TORUS_NOTE,) if isinstance(domain.manifold, FlatTorus) else ())
-    return ApproxResult(
-        u=u,
-        total=math.fsum(terms),
-        terms=terms,
-        method="eec",
-        metadata=ApproxMetadata(model=_label(model), domain=_label(domain), notes=notes),
-    )
+    return ApproxResult(u=u, total=math.fsum(terms), terms=terms, method="eec")
 
 
 def _pickands_core(model, domain, u, h_value, h_provenance, k: int) -> ApproxResult:
@@ -148,19 +123,13 @@ def _pickands_core(model, domain, u, h_value, h_provenance, k: int) -> ApproxRes
         total = math.inf
     if not math.isfinite(total):
         raise ValidationError(f"tail formula overflows at c = {c!r}, alpha = {alpha!r}, u = {u!r}")
-    notes = (_BOUNDARY_NOTE,) if isinstance(domain, (Rectangle, Ball)) else ()
     return ApproxResult(
         u=u,
         total=total,
         terms=(total,),
         method="pickands",
-        metadata=ApproxMetadata(
-            model=_label(model),
-            domain=_label(domain),
-            h_value=h_value,
-            h_provenance=str(h_provenance),
-            notes=notes,
-        ),
+        h_value=h_value,
+        h_provenance=str(h_provenance),
     )
 
 

@@ -284,7 +284,7 @@ def _csv(header: list[str], rows) -> str:
 def _approx_csv(results) -> str:
     terms = [f"term_{j}" for j in range(len(results[0].terms))]
     rows = (
-        [res.method, res.u, res.total, *res.terms, res.metadata.h_value, res.metadata.h_provenance]
+        [res.method, res.u, res.total, *res.terms, res.h_value, res.h_provenance]
         for res in results
     )
     return _csv(["method", "u", "total", *terms, "H_value", "H_provenance"], rows)

@@ -37,8 +37,6 @@ __all__ = [
     "LocallyIsotropicModel",
     "PoweredExponential",
     "StableOnChart",
-    "covariance",
-    "rho_prime_0",
     "local_expansion",
     "expansion_ratio_check",
 ]
@@ -103,6 +101,15 @@ class SmoothIsotropicModel(_ModelBase):
         """-2 rho'(0), the variance of each orthonormal derivative."""
         return -2.0 * self.rho_prime_0()
 
+    def _check_rho_prime_0(self, what: str) -> None:
+        """Refuse parameters whose rho'(0) is not a finite negative float."""
+        try:
+            rho = self.rho_prime_0()
+        except (OverflowError, ZeroDivisionError):
+            rho = math.nan
+        if not (math.isfinite(rho) and rho < 0):
+            raise ValidationError(f"{what} puts rho'(0) outside the finite negative floats")
+
     def local_model(self) -> "LocallyIsotropicModel":
         """The near-diagonal reading of this model: alpha = 2, c = -rho'(0)."""
         return LocallyIsotropicModel(self.manifold, -self.rho_prime_0(), 2.0, full_model=self)
@@ -120,6 +127,7 @@ class SquaredExponential(SmoothIsotropicModel):
         if not (math.isfinite(ell) and ell > 0):
             raise ValidationError(f"length scale must be positive, got {self.length_scale}")
         object.__setattr__(self, "length_scale", ell)
+        self._check_rho_prime_0(f"length scale {ell!r}")
 
     def correlation_from_distance(self, d):
         return self._kernel(np.array(d, dtype=float))[()]
@@ -166,6 +174,7 @@ class SphereSchoenberg(SmoothIsotropicModel):
                 "only the constant term is present; the field would be degenerate"
             )
         object.__setattr__(self, "coefficients", coeffs)
+        self._check_rho_prime_0(f"radius {self.manifold.radius!r}")
 
     def _poly(self, t):
         return np.polynomial.polynomial.polyval(t, np.asarray(self.coefficients))
@@ -290,16 +299,6 @@ class StableOnChart(_ExpPowerKernel):
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.correlation_from_distance(self.manifold.chordal_distance(p, q))
-
-
-def covariance(model: _ModelBase, p: ChartPoint, q: ChartPoint) -> float:
-    """C(p, q) under the given model."""
-    return model.covariance(p, q)
-
-
-def rho_prime_0(model: SmoothIsotropicModel) -> float:
-    """rho'(0) of a smooth isotropic model (exact, from the parameters)."""
-    return model.rho_prime_0()
 
 
 def local_expansion(model) -> tuple[float, float]:

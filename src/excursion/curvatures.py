@@ -208,10 +208,14 @@ def lk_curvatures(domain) -> np.ndarray:
     if not isinstance(domain, _CATALOGUE):
         raise UnsupportedShapeError(f"no curvature catalogue entry for {type(domain).__name__}")
     try:
-        return domain.lk()
+        lk = domain.lk()
     except OverflowError:
         # Gamma of a large dimension, or a large radius to a high power.
-        raise ValidationError(f"curvatures of {domain} overflow a float") from None
+        lk = None
+    # A product of lengths overflows to inf without raising.
+    if lk is None or not np.all(np.isfinite(lk)):
+        raise ValidationError(f"curvatures of {domain} overflow a float")
+    return lk
 
 
 def rescale_lk(lk: np.ndarray, kappa: float) -> np.ndarray:
@@ -221,7 +225,11 @@ def rescale_lk(lk: np.ndarray, kappa: float) -> np.ndarray:
         raise DegenerateModelError(f"derivative variance must be positive, got {kappa}")
     lk = np.asarray(lk, dtype=float)
     j = np.arange(lk.shape[0])
-    return lk * kappa ** (j / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        out = lk * kappa ** (j / 2.0)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(f"curvatures rescaled by kappa = {kappa!r} overflow a float")
+    return out
 
 
 def tube_volume(domain, r: float) -> float:

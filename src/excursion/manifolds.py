@@ -53,10 +53,6 @@ __all__ = [
     "Euclidean",
     "FlatTorus",
     "Sphere",
-    "metric_tensor",
-    "geodesic_distance",
-    "chart_quadratic_form",
-    "embed",
 ]
 
 # Polar angles closer than this to {0, pi} make the metric numerically
@@ -405,22 +401,3 @@ class Sphere(_ManifoldBase):
         v = self._unit_embed_coords(q.chart, q.array)[0]
         return self.radius * float(np.linalg.norm(u - v))
 
-
-def metric_tensor(manifold: _ManifoldBase, p: ChartPoint) -> np.ndarray:
-    """Metric tensor G(p) in chart coordinates."""
-    return manifold.metric_tensor(p)
-
-
-def geodesic_distance(manifold: _ManifoldBase, p: ChartPoint, q: ChartPoint) -> float:
-    """Geodesic distance d_M(p, q) in closed form."""
-    return manifold.geodesic_distance(p, q)
-
-
-def chart_quadratic_form(manifold: _ManifoldBase, p: ChartPoint, q: ChartPoint) -> float:
-    """||G^{1/2}(p) (phi(q) - phi(p))||, the first-order distance surrogate."""
-    return manifold.chart_quadratic_form(p, q)
-
-
-def embed(manifold: _ManifoldBase, p: ChartPoint) -> np.ndarray:
-    """Ambient embedding (spheres), or the canonical coordinate representative."""
-    return manifold.embed(p)

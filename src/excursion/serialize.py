@@ -2,16 +2,17 @@
 
 Floats are written with 17 significant digits: that is enough to
 round-trip any double exactly, which is what makes output files
-byte-reproducible across runs and re-feedable as input.
+byte-reproducible across runs and re-feedable as input.  A non-finite
+float is refused, so no result is ever written as ``inf`` or ``nan``.
 """
 
 from __future__ import annotations
 
-__all__ = ["format_float", "format_value", "csv_line"]
+import math
 
+from .errors import ValidationError
 
-def format_float(x: float) -> str:
-    return "%.17g" % float(x)
+__all__ = ["format_value", "csv_line"]
 
 
 def format_value(v) -> str:
@@ -21,7 +22,9 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format_float(v)
+        if not math.isfinite(v):
+            raise ValidationError(f"non-finite value {v!r} cannot be written as a result")
+        return "%.17g" % float(v)
     return str(v)
 
 

@@ -38,7 +38,6 @@ import numpy as np
 
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
-from .manifolds import ChartPoint
 from .sampling import _MAX_REPS, _cap_points, _check_stream, draw_in_batches, factor_covariance
 from .serialize import csv_line
 
@@ -117,16 +116,20 @@ class Grid:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
-    def __getitem__(self, i: int) -> ChartPoint:
-        return ChartPoint(self.chart, tuple(self.coords[i]))
-
-    def __iter__(self):
-        for row in self.coords:
-            yield ChartPoint(self.chart, tuple(row))
-
     def refine(self) -> "Grid":
         """A finer grid containing this one as an exact prefix."""
-        return _refine_grid(self)
+        # The parent's points recur bit for bit among the fine grid's: at
+        # doubled resolution on tori and circles, at 2R - 1 points per axis on
+        # rectangles (plain doubling would not nest there).  On the 2-sphere
+        # no latitude row survives doubling, so the refined grid is the union.
+        fine_res = 2 * self.resolution - isinstance(self.domain, Rectangle)
+        both = np.concatenate([self.coords, build_grid(self.domain, fine_res).coords])
+        # First occurrences (np.unique sorts stably) past the parent's rows are
+        # the fine points the parent lacks, kept in fine-grid order.
+        first = np.unique(both, axis=0, return_index=True)[1]
+        coords = np.concatenate([self.coords, both[np.sort(first[first >= len(self)])]])
+        _cap_points(coords.shape[0])
+        return Grid(self.domain, self.chart, coords, fine_res)
 
 
 def _tensor(axes: list[np.ndarray]) -> np.ndarray:
@@ -187,21 +190,6 @@ def build_grid(domain, resolution: int) -> Grid:
     if isinstance(domain, Ball):
         raise UnsupportedShapeError("no grid scheme for balls")
     raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
-
-
-def _refine_grid(grid: Grid) -> Grid:
-    # The parent's points recur bit for bit among the fine grid's: at
-    # doubled resolution on tori and circles, at 2R - 1 points per axis on
-    # rectangles (plain doubling would not nest there).  On the 2-sphere
-    # no latitude row survives doubling, so the refined grid is the union.
-    fine_res = 2 * grid.resolution - isinstance(grid.domain, Rectangle)
-    both = np.concatenate([grid.coords, build_grid(grid.domain, fine_res).coords])
-    # First occurrences (np.unique sorts stably) past the parent's rows are
-    # the fine points the parent lacks, kept in fine-grid order.
-    first = np.unique(both, axis=0, return_index=True)[1]
-    coords = np.concatenate([grid.coords, both[np.sort(first[first >= len(grid)])]])
-    _cap_points(coords.shape[0])
-    return Grid(grid.domain, grid.chart, coords, fine_res)
 
 
 def sample_field(
@@ -305,11 +293,6 @@ class ComparisonTable:
         for row in self.rows:
             lines.append(csv_line([getattr(row, c) for c in _COMPARISON_COLUMNS]))
         return "\n".join(lines) + "\n"
-
-    def to_records(self) -> list[dict]:
-        return [
-            {c: getattr(row, c) for c in _COMPARISON_COLUMNS} for row in self.rows
-        ]
 
 
 def compare_report(analytic, empirical) -> ComparisonTable:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from excursion.approximations import (
-    ApproxMetadata,
     ApproxResult,
     eec_approx,
     euclidean_det_integral,
@@ -43,7 +42,7 @@ def test_eec_square_torus_frozen_value():
     assert res.terms[1] == 0.0
     assert res.total == pytest.approx(0.0021160517453817007, rel=1e-13)
     assert res.method == "eec"
-    assert res.metadata.h_value is None
+    assert res.h_value is None
 
 
 def test_eec_rectangle_hand_sum():
@@ -122,7 +121,7 @@ def test_pickands_square_torus_frozen_value():
     assert hand == pytest.approx(0.0019335864996355427, rel=1e-12)
     assert res.total == pytest.approx(0.0019335864996355427, rel=1e-10)
     assert res.terms == (res.total,)
-    assert res.metadata.h_provenance == "exact"
+    assert res.h_provenance == "exact"
 
 
 def test_pickands_great_circle_frozen_value():
@@ -210,9 +209,8 @@ def test_leading_term_identity():
 
 
 def test_result_total_must_match_terms():
-    meta = ApproxMetadata(model="m", domain="d")
     with pytest.raises(ValidationError):
-        ApproxResult(u=1.0, total=0.5, terms=(0.1, 0.2), method="eec", metadata=meta)
+        ApproxResult(u=1.0, total=0.5, terms=(0.1, 0.2), method="eec")
 
 
 def test_metric_field_euclidean_and_scaling():

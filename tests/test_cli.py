@@ -9,7 +9,8 @@ import pytest
 
 from _oracles import run_fresh
 from excursion.cli import build_parser, main, resolve
-from excursion.errors import ConfigError
+from excursion.errors import ConfigError, ValidationError
+from excursion.serialize import format_value
 
 LK_RECT = "j,L_j\n0,1\n1,3\n2,2\n"
 EEC_HEADER = "method,u,total,term_0,term_1,term_2,H_value,H_provenance"
@@ -55,6 +56,14 @@ def test_lk_ball_float_format(capsys):
     # 17 significant digits: the text round-trips to the exact double.
     cell = lines[2].split(",")[1]
     assert cell == "%.17g" % float(cell)
+
+
+def test_csv_cells_refuse_non_finite_floats():
+    # No emitter may write a result as inf or nan.
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="non-finite"):
+            format_value(value)
+    assert format_value(0.1) == "0.10000000000000001"
 
 
 def test_eec_torus_golden(capsys):
@@ -453,6 +462,10 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
 def test_overflowing_analytic_values_exit_1(tmp_path, caplog):
     out = tmp_path / "overflow.csv"
     local = ["--family", "local", "--h-value", "1", "--seed", "0"]
+    square = ["eec", "--shape", "rectangle", "--sides", "1,1", "--u", "3",
+              "--family", "squared_exponential"]
+    sphere = ["eec", "--shape", "full_sphere", "--dim", "2", "--u", "3",
+              "--family", "sphere_schoenberg", "--b", "0.5,0.5"]
     commands = [
         # Gamma((N + 1) / 2) past the float range.
         (["lk", "--shape", "ball", "--dim", "342", "--radius", "1"], "dim=342"),
@@ -468,6 +481,19 @@ def test_overflowing_analytic_values_exit_1(tmp_path, caplog):
           "--alpha", "0.01", "--u", "40"], "u = 40.0"),
         (["pickands", "--shape", "rectangle", "--sides", "1", *local, "--c", "1e10",
           "--alpha", "0.01", "--u", "3"], "c = 10000000000.0"),
+        # Products of lengths overflow to inf without raising.
+        (["lk", "--shape", "full_torus", "--periods", "1e300,1e300"], "periods=(1e+300"),
+        (["lk", "--shape", "rectangle", "--sides", "1e200,1e200,1e200"], "sides=(1e+200"),
+        (["eec", "--shape", "full_torus", "--periods", "1e300,1e300", "--family",
+          "squared_exponential", "--length-scale", "1", "--u", "3"], "periods=(1e+300"),
+        # kappa^(j/2) L_j past the float range.
+        (["eec", "--shape", "rectangle", "--sides", "1e10,1e10", "--family",
+          "squared_exponential", "--length-scale", "1e-150", "--u", "3"], "kappa ="),
+        # rho'(0) not a finite negative float.
+        ([*square, "--length-scale", "1e-200"], "length scale 1e-200"),
+        ([*square, "--length-scale", "1e-160"], "length scale 1e-160"),
+        ([*sphere, "--radius", "1e160"], "radius 1e+160"),
+        ([*sphere, "--radius", "1e-200"], "radius 1e-200"),
     ]
     for command, named in commands:
         caplog.clear()
@@ -750,6 +776,24 @@ def test_bench_tracer_installs_on_the_package():
         f"sys.path.insert(0, {bench!r})\n"
         "import traced\n"
         "traced.install(traced.Tracer())\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_export_lists_resolve():
+    # A deleted public name must leave the package's lazy export map and
+    # its module's __all__ with it.  A fresh interpreter, so every package
+    # attribute goes through the lazy lookup.
+    code = (
+        "import importlib, pkgutil\n"
+        "import excursion\n"
+        "missing = [name for name in excursion.__all__ if not hasattr(excursion, name)]\n"
+        "for info in pkgutil.iter_modules(excursion.__path__):\n"
+        "    module = importlib.import_module('excursion.' + info.name)\n"
+        "    missing += [f'{info.name}.{name}' for name in module.__all__\n"
+        "                if not hasattr(module, name)]\n"
+        "raise SystemExit(missing or 0)\n"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr

@@ -11,10 +11,8 @@ from excursion.covariance import (
     SphereSchoenberg,
     SquaredExponential,
     StableOnChart,
-    covariance,
     expansion_ratio_check,
     local_expansion,
-    rho_prime_0,
 )
 from excursion.errors import DegenerateModelError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
@@ -66,13 +64,13 @@ def test_unit_variance_on_diagonal():
     for _, model in PSD_MODELS:
         chart = model.manifold.charts[0]
         p = model.manifold.point(*random_coords(model.manifold, 1, 3)[0], chart=chart)
-        assert covariance(model, p, p) == 1.0
+        assert model.covariance(p, p) == 1.0
 
 
 def test_sqexp_value_at_unit_distance():
     e1 = Euclidean(1)
     model = SquaredExponential(e1, 1.0)
-    val = covariance(model, e1.point(0.0), e1.point(1.0))
+    val = model.covariance(e1.point(0.0), e1.point(1.0))
     assert val == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
@@ -81,7 +79,7 @@ def test_schoenberg_orthogonal_points():
     model = SphereSchoenberg(s2, (0.0, 1.0))
     north_ish = s2.point(1e-8, 0.0)
     equator = s2.point(math.pi / 2, 0.0)
-    assert covariance(model, north_ish, equator) == pytest.approx(0.0, abs=1e-7)
+    assert model.covariance(north_ish, equator) == pytest.approx(0.0, abs=1e-7)
 
 
 def test_schoenberg_cross_chart_consistency():
@@ -92,16 +90,16 @@ def test_schoenberg_cross_chart_consistency():
     p = s2.point(1.0, 0.7)
     q_north = s2.point(2.0, 0.7)
     q_south = ChartPoint("south", (math.pi - 2.0, 0.7))
-    assert covariance(model, p, q_north) == pytest.approx(
-        covariance(model, p, q_south), rel=1e-12
+    assert model.covariance(p, q_north) == pytest.approx(
+        model.covariance(p, q_south), rel=1e-12
     )
 
 
 def test_rho_prime_0_values():
-    assert rho_prime_0(SquaredExponential(Euclidean(2), 1.0)) == -0.5
-    assert rho_prime_0(SquaredExponential(Euclidean(2), 0.5)) == -2.0
+    assert SquaredExponential(Euclidean(2), 1.0).rho_prime_0() == -0.5
+    assert SquaredExponential(Euclidean(2), 0.5).rho_prime_0() == -2.0
     model = SphereSchoenberg(Sphere(2, 1.0), (0.0, 0.0, 1.0))
-    assert rho_prime_0(model) == -1.0
+    assert model.rho_prime_0() == -1.0
     assert model.second_spectral_moment() == 2.0
 
 
@@ -117,12 +115,21 @@ def test_schoenberg_validation():
         SphereSchoenberg(s2, (1.0,))
     with pytest.raises(ValidationError):
         SphereSchoenberg(s2, ())
+    # rho'(0) = -1 / (4 r^2) past the float range either way.
+    for radius in (1e160, 1e-200):
+        with pytest.raises(ValidationError, match="radius"):
+            SphereSchoenberg(Sphere(2, radius), (0.5, 0.5))
 
 
 def test_model_parameter_validation():
     e2 = Euclidean(2)
     with pytest.raises(ValidationError):
         SquaredExponential(e2, 0.0)
+    # rho'(0) = -1 / (2 l^2): l^2 overflows, or l^2 underflows to 0 or a
+    # subnormal whose reciprocal is inf.
+    for ell in (1e160, 1e-200, 1e-160):
+        with pytest.raises(ValidationError, match="length scale"):
+            SquaredExponential(e2, ell)
     with pytest.raises(ValidationError):
         PoweredExponential(e2, -1.0, 1.0)
     with pytest.raises(ValidationError):
@@ -140,7 +147,7 @@ def test_bare_local_model_cannot_be_evaluated():
     bare = LocallyIsotropicModel(c=2.0, alpha=1.5, manifold=e2)
     assert local_expansion(bare) == (2.0, 1.5)
     with pytest.raises(ValidationError):
-        covariance(bare, e2.point(0.0, 0.0), e2.point(1.0, 0.0))
+        bare.covariance(e2.point(0.0, 0.0), e2.point(1.0, 0.0))
 
 
 def test_local_expansion_echo_and_conversion():
@@ -156,7 +163,7 @@ def test_local_expansion_echo_and_conversion():
     assert converted.local_expansion() == (c, alpha)
     # The attached covariance is the original kernel.
     p, q = e2.point(0.0, 0.0), e2.point(0.3, 0.4)
-    assert covariance(converted, p, q) == covariance(smooth, p, q)
+    assert converted.covariance(p, q) == smooth.covariance(p, q)
 
 
 def test_expansion_ratio_near_one():
@@ -189,7 +196,7 @@ def test_covariance_symmetric_to_the_bit():
         chart = m.charts[0]
         a, b = random_coords(m, 2, rng.integers(2**31))
         p, q = m.point(*a, chart=chart), m.point(*b, chart=chart)
-        assert covariance(model, p, q) == covariance(model, q, p)
+        assert model.covariance(p, q) == model.covariance(q, p)
 
 
 def test_covariance_matrix_symmetric_unit_diagonal():
@@ -241,20 +248,20 @@ def test_covariance_depends_only_on_distance():
     assert s2.geodesic_distance(*equator_pair) == pytest.approx(
         s2.geodesic_distance(*meridian_pair), rel=1e-12
     )
-    assert covariance(model, *equator_pair) == pytest.approx(
-        covariance(model, *meridian_pair), abs=1e-12
+    assert model.covariance(*equator_pair) == pytest.approx(
+        model.covariance(*meridian_pair), abs=1e-12
     )
 
     e2 = Euclidean(2)
     sq = SquaredExponential(e2, 0.8)
-    v1 = covariance(sq, e2.point(0.0, 0.0), e2.point(0.3, 0.4))
-    v2 = covariance(sq, e2.point(5.0, 5.0), e2.point(5.5, 5.0))
+    v1 = sq.covariance(e2.point(0.0, 0.0), e2.point(0.3, 0.4))
+    v2 = sq.covariance(e2.point(5.0, 5.0), e2.point(5.5, 5.0))
     assert v1 == pytest.approx(v2, abs=1e-12)
 
     t1 = FlatTorus((1.0,))
     pw = PoweredExponential(t1, 1.0, 1.0)
-    v1 = covariance(pw, t1.point(0.05), t1.point(0.25))
-    v2 = covariance(pw, t1.point(0.9), t1.point(0.1))
+    v1 = pw.covariance(t1.point(0.05), t1.point(0.25))
+    v2 = pw.covariance(t1.point(0.9), t1.point(0.1))
     assert v1 == pytest.approx(v2, abs=1e-12)
 
 
@@ -264,7 +271,7 @@ def test_stable_equals_powered_on_euclidean():
     powered = PoweredExponential(e2, 0.8, 1.4)
     p, q = e2.point(0.1, 0.9), e2.point(0.7, 0.2)
     # Same kernel; the distances come off different norm code paths.
-    assert covariance(stable, p, q) == pytest.approx(covariance(powered, p, q), rel=1e-15)
+    assert stable.covariance(p, q) == pytest.approx(powered.covariance(p, q), rel=1e-15)
 
 
 def test_derivative_identity_on_torus():
@@ -279,7 +286,7 @@ def test_derivative_identity_on_torus():
     def cov_at(dx, dy):
         p = t2.point(*(x + dx))
         q = t2.point(*(x + dy))
-        return covariance(model, p, q)
+        return model.covariance(p, q)
 
     for i in range(2):
         for j in range(2):

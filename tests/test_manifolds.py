@@ -11,10 +11,6 @@ from excursion.manifolds import (
     Euclidean,
     FlatTorus,
     Sphere,
-    chart_quadratic_form,
-    embed,
-    geodesic_distance,
-    metric_tensor,
 )
 
 RNG = np.random.default_rng(2026)
@@ -263,12 +259,3 @@ def test_chordal_distance_agrees_locally():
     p, q = s2.point(1.0, 0.5), s2.point(1.0, 0.5 + 1e-3)
     assert s2.chordal_distance(p, q) == pytest.approx(s2.geodesic_distance(p, q), rel=1e-6)
 
-
-def test_module_level_wrappers():
-    s2 = Sphere(2, 1.0)
-    p = s2.point(1.0, 0.3)
-    q = s2.point(1.1, 0.4)
-    assert np.array_equal(metric_tensor(s2, p), s2.metric_tensor(p))
-    assert geodesic_distance(s2, p, q) == s2.geodesic_distance(p, q)
-    assert chart_quadratic_form(s2, p, q) == s2.chart_quadratic_form(p, q)
-    assert np.array_equal(embed(s2, p), s2.embed(p))
