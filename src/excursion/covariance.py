@@ -50,13 +50,14 @@ class _ModelBase:
 
     manifold: _ManifoldBase
 
-    # The correlation hooks, over a coordinate array and for one pair;
-    # ``covariance_matrix`` and ``covariance`` add the point checks and
-    # the diagonal pin.  Both default to geodesic distance.  The matrix
-    # hook hands the kernel the distance buffer it just made, which is
-    # symmetric by construction, so the matrix is too.
-    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self._kernel(self.manifold.pairwise_geodesic(chart, coords, coords))
+    # The correlation hooks, between two coordinate arrays and for one
+    # pair; ``covariance_matrix``, ``covariance_row`` and ``covariance``
+    # add the point checks and the diagonal pin.  Both default to
+    # geodesic distance.  The table hook hands the kernel the distance
+    # buffer it just made, which for ``b is a`` is symmetric by
+    # construction, so the matrix is too.
+    def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._kernel(self.manifold.pairwise_geodesic(chart, a, b))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.correlation_from_distance(self.manifold.geodesic_distance(p, q))
@@ -77,17 +78,34 @@ class _ModelBase:
         self.manifold.validate_point(q)
         return float(self._correlation(p, q))
 
-    def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        """Dense covariance matrix for an (n, dim) coordinate array."""
+    def _checked_coords(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != self.manifold.dim:
             raise ValidationError(
                 f"expected an (n, {self.manifold.dim}) coordinate array, got shape {coords.shape}"
             )
-        mat = np.asarray(self._correlation_matrix(chart, coords))
+        return coords
+
+    def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        """Dense covariance matrix for an (n, dim) coordinate array."""
+        coords = self._checked_coords(coords)
+        mat = np.asarray(self._correlation_table(chart, coords, coords))
         # Symmetric by construction; pin the diagonal, where a distance can round away from 0.
         np.fill_diagonal(mat, 1.0)
         return mat
+
+    def covariance_row(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        """Row 0 of ``covariance_matrix(chart, coords)`` without building
+        the rest: the covariances of the first point with every point.
+
+        Equal to that row to the last bit wherever the distance tables
+        are elementwise (Euclidean space, flat tori); on spheres the
+        inner products go through a matrix product, which may round
+        differently for one row than for the whole matrix."""
+        coords = self._checked_coords(coords)
+        row = np.asarray(self._correlation_table(chart, coords[:1], coords))[0]
+        row[0] = 1.0
+        return row
 
 
 class SmoothIsotropicModel(_ModelBase):
@@ -186,8 +204,8 @@ class SphereSchoenberg(SmoothIsotropicModel):
     # Both hooks evaluate through the inner product directly: cheaper
     # than going distance -> cos(distance), and exact where the remark
     # form is.
-    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self._poly(self.manifold._unit_inner(chart, coords, coords))
+    def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._poly(self.manifold._unit_inner(chart, a, b))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         u = self.manifold._unit_embed_coords(p.chart, p.array)[0]
@@ -245,6 +263,9 @@ class LocallyIsotropicModel(_ModelBase):
     def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         return self._evaluable().covariance_matrix(chart, coords)
 
+    def covariance_row(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        return self._evaluable().covariance_row(chart, coords)
+
 
 @dataclass(frozen=True)
 class _ExpPowerKernel(LocallyIsotropicModel):
@@ -257,6 +278,7 @@ class _ExpPowerKernel(LocallyIsotropicModel):
 
     covariance = _ModelBase.covariance
     covariance_matrix = _ModelBase.covariance_matrix
+    covariance_row = _ModelBase.covariance_row
 
     def correlation_from_distance(self, d):
         return self._kernel(np.array(d, dtype=float))[()]
@@ -294,8 +316,8 @@ class StableOnChart(_ExpPowerKernel):
     every catalogue manifold.
     """
 
-    def _correlation_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self._kernel(self.manifold.pairwise_chordal(chart, coords, coords))
+    def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._kernel(self.manifold.pairwise_chordal(chart, a, b))
 
     def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
         return self.correlation_from_distance(self.manifold.chordal_distance(p, q))

@@ -1,6 +1,6 @@
 """Exact joint Gaussian sampling support.
 
-Three pieces shared by the simulation layers, and the budgets they keep:
+Four pieces shared by the simulation layers, and the budgets they keep:
 
 * ``_axis_sum_of_squares``: the n x m table of sum_k f_k(a_k - b_k)^2
   that every coordinate-difference distance starts from, built from one
@@ -19,24 +19,40 @@ Three pieces shared by the simulation layers, and the budgets they keep:
   strided columns.  The package's covariance builders are symmetric by
   construction, so nothing symmetrizes them.
 
+* ``factor_circulant``: the spectral square root of a covariance that
+  is block-circulant on a regular lattice, as a stationary kernel is on
+  a whole lattice of a flat torus (Wood & Chan 1994; Dietrich & Newsam
+  1997).  It is built from one covariance row: the eigenvalues are
+  ``rfftn(row).real``, and a draw is ``irfftn(sqrt(lambda) * rfftn(z))``
+  (``CirculantFactor``), with no n x n array and no O(n^3)
+  factorization.  The shift ladder and the refusal mirror
+  ``factor_covariance``'s, on the eigenvalues.  ``numpy.fft`` is
+  single-threaded and makes no BLAS call, so these draws do not depend
+  on the BLAS thread cap; it is loaded on first use, and ``scipy.fft``,
+  no faster on the sides the rule admits, would cost its import.
+
 * counter-based generators: replication i draws from a Philox stream
   whose 128-bit key is the seed in the high word and i in the low word,
   so streams are distinct across both seeds and replications,
   reproducible, order independent, and parallelizable, and a run with
   more replications extends a shorter run instead of reshuffling it.  For the same reason
-  a sample on a grid that extends another grid (extra points appended)
-  restricts to the sample on the smaller grid: the draws extend
-  exactly, and the factor's leading block is the smaller grid's factor
-  up to rounding (LAPACK blocks the factorization by matrix size).
+  a densely factored sample on a grid that extends another grid (extra
+  points appended) restricts to the sample on the smaller grid: the
+  draws extend exactly, and the factor's leading block is the smaller
+  grid's factor up to rounding (LAPACK blocks the factorization by
+  matrix size).  A circulant factor mixes every normal into every
+  point, so its sample restricts to no smaller grid's.
   ``replicate_generator`` defines the stream.  ``draw_in_batches``
   builds one Philox per call and re-keys it for each replication (key
   words written, counter at 0, buffer empty), which gives the same
   streams bit for bit without constructing a generator per replication.
-  Each replication's normals fill one contiguous row, and column j of a
-  block is the row-blocked lower-triangular product (``_lower_product``,
+  Each replication's normals fill one contiguous row, and both factors
+  consume that one loop.  For a dense factor, column j of a block is
+  the row-blocked lower-triangular product (``_lower_product``,
   ROW_BLOCK rows per block) of replication j's normals: the zeros above
   the diagonal blocks are never multiplied.  At n <= ROW_BLOCK that is
-  ``factor @ z`` bit for bit; above it the two agree to rounding.
+  ``factor @ z`` bit for bit; above it the two agree to rounding.  A
+  circulant factor transforms the whole block of rows at once.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -55,7 +71,14 @@ import numpy as np
 
 from .errors import FactorizationError, ValidationError
 
-__all__ = ["factor_covariance", "replicate_generator", "draw_in_batches", "BATCH"]
+__all__ = [
+    "factor_covariance",
+    "CirculantFactor",
+    "factor_circulant",
+    "replicate_generator",
+    "draw_in_batches",
+    "BATCH",
+]
 
 # Replications per matrix-product block.  Fixed: results must not
 # depend on how the replicate loop is carved up.
@@ -125,6 +148,24 @@ def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
     return acc
 
 
+def _fixed_shift(fixed_rel_jitter: float, scale: float) -> float:
+    shift = float(fixed_rel_jitter) * scale
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+    return shift
+
+
+def _failed_at(shift: float) -> FactorizationError:
+    return FactorizationError(f"factorization failed at the requested diagonal shift {shift:.3e}")
+
+
+def _not_semidefinite(min_eig: float, cap: float) -> FactorizationError:
+    return FactorizationError(
+        "covariance is not positive semidefinite within the jitter budget: "
+        f"smallest eigenvalue {min_eig:.6e}, largest allowed diagonal shift {cap:.3e}"
+    )
+
+
 def factor_covariance(
     matrix: np.ndarray, *, fixed_rel_jitter: float | None = None
 ) -> tuple[np.ndarray, float]:
@@ -159,16 +200,12 @@ def factor_covariance(
     # The identity is built only on the shifted paths: the plain
     # factorization, the common case, never reads it.
     if fixed_rel_jitter is not None:
-        shift = float(fixed_rel_jitter) * scale
-        if not (math.isfinite(shift) and shift >= 0):
-            raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+        shift = _fixed_shift(fixed_rel_jitter, scale)
         eye = np.eye(n)
         try:
             return np.linalg.cholesky((matrix + shift * eye).T), shift
         except np.linalg.LinAlgError:
-            raise FactorizationError(
-                f"factorization failed at the requested diagonal shift {shift:.3e}"
-            ) from None
+            raise _failed_at(shift) from None
 
     try:
         return np.linalg.cholesky(matrix.T), 0.0
@@ -183,11 +220,7 @@ def factor_covariance(
     try:
         at_cap = np.linalg.cholesky((matrix + cap * eye).T)
     except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(matrix)[0])
-        raise FactorizationError(
-            "covariance is not positive semidefinite within the jitter budget: "
-            f"smallest eigenvalue {min_eig:.6e}, largest allowed diagonal shift {cap:.3e}"
-        ) from None
+        raise _not_semidefinite(float(np.linalg.eigvalsh(matrix)[0]), cap) from None
 
     shift = _BASE_REL_JITTER * scale
     while shift < cap:
@@ -196,6 +229,84 @@ def factor_covariance(
         except np.linalg.LinAlgError:
             shift *= 2.0
     return at_cap, cap
+
+
+class CirculantFactor:
+    """The symmetric square root of a covariance that is block-circulant
+    on a regular lattice, as a map rather than a matrix.
+
+    ``root`` holds sqrt(lambda + shift) in ``numpy.fft.rfftn`` layout for
+    the lattice ``shape``; ``index`` holds, for each point in the
+    caller's order, its C-order index on the lattice.  ``len`` is the
+    point count, as for a dense factor.
+    """
+
+    __slots__ = ("root", "shape", "index")
+
+    def __init__(self, root: np.ndarray, shape: tuple[int, ...], index: np.ndarray):
+        self.root = root
+        self.shape = shape
+        self.index = index
+
+    def __len__(self) -> int:
+        return self.index.shape[0]
+
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        """The field for each row of normals in ``zt``, one column per row.
+
+        Row j of ``zt`` is laid out on the lattice and convolved with the
+        root's kernel, irfftn(root * rfftn(z)), whose covariance is the
+        circulant one; the columns come back in the caller's point order.
+        """
+        axes = tuple(range(1, len(self.shape) + 1))
+        z = zt.reshape(zt.shape[0], *self.shape)
+        x = np.fft.irfftn(np.fft.rfftn(z, axes=axes) * self.root, s=self.shape, axes=axes)
+        return np.take(x.reshape(zt.shape[0], -1), self.index, axis=1).T
+
+
+def factor_circulant(
+    row: np.ndarray, index: np.ndarray, *, fixed_rel_jitter: float | None = None
+) -> tuple[CirculantFactor, float]:
+    """Spectral square root of a block-circulant covariance.
+
+    ``row`` is the lattice-shaped first row, the covariance of lattice
+    point 0 with every lattice point; ``index`` the lattice index of
+    each point in draw order (see ``CirculantFactor``).  Returns
+    (S, shift) with S S^T = C + shift * I, mirroring
+    ``factor_covariance``: the eigenvalues lambda are ``rfftn(row).real``
+    (the imaginary parts are rounding: the row is symmetric up to it),
+    the shift is 0.0 when all are positive, else the least step of the
+    same relative ladder that makes them so, and past the cap the same
+    FactorizationError, with the smallest eigenvalue read off lambda.
+    ``fixed_rel_jitter`` applies exactly that relative shift.
+    """
+    row = np.asarray(row, dtype=float)
+    if row.size != index.shape[0]:
+        raise ValidationError(f"lattice of {row.size} points, index of {index.shape[0]}")
+    if not np.all(np.isfinite(row)):
+        raise ValidationError("covariance entries must be finite")
+    # Every diagonal entry of a circulant matrix is the row's first.
+    scale = float(row.flat[0])
+    if not scale > 0:
+        raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
+    lam = np.fft.rfftn(row).real
+    low = float(lam.min())
+
+    if fixed_rel_jitter is not None:
+        shift = _fixed_shift(fixed_rel_jitter, scale)
+        if not low + shift > 0:
+            raise _failed_at(shift)
+    elif low > 0:
+        shift = 0.0
+    else:
+        cap = _MAX_REL_JITTER * scale
+        if not low + cap > 0:
+            raise _not_semidefinite(low, cap)
+        shift = _BASE_REL_JITTER * scale
+        while shift < cap and not low + shift > 0:
+            shift *= 2.0
+        shift = min(shift, cap)
+    return CirculantFactor(np.sqrt(lam + shift), row.shape, index), shift
 
 
 def _check_stream(seed, index) -> int:
@@ -238,20 +349,22 @@ def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def draw_in_batches(factor: np.ndarray, reps: int, seed: int):
+def draw_in_batches(factor, reps: int, seed: int):
     """Yield blocks of exact joint draws as (first_index, samples).
 
     ``samples`` has one column per replication: column j of a block
-    starting at i is L z with z = replicate_generator(seed, i + j)
-    .standard_normal(n), multiplied as ``_lower_product`` does (row
-    blocks of the lower triangle; identical to ``factor @ z`` at
-    n <= ROW_BLOCK).  Block size is fixed at BATCH so the partition
-    never influences the values.
+    starting at i is the factor applied to z = replicate_generator(seed,
+    i + j).standard_normal(n).  A dense lower-triangular factor L is
+    multiplied as ``_lower_product`` does (row blocks of the lower
+    triangle; identical to ``L @ z`` at n <= ROW_BLOCK); a
+    ``CirculantFactor`` applies its FFT product.  Block size is fixed at
+    BATCH so the partition never influences the values.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
     seed = _check_stream(seed, reps - 1)
-    n = factor.shape[0]
+    n = len(factor)
+    spectral = isinstance(factor, CirculantFactor)
     # A fresh Philox's state is the start of a stream: counter 0, empty
     # buffer.  Assigning it back with only the key changed starts the
     # stream of another replication.  The key array holds the 128-bit key
@@ -262,7 +375,7 @@ def draw_in_batches(factor: np.ndarray, reps: int, seed: int):
     fresh = bitgen.state
     key = fresh["state"]["key"]
     key[1] = seed
-    # One replication's normals per row, written contiguously; the
+    # One replication's normals per row, written contiguously; the dense
     # product reads the transpose.  Never yielded, so reused per block.
     zt = np.empty((min(BATCH, int(reps)), n))
     for start in range(0, int(reps), BATCH):
@@ -271,4 +384,5 @@ def draw_in_batches(factor: np.ndarray, reps: int, seed: int):
             key[0] = start + j
             bitgen.state = fresh
             gen.standard_normal(n, out=zt[j])
-        yield start, _lower_product(factor, zt[:width].T)
+        z = zt[:width]
+        yield start, factor.product(z) if spectral else _lower_product(factor, z.T)

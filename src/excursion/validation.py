@@ -20,13 +20,28 @@ Grids:
 
 ``Grid.refine`` returns a grid that contains the parent's points as an
 exact prefix (same floating-point values, same order) followed by the
-new points.  Combined with replication-keyed draws, a refined run
-restricts to the coarse run sample for sample (up to rounding in the
-factorization, whose blocking depends on the matrix size):
-``sample_field`` with a ``prefix`` reduces each draw over the parent's
-points and over the whole grid, so one pass gives both samples, and
-"finer grid never lowers the empirical curve" holds draw by draw
-rather than by statistical accident.
+new points.  ``sample_field`` with a ``prefix`` reduces each draw over
+the parent's points and over the whole grid, so one pass gives both
+samples, and "finer grid never lowers the empirical curve" holds draw
+by draw rather than by statistical accident.
+
+Samplers: ``sample_field`` draws through the circulant spectrum
+(``sampling.factor_circulant``) when the grid is a whole regular
+lattice of the model's own flat torus (every point exactly
+i_k * (P_k / R), each once, in any order, as ``build_grid`` and
+``Grid.refine`` make them), of at least SPECTRAL_MIN_POINTS points,
+with a side whose prime factors are all in SPECTRAL_RADICES.  Every
+other grid, rectangles and spheres always, is sampled through the dense
+Cholesky factor, which is also the reference the tests compare the
+circulant sampler against.  Both read replication i's normals from the
+same re-keyed stream, so on either path a run with more replications
+extends a shorter one, and a replay is byte-identical (on the circulant
+path, at any BLAS thread cap, since it makes no BLAS call).  On the
+dense path a refined run also restricts to the coarse run sample for
+sample (up to rounding in the factorization, whose blocking depends on
+the matrix size).  On the circulant path it does not: the coarse rows
+of one run are the even sublattice of its draws, not the draws of a
+standalone coarse run.
 """
 
 from __future__ import annotations
@@ -38,7 +53,14 @@ import numpy as np
 
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
-from .sampling import _MAX_REPS, _cap_points, _check_stream, draw_in_batches, factor_covariance
+from .sampling import (
+    _MAX_REPS,
+    _cap_points,
+    _check_stream,
+    draw_in_batches,
+    factor_circulant,
+    factor_covariance,
+)
 from .serialize import csv_line
 
 __all__ = [
@@ -54,6 +76,17 @@ __all__ = [
     "ComparisonTable",
     "compare_report",
 ]
+
+# Smallest lattice sampled through its circulant spectrum, and the only
+# primes its side may have: numpy.fft against the row-blocked dense
+# product, per 512-replication batch at 2 threads, lost at 34^2 points
+# (38.6 ms against 9.6), tied at 40^2 (20.2 / 19.8 ms) and won from
+# 45^2 on (29.6 / 33.5; 60^2: 44.4 / 98.8; 100^2: 198 / 706), but
+# sides with a larger prime factor lost even there (47^2: 110.5 / 39.4;
+# 61^2: 151.1 / 105.4; 97^2: 694 / 621).  Without the size rule whole
+# runs were 1.08x to 1.30x slower than dense at sides 30 to 40.
+SPECTRAL_MIN_POINTS = 2048
+SPECTRAL_RADICES = (2, 3, 5, 7)
 
 # Two-sided 95% normal quantile, frozen so intervals never drift with
 # the scipy version.
@@ -192,6 +225,42 @@ def build_grid(domain, resolution: int) -> Grid:
     raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
 
 
+def _spectral_index(model, grid: Grid) -> np.ndarray | None:
+    """The C-order lattice index of each grid point, when the circulant
+    sampler applies; else None.
+
+    It applies when ``grid`` is a whole regular lattice of the model's
+    own flat torus: every point exactly i_k * (P_k / R), as
+    ``build_grid`` makes them, each lattice point once, in any order;
+    and when the lattice is one the FFT wins on (see
+    SPECTRAL_MIN_POINTS).
+    """
+    domain, side = grid.domain, grid.resolution
+    if not (
+        isinstance(domain, FullTorus)
+        and model.manifold == domain.manifold
+        and isinstance(side, (int, np.integer))
+    ):
+        return None
+    n, k = len(grid), domain.k
+    if n < SPECTRAL_MIN_POINTS or grid.coords.shape != (side**k, k):
+        return None
+    rest = side
+    for prime in SPECTRAL_RADICES:
+        while rest % prime == 0:
+            rest //= prime
+    if rest != 1:
+        return None
+    pitch = np.array([p / side for p in domain.periods])
+    steps = np.rint(grid.coords / pitch)
+    if not (np.array_equal(steps * pitch, grid.coords) and steps.min() >= 0 and steps.max() < side):
+        return None
+    index = np.ravel_multi_index(steps.astype(np.intp).T, (side,) * k)
+    seen = np.zeros(n, dtype=bool)
+    seen[index] = True
+    return index if seen.all() else None
+
+
 def sample_field(
     model,
     grid: Grid,
@@ -205,8 +274,9 @@ def sample_field(
 
     With ``prefix`` = m, a (2, reps) array instead: the maxima over the
     whole grid (row 0) and over its first m points (row 1), from the
-    same draws.  Row 1 is the sample of those m points alone, up to
-    rounding in the factorization.
+    same draws.  On the dense path row 1 is the sample of those m points
+    alone, up to rounding in the factorization; on the circulant path
+    (see the module docstring) it is not.
     """
     if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
         raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
@@ -214,8 +284,17 @@ def sample_field(
     head = len(grid) if prefix is None else prefix
     if not isinstance(head, (int, np.integer)) or not 1 <= head <= len(grid):
         raise ValidationError(f"prefix must lie in [1, {len(grid)}], got {prefix!r}")
-    cov = model.covariance_matrix(grid.chart, grid.coords)
-    factor, _ = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)
+    index = _spectral_index(model, grid)
+    if index is None:
+        cov = model.covariance_matrix(grid.chart, grid.coords)
+        factor, _ = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)
+    else:
+        # The grid's points in lattice order are the build_grid lattice.
+        lattice = np.empty_like(grid.coords)
+        lattice[index] = grid.coords
+        shape = (grid.resolution,) * lattice.shape[1]
+        row = model.covariance_row(grid.chart, lattice).reshape(shape)
+        factor, _ = factor_circulant(row, index, fixed_rel_jitter=fixed_rel_jitter)
     sups = np.empty((2, int(reps)))
     for start, block in draw_in_batches(factor, int(reps), seed):
         cols = slice(start, start + block.shape[1])

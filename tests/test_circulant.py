@@ -1,0 +1,235 @@
+"""The circulant sampler on flat-torus lattices.
+
+The spectral factor is called directly, so that lattices below the size
+rule are covered too: the covariance row must be row 0 of the dense
+matrix to the last bit, the factor must reconstruct the dense matrix,
+and the shift ladder must act on the eigenvalues as the Cholesky ladder
+acts on the matrix.  ``sample_field`` must pick it exactly on the grids
+the selection rule names, and keep the dense path, draw for draw, on
+every other grid.
+"""
+
+import math
+import re
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from excursion import validation
+from excursion.covariance import (
+    LocallyIsotropicModel,
+    PoweredExponential,
+    SmoothIsotropicModel,
+    SquaredExponential,
+    StableOnChart,
+)
+from excursion.curvatures import FullTorus, Rectangle
+from excursion.errors import FactorizationError, ValidationError
+from excursion.manifolds import FlatTorus, _ManifoldBase
+from excursion.sampling import draw_in_batches, factor_circulant, factor_covariance
+from excursion.validation import Grid, build_grid, sample_field
+
+
+@dataclass(frozen=True)
+class _DistanceOnly(SmoothIsotropicModel):
+    """A family that defines only ``correlation_from_distance``."""
+
+    manifold: _ManifoldBase
+    scale: float
+
+    def correlation_from_distance(self, d):
+        return 1.0 / (1.0 + (np.asarray(d, dtype=float) / self.scale) ** 2)
+
+
+def _families(torus):
+    return [
+        StableOnChart(torus, 1.0, 1.0),
+        PoweredExponential(torus, 2.0, 1.0),
+        SquaredExponential(torus, 0.15),
+        _DistanceOnly(torus, 0.2),
+        LocallyIsotropicModel(torus, 1.0, 1.0, full_model=StableOnChart(torus, 1.0, 1.5)),
+    ]
+
+
+LATTICES = [
+    pytest.param((1.0,), 9, id="1d-odd"),
+    pytest.param((1.0,), 12, id="1d-even"),
+    pytest.param((1.0, 2.5), 7, id="2d-odd"),
+    pytest.param((1.0, 2.5), 8, id="2d-even"),
+    pytest.param((1.0, 0.7, 3.0), 5, id="3d"),
+]
+
+
+@pytest.mark.parametrize("periods, side", LATTICES)
+def test_row_is_row_zero_of_the_dense_matrix(periods, side):
+    lattice = build_grid(FullTorus(periods), side)
+    for model in _families(FlatTorus(periods)):
+        row = model.covariance_row(lattice.chart, lattice.coords)
+        dense = model.covariance_matrix(lattice.chart, lattice.coords)
+        assert np.array_equal(row, dense[0]), type(model).__name__
+        assert row[0] == 1.0
+
+
+@pytest.mark.parametrize("periods, side", LATTICES)
+def test_factor_reconstructs_the_dense_matrix(periods, side):
+    lattice = build_grid(FullTorus(periods), side)
+    n = len(lattice)
+    # Draw order is a shuffle of the lattice, so the index is exercised.
+    order = np.random.default_rng(side).permutation(n)
+    coords = lattice.coords[order]
+    for model in _families(FlatTorus(periods)):
+        row = model.covariance_row(lattice.chart, lattice.coords).reshape((side,) * len(periods))
+        dense = model.covariance_matrix(lattice.chart, coords)
+        smallest = float(np.linalg.eigvalsh(dense)[0])
+        if smallest < -1e-6:
+            message = re.escape(f"smallest eigenvalue {smallest:.6e}")
+            with pytest.raises(FactorizationError, match=message):
+                factor_circulant(row, order)
+            continue
+        factor, shift = factor_circulant(row, order)
+        assert shift == 0.0
+        assert len(factor) == n
+        assert float(factor.root.min()) ** 2 == pytest.approx(smallest, abs=1e-12)
+        # Column j of S is the image of the j-th unit vector.
+        s = factor.product(np.eye(n))
+        assert np.abs(s @ s.T - dense).max() <= 1e-12
+
+
+def test_fixed_jitter_adds_exactly_that_shift():
+    lattice = build_grid(FullTorus((1.0, 2.5)), 8)
+    model = StableOnChart(FlatTorus((1.0, 2.5)), 1.0, 1.0)
+    row = model.covariance_row(lattice.chart, lattice.coords).reshape(8, 8)
+    dense = model.covariance_matrix(lattice.chart, lattice.coords)
+    factor, shift = factor_circulant(row, np.arange(64), fixed_rel_jitter=1e-3)
+    assert shift == 1e-3
+    s = factor.product(np.eye(64))
+    assert np.abs(s @ s.T - (dense + shift * np.eye(64))).max() <= 1e-12
+    with pytest.raises(ValidationError, match="nonnegative"):
+        factor_circulant(row, np.arange(64), fixed_rel_jitter=-1.0)
+
+
+def _row_with_spectrum(lam):
+    """A 1-D circulant row whose eigenvalues are ``lam`` (made symmetric)."""
+    lam = np.asarray(lam, dtype=float)
+    lam = 0.5 * (lam + np.roll(lam[::-1], 1))
+    return np.fft.ifft(lam).real
+
+
+def test_shift_ladder_on_the_eigenvalues():
+    lam = np.ones(16)
+    # Indefinite at rounding level: the first rung, 1e-12 of the mean
+    # diagonal, suffices.
+    lam[3] = lam[13] = -1e-13
+    row = _row_with_spectrum(lam)
+    _, shift = factor_circulant(row, np.arange(16))
+    assert shift == 1e-12 * row[0]
+    # Slightly indefinite: the ladder doubles until the shift clears it.
+    lam[3] = lam[13] = -5e-12
+    row = _row_with_spectrum(lam)
+    factor, shift = factor_circulant(row, np.arange(16))
+    assert shift == 8e-12 * row[0]
+    s = factor.product(np.eye(16))
+    dense = np.array([np.roll(row, k) for k in range(16)])
+    assert np.abs(s @ s.T - (dense + shift * np.eye(16))).max() <= 1e-12
+    # Past the cap: refused, with the smallest eigenvalue in the message,
+    # and also at a fixed shift too small to clear it.
+    lam[3] = lam[13] = -1e-3
+    row = _row_with_spectrum(lam)
+    with pytest.raises(FactorizationError, match="smallest eigenvalue -1.000000e-03"):
+        factor_circulant(row, np.arange(16))
+    with pytest.raises(FactorizationError, match="requested diagonal shift"):
+        factor_circulant(row, np.arange(16), fixed_rel_jitter=1e-6)
+
+
+def test_factor_validation():
+    with pytest.raises(ValidationError):
+        factor_circulant(np.ones(4), np.arange(5))
+    with pytest.raises(ValidationError):
+        factor_circulant(np.array([1.0, np.nan, 0.0, np.nan]), np.arange(4))
+    with pytest.raises(ValidationError):
+        factor_circulant(np.array([0.0, 0.5, 0.0, 0.5]), np.arange(4))
+
+
+# 48 x 48 = 2304 points, over the size rule, with side 2^4 * 3.
+TORUS = FlatTorus((1.0, 1.0))
+STABLE = StableOnChart(TORUS, 1.0, 1.0)
+
+
+def _never_dense(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a spectral lattice reached the dense factorization")
+
+    monkeypatch.setattr(validation, "factor_covariance", unreachable)
+
+
+def test_spectral_runs_extend_and_nest(monkeypatch):
+    _never_dense(monkeypatch)
+    grid = build_grid(FullTorus((1.0, 1.0)), 24).refine()
+    assert len(grid) == 48 * 48
+    short = sample_field(STABLE, grid, 1000, 5, prefix=24 * 24)
+    long = sample_field(STABLE, grid, 1500, 5, prefix=24 * 24)
+    # Replication-keyed streams: a longer run extends a shorter one.
+    assert np.array_equal(long[:, :1000], short)
+    # The coarse points are a subset of the same draws.
+    assert np.all(long[1] <= long[0])
+
+
+def test_spectral_agrees_with_dense_in_distribution(monkeypatch):
+    grid = build_grid(FullTorus((1.0, 1.0)), 48)
+    reps = 4000
+    factor, _ = factor_covariance(STABLE.covariance_matrix(grid.chart, grid.coords))
+    dense = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, 71)])
+    _never_dense(monkeypatch)
+    spectral = sample_field(STABLE, grid, reps, 72)
+    for u in (2.0, 2.5, 3.0):
+        p_dense, p_spectral = float(np.mean(dense >= u)), float(np.mean(spectral >= u))
+        pooled = 0.5 * (p_dense + p_spectral)
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / reps)
+        assert abs(p_spectral - p_dense) <= 4.0 * se
+
+
+def test_spectral_path_taken_on_a_refined_60_lattice(monkeypatch):
+    _never_dense(monkeypatch)
+    grid = build_grid(FullTorus((1.0, 1.0)), 30).refine()
+    sups = sample_field(STABLE, grid, 20, 3, prefix=900)
+    assert sups.shape == (2, 20) and np.all(sups[1] <= sups[0])
+
+
+def _moved(grid, how):
+    coords = grid.coords.copy()
+    if how == "moved":
+        coords[17, 0] += 1e-3
+    else:
+        coords[17] = coords[18]
+    return Grid(grid.domain, grid.chart, coords, grid.resolution)
+
+
+def _dense_grids():
+    lattice60 = build_grid(FullTorus((1.0, 1.0)), 60)
+    quarter = build_grid(Rectangle((0.5, 0.5)), 7).coords
+    return [
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 40), id="under-the-size-rule"),
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 46), id="side-with-prime-23"),
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 2.0)), 48), id="other-periods"),
+        pytest.param(STABLE, _moved(lattice60, "moved"), id="one-point-moved"),
+        pytest.param(STABLE, _moved(lattice60, "duplicated"), id="one-point-duplicated"),
+    ] + [
+        pytest.param(
+            StableOnChart(TORUS, 1.0, 2.0),
+            Grid(FullTorus((1.0, 1.0)), "main", quarter + np.array(offset), 7),
+            id=f"quarter-square-{k}",
+        )
+        for k, offset in enumerate([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
+    ]
+
+
+@pytest.mark.parametrize("model, grid", _dense_grids())
+def test_dense_path_kept_off_the_rule(monkeypatch, model, grid):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the circulant factor was built off the selection rule")
+
+    monkeypatch.setattr(validation, "factor_circulant", unreachable)
+    factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords))
+    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 40, 9)])
+    assert np.array_equal(sample_field(model, grid, 40, 9), expected)

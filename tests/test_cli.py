@@ -592,25 +592,31 @@ def test_validate_rows_share_one_sample(capsys):
     ]
 
 
-def test_numerical_failure_exits_2_without_partial_output(tmp_path):
+def test_numerical_failure_exits_2_without_partial_output(tmp_path, caplog):
+    # At resolution 60 the lattice takes the circulant path, which reads
+    # the smallest eigenvalue off the spectrum instead of factoring.
     out = tmp_path / "bad.csv"
-    rc = main(
-        [
-            "validate",
-            "--shape", "full_torus",
-            "--periods", "1,1",
-            "--family", "squared_exponential",
-            "--length-scale", "1",
-            "--u", "2",
-            "--resolution", "8",
-            "--reps", "10",
-            "--seed", "1",
-            "--output", str(out),
-        ]
-    )
-    assert rc == 2
-    assert not out.exists()
-    assert not (tmp_path / "bad.csv.manifest.json").exists()
+    for resolution, smallest in (("8", None), ("60", "-1.972752e+01")):
+        caplog.clear()
+        rc = main(
+            [
+                "validate",
+                "--shape", "full_torus",
+                "--periods", "1,1",
+                "--family", "squared_exponential",
+                "--length-scale", "1",
+                "--u", "2",
+                "--resolution", resolution,
+                "--reps", "10",
+                "--seed", "1",
+                "--output", str(out),
+            ]
+        )
+        assert rc == 2
+        assert not out.exists()
+        assert not (tmp_path / "bad.csv.manifest.json").exists()
+        if smallest is not None:
+            assert f"smallest eigenvalue {smallest}" in caplog.text
 
 
 def test_usage_errors_exit_1():
@@ -710,17 +716,25 @@ def test_cli_runs_leave_scipy_special_unloaded(tmp_path):
            "squared_exponential", "--length-scale", "0.2", "--u", "3"]
     pickands = ["pickands", "--shape", "great_circle", "--radius", "1", "--family", "local",
                 "--c", "1", "--alpha", "1", "--h-value", "0.5", "--u", "3", "--seed", "0"]
+    # A 48 x 48 torus takes the circulant path, which must use numpy.fft:
+    # scipy.fft would cost its import in every such run.
+    spectral = ["validate", "--shape", "full_torus", "--periods", "1,1", "--family",
+                "stable_on_chart", "--c", "1", "--alpha", "1", "--h-value", "0.98",
+                "--u", "2", "--resolution", "48", "--reps", "20", "--seed", "0"]
     code = (
         "import sys\n"
         "import excursion.approximations, excursion.validation\n"
         "from excursion.cli import main\n"
         f"assert main({eec + ['--output', str(tmp_path / 'eec.csv')]!r}) == 0\n"
         f"assert main({pickands + ['--output', str(tmp_path / 'pickands.csv')]!r}) == 0\n"
-        "sys.exit(sorted(m for m in sys.modules if m.startswith('scipy.special')) or 0)"
+        f"assert main({spectral + ['--output', str(tmp_path / 'validate.csv')]!r}) == 0\n"
+        "sys.exit(sorted(m for m in sys.modules\n"
+        "                if m.startswith(('scipy.special', 'scipy.fft'))) or 0)"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "eec.csv").exists() and (tmp_path / "pickands.csv").exists()
+    assert (tmp_path / "validate.csv").exists()
 
 
 def test_thread_cap_flag(monkeypatch, capsys):

@@ -171,10 +171,12 @@ def test_sample_field_rejects_indefinite_kernel():
 def test_bad_seed_refused_before_the_covariance_is_built(monkeypatch):
     # At resolution 60 the covariance is 3600 x 3600: the seed is checked
     # beside the replication count, before it is built and factorized.
+    # The 60 x 60 lattice takes the circulant path, which builds one row.
     def unreachable(*args):
         raise AssertionError("the covariance was built before the seed was checked")
 
     monkeypatch.setattr(StableOnChart, "covariance_matrix", unreachable)
+    monkeypatch.setattr(StableOnChart, "covariance_row", unreachable)
     stable = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)
     for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ValidationError, match="seed"):
