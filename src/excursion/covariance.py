@@ -22,7 +22,9 @@ powered-exponential family is enforced at construction.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,6 +213,42 @@ class SphereSchoenberg(SmoothIsotropicModel):
         u = self.manifold._unit_embed_coords(p.chart, p.array)[0]
         v = self.manifold._unit_embed_coords(q.chart, q.array)[0]
         return self._poly(min(1.0, max(-1.0, float(u @ v))))
+
+    def feature_count(self) -> int:
+        """Columns of ``features``: C(n + N, N) monomials of each degree n
+        with b_n > 0 on S^N, counted without building them."""
+        dim = self.manifold.dim
+        return sum(math.comb(n + dim, dim) for n, b in enumerate(self.coefficients) if b > 0)
+
+    def features(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        """An (n, r) array F with F F^T = sum_m b_m (u . v)^m, the kernel
+        before clipping, for the unit embeddings u of the points: a
+        polynomial kernel on the sphere has finite rank (Schoenberg 1942).
+
+        By the multinomial theorem (u . v)^m = sum_{|k| = m} m!/prod k_i!
+        prod (u_i v_i)^{k_i}, so each degree m with b_m > 0 contributes one
+        column sqrt(b_m m!/prod k_i!) prod u_i^{k_i} per multi-index k:
+        r = ``feature_count()`` columns, in order of degree and then of
+        the sorted index tuple.  Row i depends on
+        point i alone, so the rows of a subset of the points are the same
+        floats wherever they are computed.
+        """
+        coords = self._checked_coords(coords)
+        u = self.manifold._unit_embed_coords(chart, coords)
+        # Filled column by column, then read as (n, r).
+        out = np.empty((self.feature_count(), coords.shape[0]))
+        col = 0
+        for degree, b in enumerate(self.coefficients):
+            if not b > 0:
+                continue
+            for index in itertools.combinations_with_replacement(range(u.shape[1]), degree):
+                ways = math.factorial(degree) // math.prod(
+                    math.factorial(k) for k in Counter(index).values()
+                )
+                np.prod(u[:, index], axis=1, out=out[col])
+                out[col] *= math.sqrt(b * ways)
+                col += 1
+        return out.T
 
     def rho_prime_0(self) -> float:
         # rho(s) = sum b_n cos^n(sqrt(s)/r); each cos^n term contributes

@@ -1,6 +1,6 @@
 """Exact joint Gaussian sampling support.
 
-Four pieces shared by the simulation layers, and the budgets they keep:
+Five pieces shared by the simulation layers, and the budgets they keep:
 
 * ``_axis_sum_of_squares``: the n x m table of sum_k f_k(a_k - b_k)^2
   that every coordinate-difference distance starts from, built from one
@@ -31,6 +31,11 @@ Four pieces shared by the simulation layers, and the budgets they keep:
   on the BLAS thread cap; it is loaded on first use, and ``scipy.fft``,
   no faster on the sides the rule admits, would cost its import.
 
+* ``FeatureFactor``: a covariance F F^T of an (n, r) feature array with
+  r < n, such as a polynomial kernel's exact monomial features
+  (``SphereSchoenberg.features``).  A draw is F z with r normals, with
+  no n x n array, no factorization and no shift.
+
 * counter-based generators: replication i draws from a Philox stream
   whose 128-bit key is the seed in the high word and i in the low word,
   so streams are distinct across both seeds and replications,
@@ -41,18 +46,23 @@ Four pieces shared by the simulation layers, and the budgets they keep:
   draws extend exactly, and the factor's leading block is the smaller
   grid's factor up to rounding (LAPACK blocks the factorization by
   matrix size).  A circulant factor mixes every normal into every
-  point, so its sample restricts to no smaller grid's.
+  point, so its sample restricts to no smaller grid's.  A feature row
+  depends on its own point alone, so a feature sample restricts to the
+  feature sample of any subset of its points: each value is the same
+  r-term dot product (bit for bit on the package's grids, as the tests
+  check, though BLAS does not promise it across product heights).
   ``replicate_generator`` defines the stream.  ``draw_in_batches``
   builds one Philox per call and re-keys it for each replication (key
   words written, counter at 0, buffer empty), which gives the same
   streams bit for bit without constructing a generator per replication.
-  Each replication's normals fill one contiguous row, and both factors
-  consume that one loop.  For a dense factor, column j of a block is
+  Each replication's normals fill one contiguous row, and all three
+  factors consume that one loop.  For a dense factor, column j of a block is
   the row-blocked lower-triangular product (``_lower_product``,
   ROW_BLOCK rows per block) of replication j's normals: the zeros above
   the diagonal blocks are never multiplied.  At n <= ROW_BLOCK that is
   ``factor @ z`` bit for bit; above it the two agree to rounding.  A
-  circulant factor transforms the whole block of rows at once.
+  circulant factor transforms the whole block of rows at once, and a
+  feature factor multiplies it by F.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -75,6 +85,7 @@ __all__ = [
     "factor_covariance",
     "CirculantFactor",
     "factor_circulant",
+    "FeatureFactor",
     "replicate_generator",
     "draw_in_batches",
     "BATCH",
@@ -264,6 +275,27 @@ class CirculantFactor:
         return np.take(x.reshape(zt.shape[0], -1), self.index, axis=1).T
 
 
+class FeatureFactor:
+    """A covariance F F^T given by an (n, r) feature array F with r < n,
+    as a map rather than a matrix.
+
+    ``len`` is r, the normals per replication; the field is F z, exact
+    with no factorization and no shift.
+    """
+
+    __slots__ = ("features",)
+
+    def __init__(self, features: np.ndarray):
+        self.features = features
+
+    def __len__(self) -> int:
+        return self.features.shape[1]
+
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        """The field for each row of normals in ``zt``, one column per row."""
+        return self.features @ zt.T
+
+
 def factor_circulant(
     row: np.ndarray, index: np.ndarray, *, fixed_rel_jitter: float | None = None
 ) -> tuple[CirculantFactor, float]:
@@ -354,17 +386,19 @@ def draw_in_batches(factor, reps: int, seed: int):
 
     ``samples`` has one column per replication: column j of a block
     starting at i is the factor applied to z = replicate_generator(seed,
-    i + j).standard_normal(n).  A dense lower-triangular factor L is
-    multiplied as ``_lower_product`` does (row blocks of the lower
-    triangle; identical to ``L @ z`` at n <= ROW_BLOCK); a
-    ``CirculantFactor`` applies its FFT product.  Block size is fixed at
-    BATCH so the partition never influences the values.
+    i + j).standard_normal(n), with n = len(factor).  A dense
+    lower-triangular factor L (an ndarray) is multiplied as
+    ``_lower_product`` does (row blocks of the lower triangle; identical
+    to ``L @ z`` at n <= ROW_BLOCK); any other factor
+    (``CirculantFactor``, ``FeatureFactor``) applies its own ``product``.
+    Block size is fixed at BATCH so the partition never influences the
+    values.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
     seed = _check_stream(seed, reps - 1)
     n = len(factor)
-    spectral = isinstance(factor, CirculantFactor)
+    dense = isinstance(factor, np.ndarray)
     # A fresh Philox's state is the start of a stream: counter 0, empty
     # buffer.  Assigning it back with only the key changed starts the
     # stream of another replication.  The key array holds the 128-bit key
@@ -376,13 +410,15 @@ def draw_in_batches(factor, reps: int, seed: int):
     key = fresh["state"]["key"]
     key[1] = seed
     # One replication's normals per row, written contiguously; the dense
-    # product reads the transpose.  Never yielded, so reused per block.
+    # product reads the transpose.  Never yielded, so reused per block,
+    # and so are the row views, built once rather than per replication.
     zt = np.empty((min(BATCH, int(reps)), n))
+    rows = list(zt)
     for start in range(0, int(reps), BATCH):
         width = min(BATCH, int(reps) - start)
         for j in range(width):
             key[0] = start + j
             bitgen.state = fresh
-            gen.standard_normal(n, out=zt[j])
+            gen.standard_normal(n, out=rows[j])
         z = zt[:width]
-        yield start, factor.product(z) if spectral else _lower_product(factor, z.T)
+        yield start, _lower_product(factor, z.T) if dense else factor.product(z)

@@ -25,23 +25,29 @@ the parent's points and over the whole grid, so one pass gives both
 samples, and "finer grid never lowers the empirical curve" holds draw
 by draw rather than by statistical accident.
 
-Samplers: ``sample_field`` draws through the circulant spectrum
-(``sampling.factor_circulant``) when the grid is a whole regular
-lattice of the model's own flat torus (every point exactly
-i_k * (P_k / R), each once, in any order, as ``build_grid`` and
-``Grid.refine`` make them), of at least SPECTRAL_MIN_POINTS points,
-with a side whose prime factors are all in SPECTRAL_RADICES.  Every
-other grid, rectangles and spheres always, is sampled through the dense
-Cholesky factor, which is also the reference the tests compare the
-circulant sampler against.  Both read replication i's normals from the
-same re-keyed stream, so on either path a run with more replications
-extends a shorter one, and a replay is byte-identical (on the circulant
-path, at any BLAS thread cap, since it makes no BLAS call).  On the
-dense path a refined run also restricts to the coarse run sample for
-sample (up to rounding in the factorization, whose blocking depends on
-the matrix size).  On the circulant path it does not: the coarse rows
-of one run are the even sublattice of its draws, not the draws of a
-standalone coarse run.
+Samplers: ``sample_field`` picks one of three factors in ``_factor``.
+
+* circulant (``sampling.factor_circulant``): when the grid is a whole
+  regular lattice of the model's own flat torus (every point exactly
+  i_k * (P_k / R), each once, in any order, as ``build_grid`` and
+  ``Grid.refine`` make them), of at least SPECTRAL_MIN_POINTS points,
+  with a side whose prime factors are all in SPECTRAL_RADICES;
+* features (``sampling.FeatureFactor``): for a ``SphereSchoenberg``
+  kernel whose feature count r (``feature_count``, known from the
+  coefficients alone) is below the grid's point count, unless a fixed
+  jitter is asked for;
+* dense Cholesky on every other grid and model, rectangles always,
+  which is also the reference the tests compare both others against.
+
+All three read replication i's normals from the same re-keyed stream,
+so on any path a run with more replications extends a shorter one, and
+a replay is byte-identical (on the circulant path, at any BLAS thread
+cap, since it makes no BLAS call).  On the dense path a refined run
+also restricts to the coarse run sample for sample (up to rounding in
+the factorization, whose blocking depends on the matrix size), and on
+the feature path exactly, when both grids take it.  On the circulant
+path it does not: the coarse rows of one run are the even sublattice of
+its draws, not the draws of a standalone coarse run.
 """
 
 from __future__ import annotations
@@ -51,10 +57,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covariance import SphereSchoenberg
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
     _MAX_REPS,
+    FeatureFactor,
     _cap_points,
     _check_stream,
     draw_in_batches,
@@ -261,6 +269,47 @@ def _spectral_index(model, grid: Grid) -> np.ndarray | None:
     return index if seen.all() else None
 
 
+def _circulant(model, grid: Grid, fixed_rel_jitter):
+    """The circulant factor where ``_spectral_index`` admits the grid."""
+    index = _spectral_index(model, grid)
+    if index is None:
+        return None
+    # The grid's points in lattice order are the build_grid lattice.
+    lattice = np.empty_like(grid.coords)
+    lattice[index] = grid.coords
+    shape = (grid.resolution,) * lattice.shape[1]
+    row = model.covariance_row(grid.chart, lattice).reshape(shape)
+    return factor_circulant(row, index, fixed_rel_jitter=fixed_rel_jitter)[0]
+
+
+def _features(model, grid: Grid, fixed_rel_jitter):
+    """The feature factor of a Schoenberg kernel with fewer features than
+    grid points, counted before any is built; a fixed jitter asks for
+    the shifted dense factorization instead."""
+    if not (
+        isinstance(model, SphereSchoenberg)
+        and fixed_rel_jitter is None
+        and model.feature_count() < len(grid)
+    ):
+        return None
+    return FeatureFactor(model.features(grid.chart, grid.coords))
+
+
+# The structured samplers, in the order tried: each returns its factor
+# where its rule admits the input, else None.  Dense Cholesky takes
+# every other input.
+_STRUCTURED = (_circulant, _features)
+
+
+def _factor(model, grid: Grid, fixed_rel_jitter):
+    for sampler in _STRUCTURED:
+        factor = sampler(model, grid, fixed_rel_jitter)
+        if factor is not None:
+            return factor
+    cov = model.covariance_matrix(grid.chart, grid.coords)
+    return factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)[0]
+
+
 def sample_field(
     model,
     grid: Grid,
@@ -275,8 +324,9 @@ def sample_field(
     With ``prefix`` = m, a (2, reps) array instead: the maxima over the
     whole grid (row 0) and over its first m points (row 1), from the
     same draws.  On the dense path row 1 is the sample of those m points
-    alone, up to rounding in the factorization; on the circulant path
-    (see the module docstring) it is not.
+    alone, up to rounding in the factorization, and on the feature path
+    exactly when those m points take it too; on the circulant path (see
+    the module docstring) it is not.
     """
     if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
         raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
@@ -284,17 +334,7 @@ def sample_field(
     head = len(grid) if prefix is None else prefix
     if not isinstance(head, (int, np.integer)) or not 1 <= head <= len(grid):
         raise ValidationError(f"prefix must lie in [1, {len(grid)}], got {prefix!r}")
-    index = _spectral_index(model, grid)
-    if index is None:
-        cov = model.covariance_matrix(grid.chart, grid.coords)
-        factor, _ = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)
-    else:
-        # The grid's points in lattice order are the build_grid lattice.
-        lattice = np.empty_like(grid.coords)
-        lattice[index] = grid.coords
-        shape = (grid.resolution,) * lattice.shape[1]
-        row = model.covariance_row(grid.chart, lattice).reshape(shape)
-        factor, _ = factor_circulant(row, index, fixed_rel_jitter=fixed_rel_jitter)
+    factor = _factor(model, grid, fixed_rel_jitter)
     sups = np.empty((2, int(reps)))
     for start, block in draw_in_batches(factor, int(reps), seed):
         cols = slice(start, start + block.shape[1])

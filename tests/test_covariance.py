@@ -121,6 +121,53 @@ def test_schoenberg_validation():
             SphereSchoenberg(Sphere(2, radius), (0.5, 0.5))
 
 
+# Coefficient tuples with zero terms, up to degree 8; the first is the
+# kernel the sphere benchmark samples.
+FEATURE_COEFFICIENTS = [
+    (0.2, 0.3, 0.3, 0.2),
+    (0.0, 1.0),
+    (0.5, 0.0, 0.5),
+    (0.0, 0.25, 0.0, 0.0, 0.25, 0.0, 0.0, 0.0, 0.5),
+    (1.0 / 9.0,) * 9,
+]
+
+
+def _feature_point_sets():
+    s1, s2 = Sphere(1, 1.0), Sphere(2, 2.5)
+    circle = np.column_stack([np.full(40, math.pi / 2), np.linspace(0.0, 6.0, 40)])
+    return [
+        pytest.param(s1, random_coords(s1, 40, 1), id="S1"),
+        pytest.param(s2, random_coords(s2, 60, 2), id="S2"),
+        pytest.param(s2, circle, id="great-circle"),
+    ]
+
+
+@pytest.mark.parametrize("coefficients", FEATURE_COEFFICIENTS)
+@pytest.mark.parametrize("sphere, coords", _feature_point_sets())
+def test_schoenberg_features_reconstruct_the_covariance(sphere, coords, coefficients):
+    model = SphereSchoenberg(sphere, coefficients)
+    # Monomials of degree n in N + 1 variables: n + 1 on S^1, and
+    # (n + 1)(n + 2) / 2 on S^2.
+    per_degree = (lambda n: n + 1) if sphere.dim == 1 else (lambda n: (n + 1) * (n + 2) // 2)
+    rank = sum(per_degree(n) for n, b in enumerate(coefficients) if b > 0)
+    assert model.feature_count() == rank
+    for chart in sphere.charts:
+        features = model.features(chart, coords)
+        assert features.shape == (len(coords), rank)
+        cov = model.covariance_matrix(chart, coords)
+        assert np.abs(features @ features.T - cov).max() <= 1e-13, chart
+        # Each row is its own point's: a subset's rows are the same floats.
+        subset = coords[::3]
+        assert np.array_equal(model.features(chart, subset), features[::3])
+
+
+def test_schoenberg_feature_count_of_the_benchmark_kernel():
+    assert SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.3, 0.3, 0.2)).feature_count() == 20
+    assert SphereSchoenberg(Sphere(1, 1.0), (0.2, 0.3, 0.3, 0.2)).feature_count() == 10
+    with pytest.raises(ValidationError, match="coordinate array"):
+        SphereSchoenberg(Sphere(2, 1.0), (0.5, 0.5)).features("north", np.zeros((3, 1)))
+
+
 def test_model_parameter_validation():
     e2 = Euclidean(2)
     with pytest.raises(ValidationError):

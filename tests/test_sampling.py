@@ -7,6 +7,7 @@ from excursion.errors import FactorizationError, ValidationError
 from excursion.sampling import (
     BATCH,
     ROW_BLOCK,
+    FeatureFactor,
     _lower_product,
     draw_in_batches,
     factor_covariance,
@@ -162,6 +163,23 @@ def test_draws_match_replicate_generator():
             streams = range(start, start + block.shape[1])
             z = np.vstack([replicate_generator(seed, i).standard_normal(n) for i in streams]).T
             assert np.array_equal(block, _lower_product(factor, z)), (seed, start)
+
+
+def test_feature_draws_match_replicate_generator():
+    # A feature factor draws len(factor) = r normals per replication and
+    # returns F z: column i is the features times replication i's own
+    # r normals, laid out as the loop lays them out.
+    features = np.random.default_rng(3).standard_normal((40, 7))
+    factor = FeatureFactor(features)
+    assert len(factor) == 7
+    for seed in (0, 2**64 - 1):
+        widths = []
+        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+            widths.append(block.shape[1])
+            streams = range(start, start + block.shape[1])
+            zt = np.vstack([replicate_generator(seed, i).standard_normal(7) for i in streams])
+            assert np.array_equal(block, features @ zt.T), (seed, start)
+        assert widths == [BATCH, BATCH, 1]
 
 
 def test_lower_product_agrees_with_dense():

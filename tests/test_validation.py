@@ -5,17 +5,19 @@ import math
 import numpy as np
 import pytest
 
+from excursion import validation
 from excursion.approximations import eec_approx, pickands_approx
 from excursion.covariance import (
     LocallyIsotropicModel,
     PoweredExponential,
+    SphereSchoenberg,
     SquaredExponential,
     StableOnChart,
 )
 from excursion.curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from excursion.errors import FactorizationError, UnsupportedShapeError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
-from excursion.sampling import draw_in_batches, factor_covariance
+from excursion.sampling import FeatureFactor, draw_in_batches, factor_covariance
 from excursion.validation import (
     Grid,
     Z95,
@@ -324,3 +326,102 @@ def test_eec_route_through_comparison():
     empirical = empirical_excursion(model, FullTorus((1.0, 1.0)), [2.0], 5, 500, 3)
     table = compare_report(analytic, empirical)
     assert table.rows[0].analytic_total == analytic[0].total
+
+
+# The sphere benchmark's kernel and grids: degree 3 on S^2 has 20
+# features, fewer than the 46 points of R = 6 and the 230 of its
+# refinement, so both take the feature path.
+S2 = Sphere(2, 1.0)
+CUBIC = SphereSchoenberg(S2, (0.2, 0.3, 0.3, 0.2))
+
+
+def _no_covariance_matrix(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a feature-path input reached the dense covariance")
+
+    monkeypatch.setattr(SphereSchoenberg, "covariance_matrix", unreachable)
+    monkeypatch.setattr(validation, "factor_covariance", unreachable)
+
+
+def _dense_sups(model, grid, reps, seed, **kwargs):
+    cov = model.covariance_matrix(grid.chart, grid.coords)
+    factor, _ = factor_covariance(cov, **kwargs)
+    return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, seed)])
+
+
+def test_feature_path_agrees_with_dense_in_distribution(monkeypatch):
+    coarse = build_grid(FullSphere(2, 1.0), 6)
+    grid = coarse.refine()
+    reps = 8000
+    factor, _ = factor_covariance(CUBIC.covariance_matrix(grid.chart, grid.coords))
+    blocks = [b for _, b in draw_in_batches(factor, reps, 71)]
+    dense = [np.concatenate([b[:m].max(axis=0) for b in blocks]) for m in (len(grid), len(coarse))]
+    _no_covariance_matrix(monkeypatch)
+    sups = sample_field(CUBIC, grid, reps, 72, prefix=len(coarse))
+    for expected, got in zip(dense, sups):
+        for u in (2.0, 2.5, 3.0):
+            p_dense, p_features = float(np.mean(expected >= u)), float(np.mean(got >= u))
+            pooled = 0.5 * (p_dense + p_features)
+            se = math.sqrt(2.0 * pooled * (1.0 - pooled) / reps)
+            assert abs(p_features - p_dense) <= 4.0 * se, u
+
+
+@pytest.mark.parametrize(
+    "domain, resolution",
+    [(FullSphere(2, 1.0), 6), (FullSphere(2, 1.0), 9), (GreatCircle(1.0), 24)],
+)
+def test_feature_path_restricts_across_runs(monkeypatch, domain, resolution):
+    # Feature rows depend only on their own point, so a standalone run on
+    # the coarse grid is the prefix row of a run on its refinement.
+    _no_covariance_matrix(monkeypatch)
+    coarse = build_grid(domain, resolution)
+    assert CUBIC.feature_count() < len(coarse)
+    alone = sample_field(CUBIC, coarse, 1100, 13)
+    both = sample_field(CUBIC, coarse.refine(), 1100, 13, prefix=len(coarse))
+    assert np.array_equal(both[1], alone)
+    assert np.all(both[1] <= both[0])
+
+
+def test_feature_path_runs_extend_and_replay(monkeypatch):
+    _no_covariance_matrix(monkeypatch)
+    grid = build_grid(FullSphere(2, 1.0), 6).refine()
+    short = sample_field(CUBIC, grid, 1000, 5, prefix=46)
+    long = sample_field(CUBIC, grid, 1600, 5, prefix=46)
+    assert np.array_equal(long[:, :1000], short)
+    assert np.array_equal(sample_field(CUBIC, grid, 1000, 5, prefix=46), short)
+
+
+def _dense_side_cases():
+    degree8 = SphereSchoenberg(S2, (0.5,) + (0.0,) * 7 + (0.5,))
+    circle_cubic = SphereSchoenberg(Sphere(1, 1.0), (0.2, 0.3, 0.3, 0.2))
+    return [
+        # 1 + 45 features against 12 points.
+        pytest.param(degree8, build_grid(FullSphere(2, 1.0), 3), {}, id="degree-8-R3"),
+        # r = n = 10: equality stays dense.
+        pytest.param(circle_cubic, build_grid(FullSphere(1, 1.0), 10), {}, id="r-equals-n"),
+        # A fixed jitter asks for the shifted dense factor.
+        pytest.param(
+            CUBIC, build_grid(FullSphere(2, 1.0), 6), {"fixed_rel_jitter": 1e-10}, id="fixed-jitter"
+        ),
+    ]
+
+
+@pytest.mark.parametrize("model, grid, kwargs", _dense_side_cases())
+def test_feature_rule_keeps_the_dense_factor(monkeypatch, model, grid, kwargs):
+    expected = _dense_sups(model, grid, 600, 9, **kwargs)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("features were built off the selection rule")
+
+    monkeypatch.setattr(SphereSchoenberg, "features", unreachable)
+    assert np.array_equal(sample_field(model, grid, 600, 9, **kwargs), expected)
+
+
+def test_feature_rule_admits_one_point_more_than_features(monkeypatch):
+    # 11 points against 10 features; at 10 points the case above stays dense.
+    model = SphereSchoenberg(Sphere(1, 1.0), (0.2, 0.3, 0.3, 0.2))
+    grid = build_grid(FullSphere(1, 1.0), 11)
+    factor = FeatureFactor(model.features(grid.chart, grid.coords))
+    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 600, 9)])
+    _no_covariance_matrix(monkeypatch)
+    assert np.array_equal(sample_field(model, grid, 600, 9), expected)
