@@ -49,8 +49,8 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   point, so its sample restricts to no smaller grid's.  A feature row
   depends on its own point alone, so a feature sample restricts to the
   feature sample of any subset of its points: each value is the same
-  r-term dot product (bit for bit on the package's grids, as the tests
-  check, though BLAS does not promise it across product heights).
+  r-term dot product, up to rounding (BLAS may order its sum
+  differently at another product height).
   ``replicate_generator`` defines the stream.  ``draw_in_batches``
   builds one Philox per call and re-keys it for each replication (key
   words written, counter at 0, buffer empty), which gives the same

@@ -34,8 +34,8 @@ Samplers: ``sample_field`` picks one of three factors in ``_factor``.
   with a side whose prime factors are all in SPECTRAL_RADICES;
 * features (``sampling.FeatureFactor``): for a ``SphereSchoenberg``
   kernel whose feature count r (``feature_count``, known from the
-  coefficients alone) is below the grid's point count, unless a fixed
-  jitter is asked for;
+  coefficients alone) is below FEATURE_MAX_SHARE times the grid's point
+  count, unless a fixed jitter is asked for;
 * dense Cholesky on every other grid and model, rectangles always,
   which is also the reference the tests compare both others against.
 
@@ -45,7 +45,9 @@ a replay is byte-identical (on the circulant path, at any BLAS thread
 cap, since it makes no BLAS call).  On the dense path a refined run
 also restricts to the coarse run sample for sample (up to rounding in
 the factorization, whose blocking depends on the matrix size), and on
-the feature path exactly, when both grids take it.  On the circulant
+the feature path up to rounding in the product (BLAS may sum a row's
+r terms in another order at another product height), when both grids
+take it.  On the circulant
 path it does not: the coarse rows of one run are the even sublattice of
 its draws, not the draws of a standalone coarse run.
 """
@@ -95,6 +97,18 @@ __all__ = [
 # runs were 1.08x to 1.30x slower than dense at sides 30 to 40.
 SPECTRAL_MIN_POINTS = 2048
 SPECTRAL_RADICES = (2, 3, 5, 7)
+# Schoenberg kernels are sampled through their r features only while r
+# is below this share of the grid's n points.  Whole sample_field calls
+# on 2-sphere grids (5000 replications, 2 threads on a 2-CPU host,
+# median feature/dense time ratio of 9 pairs) with r just below n / 2
+# took 0.91x at n = 46, 0.84x at 102, 0.70x at 230, 0.64x at 408, 0.58x
+# at 508 and 0.49x at 916.  Nearer r = n the gain sank into the
+# run-to-run spread: at r / n from 0.75 to 0.97 the medians ranged from
+# 0.88x to 1.02x below 240 points (0.67x to 0.92x at 508 and 916), and
+# single pairs ran up to 2.8x slower.  The flops agree: the
+# feature product costs 2 n r per replication, the row-blocked
+# triangular one about n^2 once n is several blocks.
+FEATURE_MAX_SHARE = 0.5
 
 # Two-sided 95% normal quantile, frozen so intervals never drift with
 # the scipy version.
@@ -283,31 +297,29 @@ def _circulant(model, grid: Grid, fixed_rel_jitter):
 
 
 def _features(model, grid: Grid, fixed_rel_jitter):
-    """The feature factor of a Schoenberg kernel with fewer features than
-    grid points, counted before any is built; a fixed jitter asks for
-    the shifted dense factorization instead."""
+    """The feature factor of a Schoenberg kernel with fewer than
+    FEATURE_MAX_SHARE features per grid point, counted before any is
+    built; a fixed jitter asks for the shifted dense factorization
+    instead."""
     if not (
         isinstance(model, SphereSchoenberg)
         and fixed_rel_jitter is None
-        and model.feature_count() < len(grid)
+        and model.feature_count() < FEATURE_MAX_SHARE * len(grid)
     ):
         return None
     return FeatureFactor(model.features(grid.chart, grid.coords))
 
 
-# The structured samplers, in the order tried: each returns its factor
-# where its rule admits the input, else None.  Dense Cholesky takes
-# every other input.
-_STRUCTURED = (_circulant, _features)
-
-
 def _factor(model, grid: Grid, fixed_rel_jitter):
-    for sampler in _STRUCTURED:
-        factor = sampler(model, grid, fixed_rel_jitter)
-        if factor is not None:
-            return factor
-    cov = model.covariance_matrix(grid.chart, grid.coords)
-    return factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)[0]
+    """The circulant or feature factor where its rule admits the input,
+    else the dense Cholesky factor."""
+    factor = _circulant(model, grid, fixed_rel_jitter)
+    if factor is None:
+        factor = _features(model, grid, fixed_rel_jitter)
+    if factor is None:
+        cov = model.covariance_matrix(grid.chart, grid.coords)
+        factor = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)[0]
+    return factor
 
 
 def sample_field(
@@ -325,7 +337,8 @@ def sample_field(
     whole grid (row 0) and over its first m points (row 1), from the
     same draws.  On the dense path row 1 is the sample of those m points
     alone, up to rounding in the factorization, and on the feature path
-    exactly when those m points take it too; on the circulant path (see
+    up to rounding in the product when those m points take it too; on
+    the circulant path (see
     the module docstring) it is not.
     """
     if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
