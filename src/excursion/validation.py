@@ -47,9 +47,9 @@ also restricts to the coarse run sample for sample (up to rounding in
 the factorization, whose blocking depends on the matrix size), and on
 the feature path up to rounding in the product (BLAS may sum a row's
 r terms in another order at another product height), when both grids
-take it.  On the circulant
-path it does not: the coarse rows of one run are the even sublattice of
-its draws, not the draws of a standalone coarse run.
+take it.  On the circulant path it does not: the coarse rows of one run
+are the even sublattice of its draws, not the draws of a standalone
+coarse run.
 """
 
 from __future__ import annotations
@@ -338,8 +338,7 @@ def sample_field(
     same draws.  On the dense path row 1 is the sample of those m points
     alone, up to rounding in the factorization, and on the feature path
     up to rounding in the product when those m points take it too; on
-    the circulant path (see
-    the module docstring) it is not.
+    the circulant path (see the module docstring) it is not.
     """
     if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
         raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
