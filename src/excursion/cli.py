@@ -369,6 +369,8 @@ def _resolve_pickands_const(cfg: dict, args) -> dict:
     pc = _with_flags(cfg, args, ("alpha", "dim", "cube_side", "spacing", "reps", "seed"))
     alpha = _as_float(pc.get("alpha", 2.0), "alpha")
     dim = _as_int(pc.get("dim", 1), "dim")
+    if dim < 1:
+        raise ConfigError("dim", f"must be at least 1, got {dim}")
     default_side, default_spacing = _DEFAULT_WINDOW.get(dim, (None, None))
     if default_side is None and not ("cube_side" in pc and "spacing" in pc):
         raise ConfigError(

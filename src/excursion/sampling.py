@@ -25,8 +25,8 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   1997).  It is built from one covariance row: the eigenvalues are
   ``rfftn(row).real``, and a draw is ``irfftn(sqrt(lambda) * rfftn(z))``
   (``CirculantFactor``), with no n x n array and no O(n^3)
-  factorization.  The shift ladder and the refusal mirror
-  ``factor_covariance``'s, on the eigenvalues.  ``numpy.fft`` is
+  factorization.  It walks ``factor_covariance``'s shift ladder, on the
+  eigenvalues.  ``numpy.fft`` is
   single-threaded and makes no BLAS call, so these draws do not depend
   on the BLAS thread cap; it is loaded on first use, and ``scipy.fft``,
   no faster on the sides the rule admits, would cost its import.
@@ -40,17 +40,18 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   whose 128-bit key is the seed in the high word and i in the low word,
   so streams are distinct across both seeds and replications,
   reproducible, order independent, and parallelizable, and a run with
-  more replications extends a shorter run instead of reshuffling it.  For the same reason
-  a densely factored sample on a grid that extends another grid (extra
-  points appended) restricts to the sample on the smaller grid: the
-  draws extend exactly, and the factor's leading block is the smaller
-  grid's factor up to rounding (LAPACK blocks the factorization by
-  matrix size).  A circulant factor mixes every normal into every
-  point, so its sample restricts to no smaller grid's.  A feature row
-  depends on its own point alone, so a feature sample restricts to the
-  feature sample of any subset of its points: each value is the same
-  r-term dot product, up to rounding (BLAS may order its sum
-  differently at another product height).
+  more replications extends a shorter run instead of reshuffling it.
+  For the same reason a densely factored sample on a grid that extends
+  another grid (extra points appended) restricts to the sample on the
+  smaller grid if both take one diagonal shift (``fixed_rel_jitter``):
+  the draws extend exactly, and the factor's leading block is the
+  smaller grid's factor up to rounding (LAPACK blocks the factorization
+  by matrix size), amplified by conditioning.  A circulant factor mixes
+  every normal into every point, so its sample restricts to no smaller
+  grid's.  A feature row depends on its own point alone, so a feature
+  sample restricts to the feature sample of any subset of its points:
+  each value is the same r-term dot product, up to rounding (BLAS may
+  order its sum differently at another product height).
   ``replicate_generator`` defines the stream.  ``draw_in_batches``
   builds one Philox per call and re-keys it for each replication (key
   words written, counter at 0, buffer empty), which gives the same
@@ -159,22 +160,28 @@ def _axis_sum_of_squares(a: np.ndarray, b: np.ndarray, per_axis) -> np.ndarray:
     return acc
 
 
-def _fixed_shift(fixed_rel_jitter: float, scale: float) -> float:
-    shift = float(fixed_rel_jitter) * scale
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
-    return shift
-
-
-def _failed_at(shift: float) -> FactorizationError:
-    return FactorizationError(f"factorization failed at the requested diagonal shift {shift:.3e}")
-
-
-def _not_semidefinite(min_eig: float, cap: float) -> FactorizationError:
-    return FactorizationError(
-        "covariance is not positive semidefinite within the jitter budget: "
-        f"smallest eigenvalue {min_eig:.6e}, largest allowed diagonal shift {cap:.3e}"
-    )
+def _shift_ladder(attempt, scale: float, smallest):
+    """(factor, shift) at the least shift, of 0 and then 1e-12 * scale
+    doubling up to the cap, for which ``attempt(shift)`` returns a factor
+    rather than None.  Positive definiteness is monotone in the shift,
+    so a failure at the cap refuses at once, naming ``smallest()``."""
+    factor = attempt(0.0)
+    if factor is not None:
+        return factor, 0.0
+    cap = _MAX_REL_JITTER * scale
+    at_cap = attempt(cap)
+    if at_cap is None:
+        raise FactorizationError(
+            "covariance is not positive semidefinite within the jitter budget: "
+            f"smallest eigenvalue {smallest():.6e}, largest allowed diagonal shift {cap:.3e}"
+        )
+    shift = _BASE_REL_JITTER * scale
+    while shift < cap:
+        factor = attempt(shift)
+        if factor is not None:
+            return factor, shift
+        shift *= 2.0
+    return at_cap, cap
 
 
 def factor_covariance(
@@ -185,8 +192,8 @@ def factor_covariance(
     Returns (L, shift) with L lower triangular such that
     L @ L.T = matrix + shift * I; shift is 0.0 when no inflation was
     needed.  ``fixed_rel_jitter`` bypasses the ladder and applies
-    exactly that relative shift (tests that compare runs across grids
-    use it to keep the factorizations structurally identical).
+    exactly that relative shift, so that a grid and its refinement share
+    it (see ``validation.sample_field``).
 
     ``matrix`` must be symmetric to the last bit: LAPACK is handed
     ``matrix.T``, which for a C-ordered matrix is its Fortran-order
@@ -208,38 +215,25 @@ def factor_covariance(
     if not scale > 0:
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
 
-    # The identity is built only on the shifted paths: the plain
-    # factorization, the common case, never reads it.
-    if fixed_rel_jitter is not None:
-        shift = _fixed_shift(fixed_rel_jitter, scale)
-        eye = np.eye(n)
+    def cholesky(shift):
+        # The plain factorization, the common case, builds no identity.
+        shifted = matrix if shift == 0 else matrix + shift * np.eye(n)
         try:
-            return np.linalg.cholesky((matrix + shift * eye).T), shift
+            return np.linalg.cholesky(shifted.T)
         except np.linalg.LinAlgError:
-            raise _failed_at(shift) from None
+            return None
 
-    try:
-        return np.linalg.cholesky(matrix.T), 0.0
-    except np.linalg.LinAlgError:
-        pass
-
-    # Positive definiteness of matrix + eps*I is monotone in eps, so if
-    # the cap fails every smaller step fails too: diagnose and abort
-    # without walking the ladder.
-    cap = _MAX_REL_JITTER * scale
-    eye = np.eye(n)
-    try:
-        at_cap = np.linalg.cholesky((matrix + cap * eye).T)
-    except np.linalg.LinAlgError:
-        raise _not_semidefinite(float(np.linalg.eigvalsh(matrix)[0]), cap) from None
-
-    shift = _BASE_REL_JITTER * scale
-    while shift < cap:
-        try:
-            return np.linalg.cholesky((matrix + shift * eye).T), shift
-        except np.linalg.LinAlgError:
-            shift *= 2.0
-    return at_cap, cap
+    if fixed_rel_jitter is None:
+        return _shift_ladder(cholesky, scale, lambda: float(np.linalg.eigvalsh(matrix)[0]))
+    shift = float(fixed_rel_jitter) * scale
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+    factor = cholesky(shift)
+    if factor is None:
+        raise FactorizationError(
+            f"factorization failed at the requested diagonal shift {shift:.3e}"
+        )
+    return factor, shift
 
 
 class CirculantFactor:
@@ -296,21 +290,17 @@ class FeatureFactor:
         return self.features @ zt.T
 
 
-def factor_circulant(
-    row: np.ndarray, index: np.ndarray, *, fixed_rel_jitter: float | None = None
-) -> tuple[CirculantFactor, float]:
+def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:
     """Spectral square root of a block-circulant covariance.
 
     ``row`` is the lattice-shaped first row, the covariance of lattice
     point 0 with every lattice point; ``index`` the lattice index of
     each point in draw order (see ``CirculantFactor``).  Returns
-    (S, shift) with S S^T = C + shift * I, mirroring
-    ``factor_covariance``: the eigenvalues lambda are ``rfftn(row).real``
-    (the imaginary parts are rounding: the row is symmetric up to it),
-    the shift is 0.0 when all are positive, else the least step of the
-    same relative ladder that makes them so, and past the cap the same
-    FactorizationError, with the smallest eigenvalue read off lambda.
-    ``fixed_rel_jitter`` applies exactly that relative shift.
+    (S, shift) with S S^T = C + shift * I, on the ladder
+    ``factor_covariance`` walks: the eigenvalues lambda are
+    ``rfftn(row).real`` (the imaginary parts are rounding: the row is
+    symmetric up to it), and a shift is accepted where lambda + shift
+    is positive.
     """
     row = np.asarray(row, dtype=float)
     if row.size != index.shape[0]:
@@ -323,22 +313,10 @@ def factor_circulant(
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
     lam = np.fft.rfftn(row).real
     low = float(lam.min())
-
-    if fixed_rel_jitter is not None:
-        shift = _fixed_shift(fixed_rel_jitter, scale)
-        if not low + shift > 0:
-            raise _failed_at(shift)
-    elif low > 0:
-        shift = 0.0
-    else:
-        cap = _MAX_REL_JITTER * scale
-        if not low + cap > 0:
-            raise _not_semidefinite(low, cap)
-        shift = _BASE_REL_JITTER * scale
-        while shift < cap and not low + shift > 0:
-            shift *= 2.0
-        shift = min(shift, cap)
-    return CirculantFactor(np.sqrt(lam + shift), row.shape, index), shift
+    root, shift = _shift_ladder(
+        lambda shift: np.sqrt(lam + shift) if low + shift > 0 else None, scale, lambda: low
+    )
+    return CirculantFactor(root, row.shape, index), shift
 
 
 def _check_stream(seed, index) -> int:

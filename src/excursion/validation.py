@@ -35,21 +35,25 @@ Samplers: ``sample_field`` picks one of three factors in ``_factor``.
 * features (``sampling.FeatureFactor``): for a ``SphereSchoenberg``
   kernel whose feature count r (``feature_count``, known from the
   coefficients alone) is below FEATURE_MAX_SHARE times the grid's point
-  count, unless a fixed jitter is asked for;
-* dense Cholesky on every other grid and model, rectangles always,
-  which is also the reference the tests compare both others against.
+  count;
+* dense Cholesky on every other grid and model, rectangles always, and
+  on every grid when a fixed jitter is asked for; it is also the
+  reference the tests compare both others against.
 
 All three read replication i's normals from the same re-keyed stream,
 so on any path a run with more replications extends a shorter one, and
 a replay is byte-identical (on the circulant path, at any BLAS thread
 cap, since it makes no BLAS call).  On the dense path a refined run
-also restricts to the coarse run sample for sample (up to rounding in
-the factorization, whose blocking depends on the matrix size), and on
-the feature path up to rounding in the product (BLAS may sum a row's
-r terms in another order at another product height), when both grids
-take it.  On the circulant path it does not: the coarse rows of one run
-are the even sublattice of its draws, not the draws of a standalone
-coarse run.
+also restricts to the coarse run sample for sample if both matrices
+take one shift, as under ``fixed_rel_jitter``: up to rounding in the
+factorization, whose blocking depends on the matrix size, amplified by
+conditioning (6.0e-11 at most for ``StableOnChart(FlatTorus((1, 1)),
+1, 2)``, 6 x 6 against 12 x 12, at 1e-10; 2.3e-7 under the ladder,
+which picks 0 and 1e-12).  On the feature path it restricts up to
+rounding in the product (BLAS may sum a row's r terms in another order
+at another product height), when both grids take it.  On the
+circulant path it does not: the coarse rows of one run are the even
+sublattice of its draws, not the draws of a standalone coarse run.
 """
 
 from __future__ import annotations
@@ -283,7 +287,7 @@ def _spectral_index(model, grid: Grid) -> np.ndarray | None:
     return index if seen.all() else None
 
 
-def _circulant(model, grid: Grid, fixed_rel_jitter):
+def _circulant(model, grid: Grid):
     """The circulant factor where ``_spectral_index`` admits the grid."""
     index = _spectral_index(model, grid)
     if index is None:
@@ -293,17 +297,15 @@ def _circulant(model, grid: Grid, fixed_rel_jitter):
     lattice[index] = grid.coords
     shape = (grid.resolution,) * lattice.shape[1]
     row = model.covariance_row(grid.chart, lattice).reshape(shape)
-    return factor_circulant(row, index, fixed_rel_jitter=fixed_rel_jitter)[0]
+    return factor_circulant(row, index)[0]
 
 
-def _features(model, grid: Grid, fixed_rel_jitter):
+def _features(model, grid: Grid):
     """The feature factor of a Schoenberg kernel with fewer than
     FEATURE_MAX_SHARE features per grid point, counted before any is
-    built; a fixed jitter asks for the shifted dense factorization
-    instead."""
+    built."""
     if not (
         isinstance(model, SphereSchoenberg)
-        and fixed_rel_jitter is None
         and model.feature_count() < FEATURE_MAX_SHARE * len(grid)
     ):
         return None
@@ -312,10 +314,14 @@ def _features(model, grid: Grid, fixed_rel_jitter):
 
 def _factor(model, grid: Grid, fixed_rel_jitter):
     """The circulant or feature factor where its rule admits the input,
-    else the dense Cholesky factor."""
-    factor = _circulant(model, grid, fixed_rel_jitter)
-    if factor is None:
-        factor = _features(model, grid, fixed_rel_jitter)
+    else the dense Cholesky factor, which a fixed jitter always takes:
+    it serves restriction across grids, which only the dense factor
+    gives."""
+    factor = None
+    if fixed_rel_jitter is None:
+        factor = _circulant(model, grid)
+        if factor is None:
+            factor = _features(model, grid)
     if factor is None:
         cov = model.covariance_matrix(grid.chart, grid.coords)
         factor = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)[0]
@@ -336,7 +342,9 @@ def sample_field(
     With ``prefix`` = m, a (2, reps) array instead: the maxima over the
     whole grid (row 0) and over its first m points (row 1), from the
     same draws.  On the dense path row 1 is the sample of those m points
-    alone, up to rounding in the factorization, and on the feature path
+    alone if both factorizations take one shift, as under
+    ``fixed_rel_jitter`` (which always factors densely), up to rounding
+    in the factorization amplified by conditioning; on the feature path
     up to rounding in the product when those m points take it too; on
     the circulant path (see the module docstring) it is not.
     """
@@ -390,12 +398,10 @@ def empirical_excursion(
     resolution: int,
     reps: int,
     seed: int,
-    *,
-    fixed_rel_jitter: float | None = None,
 ) -> list[McEstimate]:
     """Empirical P{sup >= u} on a fresh grid, one sample set for all u."""
     grid = build_grid(domain, resolution)
-    sups = sample_field(model, grid, reps, seed, fixed_rel_jitter=fixed_rel_jitter)
+    sups = sample_field(model, grid, reps, seed)
     return estimates_from_sups(
         sups, u_grid, grid_size=len(grid), resolution=grid.resolution, seed=int(seed)
     )

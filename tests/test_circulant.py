@@ -96,19 +96,6 @@ def test_factor_reconstructs_the_dense_matrix(periods, side):
         assert np.abs(s @ s.T - dense).max() <= 1e-12
 
 
-def test_fixed_jitter_adds_exactly_that_shift():
-    lattice = build_grid(FullTorus((1.0, 2.5)), 8)
-    model = StableOnChart(FlatTorus((1.0, 2.5)), 1.0, 1.0)
-    row = model.covariance_row(lattice.chart, lattice.coords).reshape(8, 8)
-    dense = model.covariance_matrix(lattice.chart, lattice.coords)
-    factor, shift = factor_circulant(row, np.arange(64), fixed_rel_jitter=1e-3)
-    assert shift == 1e-3
-    s = factor.product(np.eye(64))
-    assert np.abs(s @ s.T - (dense + shift * np.eye(64))).max() <= 1e-12
-    with pytest.raises(ValidationError, match="nonnegative"):
-        factor_circulant(row, np.arange(64), fixed_rel_jitter=-1.0)
-
-
 def _row_with_spectrum(lam):
     """A 1-D circulant row whose eigenvalues are ``lam`` (made symmetric)."""
     lam = np.asarray(lam, dtype=float)
@@ -132,14 +119,11 @@ def test_shift_ladder_on_the_eigenvalues():
     s = factor.product(np.eye(16))
     dense = np.array([np.roll(row, k) for k in range(16)])
     assert np.abs(s @ s.T - (dense + shift * np.eye(16))).max() <= 1e-12
-    # Past the cap: refused, with the smallest eigenvalue in the message,
-    # and also at a fixed shift too small to clear it.
+    # Past the cap: refused, with the smallest eigenvalue in the message.
     lam[3] = lam[13] = -1e-3
     row = _row_with_spectrum(lam)
     with pytest.raises(FactorizationError, match="smallest eigenvalue -1.000000e-03"):
         factor_circulant(row, np.arange(16))
-    with pytest.raises(FactorizationError, match="requested diagonal shift"):
-        factor_circulant(row, np.arange(16), fixed_rel_jitter=1e-6)
 
 
 def test_factor_validation():
@@ -208,28 +192,33 @@ def _moved(grid, how):
 def _dense_grids():
     lattice60 = build_grid(FullTorus((1.0, 1.0)), 60)
     quarter = build_grid(Rectangle((0.5, 0.5)), 7).coords
+    lattice48 = build_grid(FullTorus((1.0, 1.0)), 48)
     return [
-        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 40), id="under-the-size-rule"),
-        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 46), id="side-with-prime-23"),
-        pytest.param(STABLE, build_grid(FullTorus((1.0, 2.0)), 48), id="other-periods"),
-        pytest.param(STABLE, _moved(lattice60, "moved"), id="one-point-moved"),
-        pytest.param(STABLE, _moved(lattice60, "duplicated"), id="one-point-duplicated"),
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 40), {}, id="under-the-size-rule"),
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 1.0)), 46), {}, id="side-with-prime-23"),
+        pytest.param(STABLE, build_grid(FullTorus((1.0, 2.0)), 48), {}, id="other-periods"),
+        pytest.param(STABLE, _moved(lattice60, "moved"), {}, id="one-point-moved"),
+        pytest.param(STABLE, _moved(lattice60, "duplicated"), {}, id="one-point-duplicated"),
+        # A fixed jitter asks for the shifted dense factor on a lattice the
+        # rule would admit.
+        pytest.param(STABLE, lattice48, {"fixed_rel_jitter": 1e-10}, id="fixed-jitter"),
     ] + [
         pytest.param(
             StableOnChart(TORUS, 1.0, 2.0),
             Grid(FullTorus((1.0, 1.0)), "main", quarter + np.array(offset), 7),
+            {},
             id=f"quarter-square-{k}",
         )
         for k, offset in enumerate([(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
     ]
 
 
-@pytest.mark.parametrize("model, grid", _dense_grids())
-def test_dense_path_kept_off_the_rule(monkeypatch, model, grid):
+@pytest.mark.parametrize("model, grid, kwargs", _dense_grids())
+def test_dense_path_kept_off_the_rule(monkeypatch, model, grid, kwargs):
     def unreachable(*args, **kwargs):
         raise AssertionError("the circulant factor was built off the selection rule")
 
     monkeypatch.setattr(validation, "factor_circulant", unreachable)
-    factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords))
+    factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords), **kwargs)
     expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 40, 9)])
-    assert np.array_equal(sample_field(model, grid, 40, 9), expected)
+    assert np.array_equal(sample_field(model, grid, 40, 9, **kwargs), expected)

@@ -402,6 +402,11 @@ def test_pickands_const_default_windows():
         ["pickands-const", "--dim", "4", "--cube-side", "1", "--spacing", "0.25", "--seed", "0"]
     ).config
     assert (config["cube_side"], config["spacing"]) == (1.0, 0.25)
+    # A dimension below 1 is refused as such, with or without a window.
+    for dim in ("0", "-1"):
+        for window in ([], ["--cube-side", "1", "--spacing", "0.25"]):
+            with pytest.raises(ConfigError, match="dim: must be at least 1"):
+                _resolve(["pickands-const", "--dim", dim, "--seed", "0", *window])
 
 
 def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
