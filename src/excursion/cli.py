@@ -24,7 +24,10 @@ imported: the package's lazy exports load them on first use.
 
 The ``mc`` block of ``pickands`` holds only the seed of the H estimate
 (``resolve_constant`` fixes its window and replication count);
-``validate`` adds the grid resolution and the replication count.
+``validate`` adds the grid resolution and the replication count.  An H
+estimated during resolution leaves its window, replication count and
+standard error in the manifest's ``diagnostics.h``, outside the
+resolved config, so a replay does not read them.
 
 Rules the implementation keeps to:
 
@@ -53,7 +56,7 @@ import re
 import secrets
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ConfigError, ExcursionError, FactorizationError, ValidationError
 
@@ -74,6 +77,8 @@ class ResolvedRun:
     subcommand: str
     config: dict
     output: str
+    # What resolution measured, for the manifest only: never replayed.
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _parse_floats(text: str, field: str) -> list[float]:
@@ -416,6 +421,7 @@ def resolve(args) -> ResolvedRun:
     # smooth validate run takes the Euler-characteristic route and records
     # none (a pinned one is still checked).
     h = _pinned_h(cfg, args)
+    diagnostics = {}
     if sub == "pickands" or not smooth:
         if h is None:
             from .covariance import local_expansion
@@ -425,8 +431,12 @@ def resolve(args) -> ResolvedRun:
             _, alpha = local_expansion(model)
             resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"])
             h = {"value": resolved.value, "provenance": resolved.provenance}
+            if resolved.mc is not None:
+                diagnostics["h"] = {
+                    f: getattr(resolved.mc, f) for f in ("cube_side", "spacing", "reps", "stderr")
+                }
         config["h"] = h
-    return ResolvedRun(sub, config, output)
+    return ResolvedRun(sub, config, output, diagnostics)
 
 
 def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) -> int:
@@ -436,7 +446,7 @@ def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) ->
     time counts from: ``main`` takes it before ``resolve``, so an H
     estimated there is timed too.  ``threads`` is the BLAS thread cap the
     run was started under, or None when none was set; it goes into the
-    manifest only.
+    manifest only, as do the run's ``diagnostics``.
     """
     data = _RUNNERS[run_spec.subcommand](run_spec.config)
     wall = time.monotonic() - started
@@ -453,6 +463,7 @@ def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) ->
         "versions": _versions(),
         "wall_time_seconds": round(wall, 3),
         "threads": threads,
+        "diagnostics": run_spec.diagnostics,
     }
     with open(run_spec.output + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -388,6 +388,30 @@ def test_pickands_manifest_holds_seed_and_replays(tmp_path):
         assert again.read_bytes() == first.read_bytes()
 
 
+def test_estimated_h_leaves_its_record_outside_the_config(tmp_path):
+    from excursion.pickands import resolve_constant
+
+    first = tmp_path / "pk.csv"
+    argv = ["pickands", "--shape", "great_circle", "--radius", "1", "--family",
+            "stable_on_chart", "--c", "1", "--alpha", "1", "--u", "3", "--seed", "5",
+            "--output", str(first)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "pk.csv.manifest.json").read_text())
+    mc = resolve_constant(1.0, 1, seed=5).mc
+    assert manifest["diagnostics"] == {
+        "h": {"cube_side": 8.0, "spacing": 0.05, "reps": 10_000, "stderr": mc.stderr}
+    }
+    assert manifest["resolved_config"]["h"] == {"value": mc.estimate, "provenance": "mc"}
+    # The replay reads H from the config and estimates nothing.
+    again = tmp_path / "again.csv"
+    assert main(["pickands", "--config", str(tmp_path / "pk.csv.manifest.json"),
+                 "--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+    replayed = json.loads((tmp_path / "again.csv.manifest.json").read_text())
+    assert replayed["resolved_config"] == manifest["resolved_config"]
+    assert replayed["diagnostics"] == {}
+
+
 def test_pickands_const_default_windows():
     from excursion.pickands import _DEFAULT_WINDOW
 

@@ -16,6 +16,7 @@ from excursion.pickands import (
     resolve_constant,
     simulate_z,
 )
+from excursion.sampling import draw_in_batches
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -28,6 +29,27 @@ def test_cube_lattice_layout():
     assert np.array_equal(lat2[0], [0.0, 0.0])
     # Lexicographic: the second axis varies fastest.
     assert np.array_equal(lat2[1], [0.0, 0.5])
+
+
+def test_cube_lattice_keeps_the_last_layer():
+    # 1.2 / 0.1 is 11.999999999999998 in floating point; a plain floor
+    # would sample [0, 1.1] and still normalise by 1.2^-N.
+    for side, steps in ((1.2, 12), (1.4, 14), (2.3, 23)):
+        assert 0 < steps - side / 0.1 < 1e-12
+        lat = cube_lattice(1, side, 0.1)
+        assert lat.shape == (steps + 1, 1)
+        assert lat[-1, 0] == pytest.approx(side, rel=1e-12)
+    assert cube_lattice(2, 1.2, 0.1).shape == (13**2, 2)
+    # Within 1e-9 relative of an integer the ratio snaps to it; farther
+    # off it is floored.
+    assert cube_lattice(1, 1.0, 1.0 / (3.0 - 1e-10)).shape == (4, 1)
+    assert cube_lattice(1, 1.0, 1.0 / (3.0 - 1e-8)).shape == (3, 1)
+    assert cube_lattice(1, 1.0, 0.3).shape == (4, 1)
+    # The default windows are exact integers: their lattices are the
+    # plain floor's, bit for bit.
+    for n_dim, (side, spacing) in pickands._DEFAULT_WINDOW.items():
+        per_axis = np.arange(math.floor(side / spacing) + 1) * spacing
+        assert np.array_equal(cube_lattice(1, side, spacing)[:, 0], per_axis)
 
 
 def test_cube_lattice_validation():
@@ -121,14 +143,73 @@ def test_estimator_deterministic_and_nonnegative():
     assert 0.0 < a.estimate <= 0.25**-1
 
 
+def _single_and_paired(statistic, alpha, n_dim, cube_side, spacing, reps, seed, centred):
+    """(estimate, stderr) of the statistic on the draws Z alone, and of
+    the antithetic pair means with Z' = -2 drift - Z, rebuilt here from
+    the draw blocks with the estimator's own arithmetic."""
+    lattice = cube_lattice(n_dim, cube_side, spacing)
+    if centred:
+        lattice = lattice - spacing * (pickands._lattice_steps(cube_side, spacing) // 2)
+    factor, active, drift = pickands._factor_w(alpha, lattice)
+    drift = drift[active][:, None]
+    single, paired = np.empty(reps), np.empty(reps)
+    for start, block in draw_in_batches(factor, reps, seed):
+        block *= math.sqrt(2.0)
+        block -= drift
+        cols = slice(start, start + block.shape[1])
+        single[cols] = statistic(block)
+        np.subtract(-2.0 * drift, block, out=block)
+        paired[cols] = 0.5 * (single[cols] + statistic(block))
+    norm = (spacing if centred else cube_side) ** (-n_dim)
+
+    def summary(stats):
+        return norm * float(np.mean(stats)), norm * float(np.std(stats, ddof=1)) / math.sqrt(reps)
+
+    return summary(single), summary(paired)
+
+
 def test_estimates_frozen_below_the_row_block():
     # 33 lattice points, 32 factorized: below ROW_BLOCK the draws are the
     # plain dense product, and the statistic is taken in the draw
-    # block's own buffer.  Values recorded before either change.
+    # block's own buffer.  The single-draw values were recorded before
+    # either change; the estimators return the antithetic pair means of
+    # those same draws.
+    single, paired = _single_and_paired(pickands._window_excess, 1.0, 1, 8.0, 0.25, 1000, 3, False)
+    assert single == (0.39212928697168126, 0.054371335235619635)
     a = estimate_pickands(1.0, 1, 8.0, 0.25, 1000, 3)
-    assert (a.estimate, a.stderr) == (0.39212928697168126, 0.054371335235619635)
+    assert (a.estimate, a.stderr) == paired
+    single, paired = _single_and_paired(pickands._dy_ratio, 1.0, 1, 8.0, 0.25, 1000, 3, True)
+    assert single == (0.7264490826566156, 0.008611392406921131)
     b = estimate_pickands_dy(1.0, 1, 8.0, 0.25, 1000, 3)
-    assert (b.estimate, b.stderr) == (0.7264490826566156, 0.008611392406921131)
+    assert (b.estimate, b.stderr) == paired
+
+
+def test_pairing_is_the_mirror_image_at_smooth_alpha():
+    # At alpha = 2, W(s) = <s, xi>, so Z' = -sqrt(2) W - drift is Z(-s),
+    # and on an exactly centred lattice (20 steps per axis) the pair
+    # mean equals the single-draw ratio.  The gap is the rounding of the
+    # diagonal shift on this rank-N covariance: 7.5e-9 (N = 1) and
+    # 1.7e-8 (N = 2) relative, measured; the bound leaves 5x over the
+    # larger.  A draw Z' with the drift's sign flipped misses by O(1).
+    for n_dim, seed in ((1, 21), (2, 22)):
+        single, paired = _single_and_paired(
+            pickands._dy_ratio, 2.0, n_dim, 2.0, 0.1, 2000, seed, True
+        )
+        est = estimate_pickands_dy(2.0, n_dim, 2.0, 0.1, 2000, seed)
+        assert (est.estimate, est.stderr) == paired
+        assert est.estimate == pytest.approx(single[0], rel=1e-7)
+
+
+def test_pairing_reduces_the_variance_at_rough_alpha():
+    # Seed 41 was fixed before the first run.  The two draws of a pair
+    # are negatively correlated at alpha = 1: the paired stderr^2 is
+    # 0.455 of the single-draw one here (0.41-0.53 on other seeds and
+    # windows).  A second statistic taken on the unflipped block gives
+    # exactly 1.
+    single, paired = _single_and_paired(pickands._dy_ratio, 1.0, 1, 8.0, 0.25, 2000, 41, True)
+    est = estimate_pickands_dy(1.0, 1, 8.0, 0.25, 2000, 41)
+    assert (est.estimate, est.stderr) == paired
+    assert est.stderr**2 <= 0.6 * single[1] ** 2
 
 
 def test_estimate_rises_as_spacing_shrinks():
@@ -141,12 +222,19 @@ def test_estimate_rises_as_spacing_shrinks():
 
 
 def test_window_stability_at_smooth_alpha():
-    # The same estimand underlies both windows; the per-rep statistic is
-    # heavy-tailed, so agreement is asserted only to combined noise.
+    # At alpha = 2, N = 1, W(t) = t xi: on [0, K] the window maximum of
+    # Z is xi^2 / 2 (xi > 0; 0 for its negation) whenever the argmax
+    # xi / sqrt(2) lies inside the window.  With one seed the K = 4 and
+    # K = 8 windows draw the same xi, so their maxima differ only when
+    # xi > 4 sqrt(2) (probability below 1e-8), and the unnormalised
+    # means agree: 8 H_8 = 4 H_4.  The two estimates are not independent
+    # and their noise says nothing about the gap.  The gap left is the
+    # diagonal shift, which the ladder sizes by each matrix's own
+    # diagonal: 3.8e-5 relative measured with pairing, 6.0e-5 without;
+    # the bound leaves 5x over the larger.
     k4 = estimate_pickands(2.0, 1, 4.0, 0.05, 4000, 12)
     k8 = estimate_pickands(2.0, 1, 8.0, 0.05, 4000, 12)
-    combined = math.hypot(k4.stderr, k8.stderr)
-    assert abs(k4.estimate - k8.estimate) <= 3.0 * combined
+    assert 8.0 * k8.estimate == pytest.approx(4.0 * k4.estimate, rel=3e-4)
 
 
 def test_unit_window_matches_closed_form():
@@ -202,7 +290,7 @@ def _lattice_constant_alpha2(cube_side: float, spacing: float) -> float:
     Dieker-Yakir ratio max e^Z / (delta sum e^Z) is a function of xi
     alone and its mean is a 1-D Gaussian integral.
     """
-    steps = math.floor(cube_side / spacing)
+    steps = pickands._lattice_steps(cube_side, spacing)
     t = spacing * (np.arange(steps + 1) - steps // 2)
 
     def integrand(x):
