@@ -35,28 +35,51 @@ above.  With M = sup Z over [0, K]^N, Fubini on the integral gives
       = E[(e^{max(M, 0)} - 1)]
       = E[(e^M - 1)^+],
 
-so it returns the sample mean of K^{-N} (e^M - 1)^+ with M the maximum
-of one exact joint draw over the lattice in [0, K]^N.  That is a
-different number from H at any finite K once N >= 2 (at alpha = 2 it
-is K^{-N} ((1 + K/sqrt(pi))^N - 1) by separability, 0.6004 at N = 2,
-K = 4 against H = 1/pi), and its integrand is heavy-tailed.  The
+so it estimates K^{-N} E[(e^M - 1)^+] with M the maximum of Z over the
+lattice L in [0, K]^N.  That is a different number from H at any
+finite K once N >= 2 (at alpha = 2 it is K^{-N} ((1 + K/sqrt(pi))^N - 1)
+by separability, 0.6004 at N = 2, K = 4 against H = 1/pi).  The
 lattice maximum under-approximates the continuum supremum, so it rises
 as spacing shrinks.  It backs the ``pickands-const`` subcommand.
 
-Both estimators use antithetic pairs.  -W has the law of W, so each
-set of normals gives two exact draws of Z, sqrt(2) W - |s|^alpha and
--sqrt(2) W - |s|^alpha, from one factor product.  A replication's value
-is the mean of the statistic on the two, and the estimate and its
-standard error are those of ``reps`` independent pair means.  A pair
-mean is still bounded by the statistic's bound.  At alpha = 1 the two
-Dieker-Yakir ratios of a pair are negatively correlated: the stderr^2
-falls to 0.41-0.53 of one draw's at N = 1 and 2, for one more pass of
-the statistic over each block.  The window functional is heavy-tailed, and its ratio swings with
-the seed (from 0.25 to 11 over seeds 0-7 at alpha = 1, N = 2).  At
-alpha = 2, W(s) = <s, xi> is linear, so the negated draw is the mirror
-image Z(-s).  On an exactly centred lattice the two ratios then
-coincide, to the rounding of the diagonal shift, and the pairing gains
-nothing there.
+Under plain draws f = (e^M - 1)^+ is heavy-tailed: at alpha = 2 its
+mean lives on draws whose argmax lies near the window's far edge,
+events of probability below 1e-8 at K = 8.  So the window estimator
+changes the measure, after Dieker and Yakir, to
+
+    Q = (Q+ + Q-) / 2,  Q+- = |L|^-1 sum_{tau in L} e^{+-sqrt(2) W(tau) - |tau|^alpha} P.
+
+With Z' = -sqrt(2) W - |s|^alpha and S = sum_L e^Z (the origin adds 1),
+dQ/dP = (S + S') / (2 |L|), so
+
+    g(W) = |L| (f(Z) + f(Z')) / (S + S')
+
+has, under Q, the mean E f(Z) of plain draws, exactly.  It lies in
+[0, |L|), because e^M - 1 < S, so its variance is finite and its
+standard error measures its error.  g is even in W, and Q- is the law
+of -W under Q+, so g has one law under Q+, Q- and Q: only Q+ is drawn.
+Its component tau tilts P by one lattice point's e^{sqrt(2) W(tau)},
+which shifts the normals by a row of the factor of Cov(Z) (see
+``sampling.TiltedFactor``; the pinned origin's row is 0), so it is
+sampled exactly.  At alpha = 1, N = 2, K = 4, spacing 0.1 and 10,000
+replications it gives 1.0887 +- 0.0061 at seed 0, where the plain
+antithetic pair means gave 1.0489 +- 0.0731.  Where e^Z or e^Z' would
+overflow or lose its last bits (|Z| or 2 |s|^alpha above
+``_EXP_SAFE``: wide windows at alpha near 2), the ratio is taken in
+logarithms.
+
+``estimate_pickands_dy`` draws under P and uses antithetic pairs: -W
+has the law of W, so each set of normals gives two exact draws of Z,
+sqrt(2) W - |s|^alpha and -sqrt(2) W - |s|^alpha, from one factor
+product.  A replication's value is the mean of the ratio on the two,
+and the estimate and its standard error are those of ``reps``
+independent pair means.  A pair mean is still bounded by delta^{-N}.
+At alpha = 1 the two ratios of a pair are negatively correlated: the
+stderr^2 falls to 0.41-0.53 of one draw's at N = 1 and 2, for one more
+pass of the statistic over each block.  At alpha = 2, W(s) = <s, xi>
+is linear, so the negated draw is the mirror image Z(-s).  On an
+exactly centred lattice the two ratios then coincide, to the rounding
+of the diagonal shift, and the pairing gains nothing there.
 
 The origin has variance 0; Z(0) = 0 is pinned exactly and only the
 remaining block of the covariance is factorized, so no jitter noise is
@@ -77,6 +100,7 @@ from .sampling import (
     _axis_sum_of_squares,
     _cap_points,
     _check_stream,
+    TiltedFactor,
     draw_in_batches,
     factor_covariance,
     replicate_generator,
@@ -181,9 +205,10 @@ def _drift(lattice: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _factor_w(
-    alpha: float, lattice: np.ndarray
+    alpha: float, lattice: np.ndarray, *, of_z: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor Cov(W) on the positive-variance lattice points.
+    """Factor Cov(W), or with ``of_z`` Cov(sqrt(2) W) = Cov(Z), on the
+    positive-variance lattice points.
 
     Returns (factor, active_mask, drift) where ``active_mask`` flags the
     rows that were factorized; the others (the origin) are pinned to 0.
@@ -199,8 +224,8 @@ def _factor_w(
     norms = drift[active]
     dist_a = _axis_sum_of_squares(pts, pts, lambda k, delta: delta) ** (alpha / 2.0)
     # Symmetric by construction: one gather index per side, commuting sums.
-    cov_w = 0.5 * (norms[:, None] + norms[None, :] - dist_a)
-    factor, _ = factor_covariance(cov_w)
+    cov = (1.0 if of_z else 0.5) * (norms[:, None] + norms[None, :] - dist_a)
+    factor, _ = factor_covariance(cov)
     return factor, active, drift
 
 
@@ -243,17 +268,19 @@ def _check_window(cube_side: float, spacing: float, reps: int) -> tuple[float, f
 
 
 def _lattice_mean(
-    statistic, alpha, n_dim, cube_side, spacing, reps, seed, *, centred: bool
+    statistic, alpha, n_dim, cube_side, spacing, reps, seed, *, window: bool
 ) -> PickandsEstimate:
-    """norm * mean of ``statistic`` (one value per column of a block of Z
-    draws) on the cube lattice: [0, K]^N with norm K^-N, or, centred on
-    the origin, with norm spacing^-N.
+    """norm * mean of ``statistic`` on the cube lattice.
 
-    Each replication's value is the antithetic pair mean (Hammersley and
-    Morton 1956) of the statistic on Z = sqrt(2) W - drift and on
-    Z' = -sqrt(2) W - drift, both from one block of draws.  The
-    estimate and its standard error are those of the ``reps``
-    independent pair means.
+    ``statistic(z, drift)`` maps a block of draws Z = sqrt(2) W - drift
+    of the factorized points, one column per replication, to one value
+    per column; it may overwrite the block.  With ``window`` the lattice
+    is [0, K]^N, the norm K^-N, and W is drawn under the Dieker-Yakir
+    tilt mixture Q+ (see the module docstring) from the factor of
+    Cov(Z), so the tilt adds a factor row as it is.  Otherwise the lattice is
+    centred on the origin, the norm spacing^-N, and W is drawn under P.
+    The estimate and its standard error are those of the ``reps``
+    independent values.
     """
     alpha = _check_alpha(alpha)
     n_dim = _check_dim(n_dim)
@@ -261,23 +288,22 @@ def _lattice_mean(
     seed = _check_stream(seed, reps - 1)
 
     lattice = cube_lattice(n_dim, cube_side, spacing)
-    if centred:
+    if not window:
         lattice = lattice - spacing * (_lattice_steps(cube_side, spacing) // 2)
-    factor, active, drift = _factor_w(alpha, lattice)
+    factor, active, drift = _factor_w(alpha, lattice, of_z=window)
+    if window:
+        factor = TiltedFactor(factor, lattice.shape[0])
     drift_active = drift[active][:, None]
-    mirror = -2.0 * drift_active
 
     stats = np.empty(reps)
     for start, block in draw_in_batches(factor, reps, seed):
-        # Both draws are formed in the block's own buffer, with no
-        # block-sized temporary: Z = SQRT2 * block - drift, then
-        # Z' = -2 drift - Z.
-        block *= SQRT2
+        # Z is formed in the block's own buffer, with no block-sized
+        # temporary.
+        if not window:
+            block *= SQRT2
         block -= drift_active
-        first = statistic(block)
-        np.subtract(mirror, block, out=block)
-        stats[start : start + block.shape[1]] = 0.5 * (first + statistic(block))
-    norm = (spacing if centred else cube_side) ** (-n_dim)
+        stats[start : start + block.shape[1]] = statistic(block, drift_active)
+    norm = (cube_side if window else spacing) ** (-n_dim)
     return PickandsEstimate(
         alpha=alpha,
         n_dim=n_dim,
@@ -290,11 +316,35 @@ def _lattice_mean(
     )
 
 
-def _window_excess(z_vals: np.ndarray) -> np.ndarray:
-    """(e^M - 1)^+ per column, M the column maximum."""
-    # Z(0) = 0 exactly, so the window maximum is at least 0.
-    m = np.maximum(z_vals.max(axis=0), 0.0)
-    return np.maximum(np.expm1(m), 0.0)
+# Largest |Z| and 2 |s|^alpha for which the window statistic takes e^Z
+# and e^Z' = e^{-2 drift} / e^Z directly: e^600 times the 10,000 points of
+# a lattice stays finite and e^-600 normal, so every term that reaches
+# the sums is exact to rounding.
+_EXP_SAFE = 600.0
+
+
+def _tilted_window(z: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """|L| (f(Z) + f(Z')) / (S(Z) + S(Z')) per column, with Z' = -2 drift
+    - Z, f = (e^M - 1)^+ and S = sum e^Z over the lattice L, the pinned
+    Z(0) = 0 included in both (it adds 1 to S).  Overwrites ``z``."""
+    points = z.shape[0] + 1
+    top = np.maximum(z.max(axis=0), 0.0)
+    if 2.0 * drift.max() <= _EXP_SAFE and top.max() <= _EXP_SAFE and z.min() >= -_EXP_SAFE:
+        excess = np.expm1(top)
+        e = np.exp(z, out=z)
+        total = 2.0 + e.sum(axis=0)
+        np.divide(np.exp(-2.0 * drift), e, out=e)
+        total += e.sum(axis=0)
+        excess += np.maximum(e.max(axis=0) - 1.0, 0.0)
+        return points * excess / total
+    # A wide window: the same ratio in logarithms, each term at most 1.
+    log_plus = np.logaddexp(0.0, np.logaddexp.reduce(z, axis=0))
+    np.subtract(-2.0 * drift, z, out=z)
+    top_minus = np.maximum(z.max(axis=0), 0.0)
+    log_total = np.logaddexp(log_plus, np.logaddexp(0.0, np.logaddexp.reduce(z, axis=0)))
+    return points * (
+        np.exp(top - log_total) + np.exp(top_minus - log_total) - 2.0 * np.exp(-log_total)
+    )
 
 
 def _dy_ratio(z_vals: np.ndarray) -> np.ndarray:
@@ -305,13 +355,21 @@ def _dy_ratio(z_vals: np.ndarray) -> np.ndarray:
     return 1.0 / (np.exp(-top) + np.exp(z_vals - top).sum(axis=0))
 
 
+def _dy_pair(z: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    """The antithetic pair mean of ``_dy_ratio`` on Z and on
+    Z' = -2 drift - Z, the second formed in ``z``'s buffer."""
+    first = _dy_ratio(z)
+    np.subtract(-2.0 * drift, z, out=z)
+    return 0.5 * (first + _dy_ratio(z))
+
+
 def estimate_pickands(
     alpha: float, n_dim: int, cube_side: float, spacing: float, reps: int, seed: int
 ) -> PickandsEstimate:
     """Window estimate K^{-N} E[(e^M - 1)^+] on a [0, K]^N lattice, from
-    ``reps`` antithetic pairs of draws."""
+    ``reps`` antithetic pairs of draws under the Dieker-Yakir mixture."""
     return _lattice_mean(
-        _window_excess, alpha, n_dim, cube_side, spacing, reps, seed, centred=False
+        _tilted_window, alpha, n_dim, cube_side, spacing, reps, seed, window=True
     )
 
 
@@ -328,7 +386,7 @@ def estimate_pickands_dy(
     preconditions and the returned record are those of
     ``estimate_pickands``.
     """
-    return _lattice_mean(_dy_ratio, alpha, n_dim, cube_side, spacing, reps, seed, centred=True)
+    return _lattice_mean(_dy_pair, alpha, n_dim, cube_side, spacing, reps, seed, window=False)
 
 
 def resolve_constant(

@@ -57,7 +57,11 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   words written, counter at 0, buffer empty), which gives the same
   streams bit for bit without constructing a generator per replication.
   Each replication's normals fill one contiguous row, and all three
-  factors consume that one loop.  For a dense factor, column j of a block is
+  factors consume that one loop.  A ``TiltedFactor`` (importance
+  sampling) also draws one integer from each replication's stream,
+  after its normals, and adds the row of the dense factor it names to
+  them; the row depends on the stream alone, so tilted draws keep every
+  property above.  For a dense factor, column j of a block is
   the row-blocked lower-triangular product (``_lower_product``,
   ROW_BLOCK rows per block) of replication j's normals: the zeros above
   the diagonal blocks are never multiplied.  At n <= ROW_BLOCK that is
@@ -87,6 +91,7 @@ __all__ = [
     "CirculantFactor",
     "factor_circulant",
     "FeatureFactor",
+    "TiltedFactor",
     "replicate_generator",
     "draw_in_batches",
     "BATCH",
@@ -290,6 +295,30 @@ class FeatureFactor:
         return self.features @ zt.T
 
 
+class TiltedFactor:
+    """A dense lower-triangular factor L drawn under the equal mixture
+    of its exponential tilts, as a map rather than a matrix.
+
+    The mixture runs over tau in range(``points``).  Component tau is
+    the law of X = L z reweighted by e^{X(tau) - Var X(tau) / 2}, which
+    is X with z shifted by L[tau], so each component, and the mixture,
+    is drawn exactly.  Rows tau >= len(L) stand for points of zero
+    variance: their row is 0, and their component is the untilted law.
+    ``len`` is n, the normals per replication.
+    """
+
+    __slots__ = ("factor", "points")
+
+    def __init__(self, factor: np.ndarray, points: int):
+        if points < factor.shape[0]:
+            raise ValidationError(f"{points} tilt points for a factor of {factor.shape[0]} rows")
+        self.factor = factor
+        self.points = points
+
+    def __len__(self) -> int:
+        return self.factor.shape[0]
+
+
 def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:
     """Spectral square root of a block-circulant covariance.
 
@@ -367,24 +396,33 @@ def draw_in_batches(factor, reps: int, seed: int):
     i + j).standard_normal(n), with n = len(factor).  A dense
     lower-triangular factor L (an ndarray) is multiplied as
     ``_lower_product`` does (row blocks of the lower triangle; identical
-    to ``L @ z`` at n <= ROW_BLOCK); any other factor
-    (``CirculantFactor``, ``FeatureFactor``) applies its own ``product``.
-    Block size is fixed at BATCH so the partition never influences the
-    values.
+    to ``L @ z`` at n <= ROW_BLOCK); ``CirculantFactor`` and
+    ``FeatureFactor`` apply their own ``product``.  A ``TiltedFactor``
+    over L with P points draws tau = integers(P) from the same stream
+    after the normals; column j is then L (z + L[tau]), and L z for
+    tau >= n.  Only the first tau + 1 entries of the row, the nonzero
+    ones, are added.  Block size is fixed at BATCH so the partition
+    never influences the values.
     """
     if not isinstance(reps, (int, np.integer)) or reps < 1:
         raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
     seed = _check_stream(seed, reps - 1)
     n = len(factor)
+    tilted = isinstance(factor, TiltedFactor)
+    if tilted:
+        points, factor = factor.points, factor.factor
     dense = isinstance(factor, np.ndarray)
     # A fresh Philox's state is the start of a stream: counter 0, empty
     # buffer.  Assigning it back with only the key changed starts the
-    # stream of another replication.  The key array holds the 128-bit key
-    # low word first.  Local to this call, so interleaved loops share
-    # nothing.
+    # stream of another replication.  The key holds the 128-bit key low
+    # word first.  Its arrays are held as lists of Python ints, which the
+    # state setter converts faster than it copies arrays.  Local to this
+    # call, so interleaved loops share nothing.
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     key[1] = seed
     # One replication's normals per row, written contiguously; the dense
@@ -398,5 +436,10 @@ def draw_in_batches(factor, reps: int, seed: int):
             key[0] = start + j
             bitgen.state = fresh
             gen.standard_normal(n, out=rows[j])
+            if tilted:
+                tau = int(gen.integers(points))
+                if tau < n:
+                    lead = rows[j][: tau + 1]
+                    lead += factor[tau, : tau + 1]
         z = zt[:width]
         yield start, _lower_product(factor, z.T) if dense else factor.product(z)

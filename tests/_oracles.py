@@ -7,8 +7,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.integrate import quad
 
 from excursion.curvatures import Ball, Rectangle
+from excursion.pickands import _lattice_steps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -106,3 +108,33 @@ def squared_exponential_kernel(length_scale, d):
 def c_order_cholesky(mat):
     """The factor LAPACK gives from the C-ordered matrix itself."""
     return np.linalg.cholesky(mat)
+
+
+def pickands_window_alpha2(n_dim, cube_side, spacing):
+    """K^-N E[(e^M - 1)^+] on the [0, K]^N lattice at alpha = 2, exactly.
+
+    At alpha = 2, Z(t) = sqrt(2) t xi - t^2 on each axis with one
+    standard normal xi, so in 1-D M is a function of xi alone and the
+    window value is a 1-D Gaussian integral.  Where lattice point t_k is
+    the argmax, phi(xi) e^M = phi(xi - sqrt(2) t_k), so the integrand is
+    phi(xi - sqrt(2) t_k) - phi(xi) between the kinks (t_{k-1} + t_k) /
+    sqrt(2), and 0 where the origin is the argmax; each piece is one
+    quadrature.  Z is a sum of independent per-axis fields, M the sum of
+    their maxima, so E e^M is the N-th power of the 1-D one:
+    K^-N ((1 + K v_1)^N - 1).
+    """
+    steps = _lattice_steps(cube_side, spacing)
+    t = spacing * np.arange(steps + 1)
+    kinks = np.append((t[:-1] + t[1:]) / math.sqrt(2.0), np.inf)
+
+    def piece(k):
+        shift = math.sqrt(2.0) * t[k]
+        value, _ = quad(
+            lambda x: math.exp(-0.5 * (x - shift) ** 2) - math.exp(-0.5 * x * x),
+            kinks[k - 1],
+            kinks[k],
+        )
+        return value / math.sqrt(2.0 * math.pi)
+
+    one_axis = sum(piece(k) for k in range(1, steps + 1))
+    return ((1.0 + one_axis) ** n_dim - 1.0) / cube_side**n_dim

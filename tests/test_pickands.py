@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from _oracles import pickands_window_alpha2
 from excursion import pickands
 from excursion.errors import ValidationError
 from excursion.pickands import (
@@ -16,7 +17,7 @@ from excursion.pickands import (
     resolve_constant,
     simulate_z,
 )
-from excursion.sampling import draw_in_batches
+from excursion.sampling import TiltedFactor, draw_in_batches
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -143,13 +144,12 @@ def test_estimator_deterministic_and_nonnegative():
     assert 0.0 < a.estimate <= 0.25**-1
 
 
-def _single_and_paired(statistic, alpha, n_dim, cube_side, spacing, reps, seed, centred):
-    """(estimate, stderr) of the statistic on the draws Z alone, and of
-    the antithetic pair means with Z' = -2 drift - Z, rebuilt here from
-    the draw blocks with the estimator's own arithmetic."""
+def _single_and_paired(alpha, n_dim, cube_side, spacing, reps, seed):
+    """(estimate, stderr) of the Dieker-Yakir ratio on the draws Z alone,
+    and of the antithetic pair means with Z' = -2 drift - Z, rebuilt
+    here from the draw blocks with the estimator's own arithmetic."""
     lattice = cube_lattice(n_dim, cube_side, spacing)
-    if centred:
-        lattice = lattice - spacing * (pickands._lattice_steps(cube_side, spacing) // 2)
+    lattice = lattice - spacing * (pickands._lattice_steps(cube_side, spacing) // 2)
     factor, active, drift = pickands._factor_w(alpha, lattice)
     drift = drift[active][:, None]
     single, paired = np.empty(reps), np.empty(reps)
@@ -157,10 +157,10 @@ def _single_and_paired(statistic, alpha, n_dim, cube_side, spacing, reps, seed, 
         block *= math.sqrt(2.0)
         block -= drift
         cols = slice(start, start + block.shape[1])
-        single[cols] = statistic(block)
+        single[cols] = pickands._dy_ratio(block)
         np.subtract(-2.0 * drift, block, out=block)
-        paired[cols] = 0.5 * (single[cols] + statistic(block))
-    norm = (spacing if centred else cube_side) ** (-n_dim)
+        paired[cols] = 0.5 * (single[cols] + pickands._dy_ratio(block))
+    norm = spacing ** (-n_dim)
 
     def summary(stats):
         return norm * float(np.mean(stats)), norm * float(np.std(stats, ddof=1)) / math.sqrt(reps)
@@ -168,17 +168,29 @@ def _single_and_paired(statistic, alpha, n_dim, cube_side, spacing, reps, seed, 
     return summary(single), summary(paired)
 
 
+def _tilted_window_values(alpha, n_dim, cube_side, spacing, reps, seed):
+    """The window estimator's per-replication values, rebuilt here from
+    tilted draw blocks of the factor of Cov(Z)."""
+    lattice = cube_lattice(n_dim, cube_side, spacing)
+    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True)
+    drift = drift[active][:, None]
+    tilted = TiltedFactor(factor, lattice.shape[0])
+    blocks = draw_in_batches(tilted, reps, seed)
+    return lattice.shape[0], np.concatenate(
+        [pickands._tilted_window(block - drift, drift) for _, block in blocks]
+    )
+
+
 def test_estimates_frozen_below_the_row_block():
     # 33 lattice points, 32 factorized: below ROW_BLOCK the draws are the
     # plain dense product, and the statistic is taken in the draw
-    # block's own buffer.  The single-draw values were recorded before
-    # either change; the estimators return the antithetic pair means of
-    # those same draws.
-    single, paired = _single_and_paired(pickands._window_excess, 1.0, 1, 8.0, 0.25, 1000, 3, False)
-    assert single == (0.39212928697168126, 0.054371335235619635)
+    # block's own buffer.  The Dieker-Yakir single-draw values were
+    # recorded before either change; the estimator returns the
+    # antithetic pair means of those same draws.  The window values were
+    # recorded when that estimator moved to the tilted draws.
     a = estimate_pickands(1.0, 1, 8.0, 0.25, 1000, 3)
-    assert (a.estimate, a.stderr) == paired
-    single, paired = _single_and_paired(pickands._dy_ratio, 1.0, 1, 8.0, 0.25, 1000, 3, True)
+    assert (a.estimate, a.stderr) == (0.7158193262524728, 0.01143173543277373)
+    single, paired = _single_and_paired(1.0, 1, 8.0, 0.25, 1000, 3)
     assert single == (0.7264490826566156, 0.008611392406921131)
     b = estimate_pickands_dy(1.0, 1, 8.0, 0.25, 1000, 3)
     assert (b.estimate, b.stderr) == paired
@@ -192,9 +204,7 @@ def test_pairing_is_the_mirror_image_at_smooth_alpha():
     # 1.7e-8 (N = 2) relative, measured; the bound leaves 5x over the
     # larger.  A draw Z' with the drift's sign flipped misses by O(1).
     for n_dim, seed in ((1, 21), (2, 22)):
-        single, paired = _single_and_paired(
-            pickands._dy_ratio, 2.0, n_dim, 2.0, 0.1, 2000, seed, True
-        )
+        single, paired = _single_and_paired(2.0, n_dim, 2.0, 0.1, 2000, seed)
         est = estimate_pickands_dy(2.0, n_dim, 2.0, 0.1, 2000, seed)
         assert (est.estimate, est.stderr) == paired
         assert est.estimate == pytest.approx(single[0], rel=1e-7)
@@ -206,7 +216,7 @@ def test_pairing_reduces_the_variance_at_rough_alpha():
     # 0.455 of the single-draw one here (0.41-0.53 on other seeds and
     # windows).  A second statistic taken on the unflipped block gives
     # exactly 1.
-    single, paired = _single_and_paired(pickands._dy_ratio, 1.0, 1, 8.0, 0.25, 2000, 41, True)
+    single, paired = _single_and_paired(1.0, 1, 8.0, 0.25, 2000, 41)
     est = estimate_pickands_dy(1.0, 1, 8.0, 0.25, 2000, 41)
     assert (est.estimate, est.stderr) == paired
     assert est.stderr**2 <= 0.6 * single[1] ** 2
@@ -222,19 +232,72 @@ def test_estimate_rises_as_spacing_shrinks():
 
 
 def test_window_stability_at_smooth_alpha():
-    # At alpha = 2, N = 1, W(t) = t xi: on [0, K] the window maximum of
-    # Z is xi^2 / 2 (xi > 0; 0 for its negation) whenever the argmax
-    # xi / sqrt(2) lies inside the window.  With one seed the K = 4 and
-    # K = 8 windows draw the same xi, so their maxima differ only when
-    # xi > 4 sqrt(2) (probability below 1e-8), and the unnormalised
-    # means agree: 8 H_8 = 4 H_4.  The two estimates are not independent
-    # and their noise says nothing about the gap.  The gap left is the
-    # diagonal shift, which the ladder sizes by each matrix's own
-    # diagonal: 3.8e-5 relative measured with pairing, 6.0e-5 without;
-    # the bound leaves 5x over the larger.
-    k4 = estimate_pickands(2.0, 1, 4.0, 0.05, 4000, 12)
-    k8 = estimate_pickands(2.0, 1, 8.0, 0.05, 4000, 12)
-    assert 8.0 * k8.estimate == pytest.approx(4.0 * k4.estimate, rel=3e-4)
+    # At alpha = 2 the window value is exact on any lattice (a 1-D
+    # Gaussian integral), and at spacing 0.05 it is the same number on
+    # [0, 4] and [0, 8]: each argmax piece of the integral adds the same
+    # amount.  Both windows must hit it at their own noise.
+    exact = pickands_window_alpha2(1, 4.0, 0.05)
+    assert pickands_window_alpha2(1, 8.0, 0.05) == pytest.approx(exact, rel=1e-12)
+    for side in (4.0, 8.0):
+        est = estimate_pickands(2.0, 1, side, 0.05, 4000, 12)
+        assert abs(est.estimate - exact) <= 3.5 * est.stderr, side
+
+
+def test_window_oracle_sums_to_the_lattice_closed_form():
+    # Each argmax piece of the alpha = 2 window integral is
+    # Phi(spacing / sqrt(2)) - Phi(-spacing / sqrt(2)) = erf(spacing / 2),
+    # so K v_1 = S erf(spacing / 2) for S lattice steps: a check of the
+    # quadrature.  At N = 2 the oracle is (1 + K v_1)^2 - 1 over K^2.
+    for side, spacing in ((1.0, 0.05), (8.0, 0.05), (1.2, 0.1), (250.0, 0.25)):
+        steps = pickands._lattice_steps(side, spacing)
+        one_axis = steps * special.erf(spacing / 2.0)
+        assert pickands_window_alpha2(1, side, spacing) == pytest.approx(
+            one_axis / side, rel=1e-12
+        )
+    one_axis = 10 * special.erf(0.05)
+    assert pickands_window_alpha2(2, 1.0, 0.1) == pytest.approx((1.0 + one_axis) ** 2 - 1.0)
+
+
+def test_window_hits_its_target_where_plain_draws_missed():
+    # The draws that carry the window mean at K = 8 have probability
+    # below 1e-8 under plain sampling, which returned 0.164 +/- 0.023
+    # here; the tilted draws put every lattice point's argmax event in
+    # reach.
+    est = estimate_pickands(2.0, 1, 8.0, 0.05, 4000, 12)
+    assert abs(est.estimate - INV_SQRT_PI) <= 3.5 * est.stderr
+    assert est.stderr < 0.01
+
+
+def test_window_values_are_bounded_by_the_lattice_size():
+    # Each tilted value |L| (f + f') / (S + S') lies in [0, |L|), since
+    # e^M - 1 < S; the estimate is their mean times K^-N.  The values
+    # rebuilt from the draw blocks are the estimator's, bit for bit.
+    for args in ((1.0, 1, 8.0, 0.25, 1000, 3), (1.5, 2, 1.0, 0.125, 1000, 4)):
+        points, values = _tilted_window_values(*args)
+        assert np.all(values >= 0.0) and np.all(values < points)
+        est = estimate_pickands(*args)
+        norm = args[2] ** -args[1]
+        assert est.estimate == norm * float(np.mean(values))
+        assert est.stderr == norm * float(np.std(values, ddof=1)) / math.sqrt(args[4])
+        assert est.estimate < points * norm
+
+
+def test_window_log_branch_matches_the_direct_one(monkeypatch):
+    # With the exponent limit at 0 every block takes the logarithmic
+    # branch; on a window where both apply they agree to rounding.
+    _, direct = _tilted_window_values(1.0, 2, 2.0, 0.25, 600, 8)
+    monkeypatch.setattr(pickands, "_EXP_SAFE", 0.0)
+    _, logs = _tilted_window_values(1.0, 2, 2.0, 0.25, 600, 8)
+    np.testing.assert_allclose(logs, direct, rtol=1e-12, atol=1e-14)
+
+
+def test_wide_window_stays_finite_and_on_target():
+    # At K = 250, Z reaches 250^2 / 2 or so and e^{+-Z} over- or
+    # underflows; the logarithmic branch keeps the ratio exact.
+    exact = pickands_window_alpha2(1, 250.0, 0.25)
+    est = estimate_pickands(2.0, 1, 250.0, 0.25, 2000, 17)
+    assert math.isfinite(est.estimate) and math.isfinite(est.stderr)
+    assert abs(est.estimate - exact) <= 3.5 * est.stderr
 
 
 def test_unit_window_matches_closed_form():

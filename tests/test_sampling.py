@@ -8,6 +8,7 @@ from excursion.sampling import (
     BATCH,
     ROW_BLOCK,
     FeatureFactor,
+    TiltedFactor,
     _lower_product,
     draw_in_batches,
     factor_covariance,
@@ -180,6 +181,48 @@ def test_feature_draws_match_replicate_generator():
             zt = np.vstack([replicate_generator(seed, i).standard_normal(7) for i in streams])
             assert np.array_equal(block, features @ zt.T), (seed, start)
         assert widths == [BATCH, BATCH, 1]
+
+
+def _tilted_oracle(factor, points, seed, i):
+    """Replication i's normals with its tilt row added: z, then the
+    index tau, both from replicate_generator(seed, i)."""
+    n = factor.shape[0]
+    stream = replicate_generator(seed, i)
+    z = stream.standard_normal(n)
+    tau = int(stream.integers(points))
+    return z + (factor[tau] if tau < n else 0.0), tau
+
+
+def test_tilted_draws_match_replicate_generator():
+    # Column i is factor @ (z + row): z then the index tau from
+    # replication i's own stream, row = factor[tau], and 0 for tau >= n.
+    # Bit for bit at n = 5 (the dense product) and against the
+    # row-blocked product above ROW_BLOCK; the zero rows must turn up.
+    for n, points in ((5, 7), (ROW_BLOCK + 1, ROW_BLOCK + 1)):
+        factor, _ = factor_covariance(spd_matrix(n, 6))
+        for seed in (0, 2**64 - 1):
+            seen = set()
+            for start, block in draw_in_batches(TiltedFactor(factor, points), 2 * BATCH + 1, seed):
+                streams = range(start, start + block.shape[1])
+                shifted, taus = zip(*(_tilted_oracle(factor, points, seed, i) for i in streams))
+                seen.update(tau >= n for tau in taus)
+                z = np.vstack(shifted).T
+                expected = factor @ z if n <= ROW_BLOCK else _lower_product(factor, z)
+                assert np.array_equal(block, expected), (n, seed, start)
+            assert seen == ({False, True} if points > n else {False})
+
+
+def test_tilted_draws_extend_as_a_prefix():
+    factor, _ = factor_covariance(spd_matrix(4, 2))
+    tilted = TiltedFactor(factor, 6)
+    _, short = collect(tilted, 700, 11)
+    _, long = collect(tilted, 1030, 11)
+    assert np.array_equal(short, long[:, :700])
+    # The tilt moves the draws, and the untilted loop is left as it was.
+    _, plain = collect(factor, 700, 11)
+    assert not np.array_equal(short, plain)
+    with pytest.raises(ValidationError, match="tilt points"):
+        TiltedFactor(factor, 3)
 
 
 def test_lower_product_agrees_with_dense():
