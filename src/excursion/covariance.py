@@ -53,8 +53,9 @@ class _ModelBase:
     manifold: _ManifoldBase
 
     # The correlation hooks, between two coordinate arrays and for one
-    # pair; ``covariance_matrix``, ``covariance_row`` and ``covariance``
-    # add the point checks and the diagonal pin.  Both default to
+    # pair; ``covariance_table``, ``covariance_matrix``, ``covariance_row``
+    # and ``covariance`` add the point checks, and all but the first the
+    # diagonal pin.  Both default to
     # geodesic distance.  The table hook hands the kernel the distance
     # buffer it just made, which for ``b is a`` is symmetric by
     # construction, so the matrix is too.
@@ -87,6 +88,13 @@ class _ModelBase:
                 f"expected an (n, {self.manifold.dim}) coordinate array, got shape {coords.shape}"
             )
         return coords
+
+    def covariance_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """A new (len(a), len(b)) array of the covariances of the points
+        of ``a`` with those of ``b``, with no diagonal pin: the block
+        columns a dense factorization reads are such tables."""
+        a, b = self._checked_coords(a), self._checked_coords(b)
+        return np.asarray(self._correlation_table(chart, a, b))
 
     def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         """Dense covariance matrix for an (n, dim) coordinate array."""
@@ -298,6 +306,9 @@ class LocallyIsotropicModel(_ModelBase):
     def covariance(self, p: ChartPoint, q: ChartPoint) -> float:
         return self._evaluable().covariance(p, q)
 
+    def covariance_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._evaluable().covariance_table(chart, a, b)
+
     def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
         return self._evaluable().covariance_matrix(chart, coords)
 
@@ -315,6 +326,7 @@ class _ExpPowerKernel(LocallyIsotropicModel):
     full_model: None = field(default=None, init=False, compare=False)
 
     covariance = _ModelBase.covariance
+    covariance_table = _ModelBase.covariance_table
     covariance_matrix = _ModelBase.covariance_matrix
     covariance_row = _ModelBase.covariance_row
 

@@ -100,6 +100,7 @@ from .sampling import (
     _axis_sum_of_squares,
     _cap_points,
     _check_stream,
+    CovarianceColumns,
     TiltedFactor,
     draw_in_batches,
     factor_covariance,
@@ -222,10 +223,18 @@ def _factor_w(
     pts = lattice[active]
     _cap_points(pts.shape[0])
     norms = drift[active]
-    dist_a = _axis_sum_of_squares(pts, pts, lambda k, delta: delta) ** (alpha / 2.0)
-    # Symmetric by construction: one gather index per side, commuting sums.
-    cov = (1.0 if of_z else 0.5) * (norms[:, None] + norms[None, :] - dist_a)
-    factor, _ = factor_covariance(cov)
+    coef = 1.0 if of_z else 0.5
+
+    def block(a, b):
+        # coef * (|s|^alpha + |v|^alpha - |s - v|^alpha) for s in pts[a:],
+        # v in pts[a:b], in the distance buffer.
+        col = _axis_sum_of_squares(pts[a:], pts[a:b], lambda k, delta: delta)
+        col **= alpha / 2.0
+        np.subtract(norms[a:, None] + norms[None, a:b], col, out=col)
+        col *= coef
+        return col
+
+    factor, _ = factor_covariance(CovarianceColumns(block, coef * (norms + norms)))
     return factor, active, drift
 
 
@@ -303,6 +312,8 @@ def _lattice_mean(
             block *= SQRT2
         block -= drift_active
         stats[start : start + block.shape[1]] = statistic(block, drift_active)
+        # Released before the next block is drawn.
+        del block
     norm = (cube_side if window else spacing) ** (-n_dim)
     return PickandsEstimate(
         alpha=alpha,

@@ -14,10 +14,15 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   of 1e-6; a matrix that cannot be factored within the cap raises
   FactorizationError (its smallest eigenvalue goes in the message, so a
   genuinely indefinite kernel is distinguishable from conditioning).
-  The matrix must be exactly symmetric: LAPACK gets its Fortran-order
-  view (``matrix.T``), which numpy copies contiguously instead of by
-  strided columns.  The package's covariance builders are symmetric by
-  construction, so nothing symmetrizes them.
+  The covariance comes in as ``CovarianceColumns``, a source of block
+  columns Cov[a:, a:b] of ROW_BLOCK columns, and the factor is built
+  left-looking, one block column at a time, straight into the one
+  n x n output (Golub & Van Loan, Matrix Computations, 4.2): no
+  covariance matrix, no shifted copy and no LAPACK copy of either is
+  formed.  Only the lower triangle is read, so the source need not be
+  symmetric.  The dense path peaks at the n^2 doubles of the factor
+  plus a few n x ROW_BLOCK panels: 0.8 GB at the ``_MAX_GRID_POINTS``
+  budget.  A whole matrix is accepted too, and read by block columns.
 
 * ``factor_circulant``: the spectral square root of a covariance that
   is block-circulant on a regular lattice, as a stationary kernel is on
@@ -45,8 +50,9 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   another grid (extra points appended) restricts to the sample on the
   smaller grid if both take one diagonal shift (``fixed_rel_jitter``):
   the draws extend exactly, and the factor's leading block is the
-  smaller grid's factor up to rounding (LAPACK blocks the factorization
-  by matrix size), amplified by conditioning.  A circulant factor mixes
+  smaller grid's factor up to rounding (the last block column and the
+  products' shapes depend on the matrix size), amplified by
+  conditioning.  A circulant factor mixes
   every normal into every point, so its sample restricts to no smaller
   grid's.  A feature row depends on its own point alone, so a feature
   sample restricts to the feature sample of any subset of its points:
@@ -87,6 +93,7 @@ import numpy as np
 from .errors import FactorizationError, ValidationError
 
 __all__ = [
+    "CovarianceColumns",
     "factor_covariance",
     "CirculantFactor",
     "factor_circulant",
@@ -108,6 +115,8 @@ _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
 
 # Largest point set whose covariance is built and factorized densely.
+# The dense path holds the n^2 doubles of the factor plus a few
+# n x ROW_BLOCK panels: 0.8 GB at this count.
 _MAX_GRID_POINTS = 10_000
 # Largest replication count one run may ask for: a run holds one or two
 # floats per replication, at most 160 MB at this count.
@@ -169,13 +178,15 @@ def _shift_ladder(attempt, scale: float, smallest):
     """(factor, shift) at the least shift, of 0 and then 1e-12 * scale
     doubling up to the cap, for which ``attempt(shift)`` returns a factor
     rather than None.  Positive definiteness is monotone in the shift,
-    so a failure at the cap refuses at once, naming ``smallest()``."""
+    so a failure at the cap refuses at once, naming ``smallest()``.  The
+    factor at the cap is not kept while smaller shifts are tried, so no
+    two factors are held at once; a matrix that needs the cap itself is
+    factored there twice."""
     factor = attempt(0.0)
     if factor is not None:
         return factor, 0.0
     cap = _MAX_REL_JITTER * scale
-    at_cap = attempt(cap)
-    if at_cap is None:
+    if attempt(cap) is None:
         raise FactorizationError(
             "covariance is not positive semidefinite within the jitter budget: "
             f"smallest eigenvalue {smallest():.6e}, largest allowed diagonal shift {cap:.3e}"
@@ -186,54 +197,111 @@ def _shift_ladder(attempt, scale: float, smallest):
         if factor is not None:
             return factor, shift
         shift *= 2.0
-    return at_cap, cap
+    return attempt(cap), cap
 
 
-def factor_covariance(
-    matrix: np.ndarray, *, fixed_rel_jitter: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of a symmetric covariance matrix.
+class CovarianceColumns:
+    """A covariance matrix as a source of block columns, the form
+    ``factor_covariance`` reads it in.
 
-    Returns (L, shift) with L lower triangular such that
-    L @ L.T = matrix + shift * I; shift is 0.0 when no inflation was
-    needed.  ``fixed_rel_jitter`` bypasses the ladder and applies
-    exactly that relative shift, so that a grid and its refinement share
-    it (see ``validation.sample_field``).
-
-    ``matrix`` must be symmetric to the last bit: LAPACK is handed
-    ``matrix.T``, which for a C-ordered matrix is its Fortran-order
-    view, so numpy copies it to LAPACK's column-major buffer
-    contiguously, and the upper triangle of a C-ordered input is what
-    gets read.  Every covariance the package builds is symmetric by
-    construction: its pairwise tables are (see ``manifolds``), and so is
-    the Pickands W covariance.
+    ``block(a, b)`` returns a new (n - a, b - a) array holding
+    Cov[a:, a:b], which the factorization overwrites; it is asked only
+    for a = 0, ROW_BLOCK, 2 ROW_BLOCK, ... with b = min(a + ROW_BLOCK,
+    n), and for (0, n), the whole matrix, when a refusal names its
+    smallest eigenvalue.  Only its lower triangle is read.
+    ``diagonal`` holds the n diagonal entries; their mean scales the
+    shift ladder.  ``len`` is n.
     """
+
+    __slots__ = ("block", "diagonal")
+
+    def __init__(self, block, diagonal: np.ndarray):
+        self.block = block
+        self.diagonal = diagonal
+
+    def __len__(self) -> int:
+        return self.diagonal.shape[0]
+
+
+def _matrix_columns(matrix) -> CovarianceColumns:
+    """The block columns of a whole square matrix, after checking its shape."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError(f"covariance must be a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValidationError("covariance entries must be finite")
-    n = matrix.shape[0]
+    return CovarianceColumns(lambda a, b: matrix[a:, a:b].copy(), np.diagonal(matrix))
+
+
+def _block_cholesky(cov: CovarianceColumns, shift: float) -> np.ndarray | None:
+    """L with L @ L.T = Cov + shift * I, by left-looking block columns,
+    or None where a diagonal block is not numerically positive definite.
+
+    Block column a:b of L is built from Cov[a:, a:b] alone: the earlier
+    columns' update is one product, the diagonal block is
+    ``np.linalg.cholesky``'s factor, and the panel below it a solve
+    against that block.  Each is written straight into L, whose upper
+    triangle outside the diagonal blocks is never written.  Besides L
+    the peak is a few (n - a) x ROW_BLOCK panels.  At n <= ROW_BLOCK
+    the one block is ``np.linalg.cholesky(Cov + shift * I)`` bit for
+    bit.
+    """
+    n = len(cov)
+    factor = np.zeros((n, n))
+    for a in range(0, n, ROW_BLOCK):
+        b = min(a + ROW_BLOCK, n)
+        col = cov.block(a, b)
+        if not np.isfinite(col).all():
+            raise ValidationError("covariance entries must be finite")
+        if shift:
+            np.fill_diagonal(col, col.diagonal() + shift)
+        if a:
+            col -= factor[a:, :a] @ factor[a:b, :a].T
+        try:
+            top = np.linalg.cholesky(col[: b - a])
+        except np.linalg.LinAlgError:
+            return None
+        factor[a:b, a:b] = top
+        if b < n:
+            factor[b:, a:b] = np.linalg.solve(top, col[b - a :].T).T
+        # Dropped before the next block column is built.
+        del col, top
+    return factor
+
+
+def factor_covariance(
+    cov, *, fixed_rel_jitter: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of a covariance.
+
+    ``cov`` is a ``CovarianceColumns`` source, or a whole square matrix,
+    which is read by block columns.  Returns (L, shift) with L lower
+    triangular such that L @ L.T = Cov + shift * I; shift is 0.0 when
+    no inflation was needed.  ``fixed_rel_jitter`` bypasses the ladder
+    and applies exactly that relative shift, so that a grid and its
+    refinement share it (see ``validation.sample_field``).
+
+    Only the lower triangle is read: a retry builds the block columns
+    again with the shift on their diagonal, and only a refusal builds
+    the whole matrix, to name its smallest eigenvalue.
+    """
+    if not isinstance(cov, CovarianceColumns):
+        cov = _matrix_columns(cov)
+    n = len(cov)
     if n == 0:
         raise ValidationError("covariance must have at least one row")
-    scale = float(np.trace(matrix)) / n
+    scale = float(cov.diagonal.sum()) / n
     if not scale > 0:
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
 
-    def cholesky(shift):
-        # The plain factorization, the common case, builds no identity.
-        shifted = matrix if shift == 0 else matrix + shift * np.eye(n)
-        try:
-            return np.linalg.cholesky(shifted.T)
-        except np.linalg.LinAlgError:
-            return None
-
     if fixed_rel_jitter is None:
-        return _shift_ladder(cholesky, scale, lambda: float(np.linalg.eigvalsh(matrix)[0]))
+        return _shift_ladder(
+            lambda shift: _block_cholesky(cov, shift),
+            scale,
+            lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
+        )
     shift = float(fixed_rel_jitter) * scale
     if not (math.isfinite(shift) and shift >= 0):
         raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
-    factor = cholesky(shift)
+    factor = _block_cholesky(cov, shift)
     if factor is None:
         raise FactorizationError(
             f"factorization failed at the requested diagonal shift {shift:.3e}"

@@ -68,6 +68,7 @@ from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
     _MAX_REPS,
+    CovarianceColumns,
     FeatureFactor,
     _cap_points,
     _check_stream,
@@ -323,9 +324,27 @@ def _factor(model, grid: Grid, fixed_rel_jitter):
         if factor is None:
             factor = _features(model, grid)
     if factor is None:
-        cov = model.covariance_matrix(grid.chart, grid.coords)
-        factor = factor_covariance(cov, fixed_rel_jitter=fixed_rel_jitter)[0]
+        factor = factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
     return factor
+
+
+def _columns(model, grid: Grid) -> CovarianceColumns:
+    """The grid's covariance by block columns: the model's table of
+    coords[a:] against coords[a:b], its diagonal pinned to 1 as
+    ``covariance_matrix`` pins it."""
+    coords = grid.coords
+
+    def block(a, b):
+        rows = coords[a:]
+        # The last column's table is of the rows against themselves, one
+        # array passed twice: sphere kernels then take their inner
+        # products as ``covariance_matrix`` does, by one symmetric
+        # product, so a grid of one block column keeps its matrix's bits.
+        col = model.covariance_table(grid.chart, rows, rows if b == len(coords) else coords[a:b])
+        np.fill_diagonal(col, 1.0)
+        return col
+
+    return CovarianceColumns(block, np.ones(len(grid)))
 
 
 def sample_field(
@@ -360,6 +379,8 @@ def sample_field(
         cols = slice(start, start + block.shape[1])
         sups[1, cols] = block[:head].max(axis=0)
         sups[0, cols] = np.maximum(sups[1, cols], block[head:].max(axis=0, initial=-np.inf))
+        # Released before the next block is drawn.
+        del block
     return sups[0] if prefix is None else sups
 
 

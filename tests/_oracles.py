@@ -110,6 +110,21 @@ def c_order_cholesky(mat):
     return np.linalg.cholesky(mat)
 
 
+def block_column_cholesky(mat, width=256):
+    """Left-looking Cholesky of the whole matrix by block columns of
+    ``width``: each column's update from the earlier ones is one
+    product, its diagonal block LAPACK's factor and the panel below a
+    solve against that block.  ``mat`` already carries any shift."""
+    n = len(mat)
+    low = np.zeros((n, n))
+    for a in range(0, n, width):
+        b = min(a + width, n)
+        col = mat[a:, a:b] - low[a:, :a] @ low[a:b, :a].T
+        low[a:b, a:b] = np.linalg.cholesky(col[: b - a])
+        low[b:, a:b] = np.linalg.solve(low[a:b, a:b], col[b - a :].T).T
+    return low
+
+
 def pickands_window_alpha2(n_dim, cube_side, spacing):
     """K^-N E[(e^M - 1)^+] on the [0, K]^N lattice at alpha = 2, exactly.
 

@@ -8,9 +8,11 @@ every kind of point set the package produces, and keep the dense path
 within the stated number of n x n arrays.  A table of a point set
 against itself must be symmetric by construction, since nothing
 symmetrizes it afterwards.  Covariance matrices are built in the
-distance buffer (kernel in place) and factored from their Fortran-order
-view; they and their factors must equal the whole-array expressions in
-``_oracles`` bit for bit, which symmetrize explicitly.
+distance buffer (kernel in place) and must equal the whole-array
+expressions in ``_oracles`` bit for bit, which symmetrize explicitly.
+They are factored by block columns: at n <= ROW_BLOCK the factor is
+LAPACK's of the whole matrix bit for bit, above it the block-column
+oracle's, with LAPACK's reconstruction error and its ladder shift.
 """
 
 import time
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 from _oracles import (
+    block_column_cholesky,
     broadcast_euclidean,
     broadcast_pickands_cov_w,
     broadcast_torus_chordal,
@@ -41,7 +44,7 @@ from excursion.covariance import (
 from excursion.curvatures import FullSphere, FullTorus, GreatCircle, Rectangle
 from excursion.errors import ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
-from excursion.sampling import _MAX_GRID_POINTS, factor_covariance
+from excursion.sampling import _MAX_GRID_POINTS, ROW_BLOCK, factor_covariance
 from excursion.validation import build_grid
 
 RNG = np.random.default_rng(31)
@@ -85,9 +88,9 @@ def test_pairwise_matches_broadcast(a, b):
 def _captured_cov_w(monkeypatch, alpha, lattice):
     seen = []
 
-    def capture(matrix, **kwargs):
-        seen.append(np.array(matrix))
-        return factor_covariance(matrix, **kwargs)
+    def capture(cov, **kwargs):
+        seen.append(cov)
+        return factor_covariance(cov, **kwargs)
 
     monkeypatch.setattr(pickands, "factor_covariance", capture)
     pickands._factor_w(alpha, lattice)
@@ -99,11 +102,20 @@ def _captured_cov_w(monkeypatch, alpha, lattice):
 def test_pickands_cov_w_matches_broadcast(monkeypatch, alpha):
     centred = pickands.cube_lattice(2, 2.0, 0.25) - 0.25 * 4
     scattered = RNG.uniform(0.0, 3.0, size=(25, 3))
-    for lattice in (pickands.cube_lattice(2, 2.0, 0.25), centred, scattered):
+    # 440 active points: two block columns.
+    wide = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
+    for lattice in (pickands.cube_lattice(2, 2.0, 0.25), centred, scattered, wide):
         cov_w = _captured_cov_w(monkeypatch, alpha, lattice)
+        expected = broadcast_pickands_cov_w(alpha, lattice)
+        n = len(cov_w)
+        whole = cov_w.block(0, n)
         # Nothing symmetrizes it before it is factored.
-        assert np.array_equal(cov_w, cov_w.T)
-        assert np.array_equal(cov_w, broadcast_pickands_cov_w(alpha, lattice))
+        assert np.array_equal(whole, whole.T)
+        assert np.array_equal(whole, expected)
+        assert np.array_equal(cov_w.diagonal, np.diagonal(expected))
+        for a in range(0, n, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, n)
+            assert np.array_equal(cov_w.block(a, b), expected[a:, a:b])
 
 
 def _self_point_sets():
@@ -222,54 +234,90 @@ def _scattered_covariance(n):
     return mat
 
 
+def _lapack_ladder_shift(mat):
+    """The least shift of the ladder, 0 and then 1e-12 * scale doubling,
+    at which LAPACK factors the whole matrix."""
+    scale = float(np.trace(mat)) / len(mat)
+    for shift in [0.0] + [1e-12 * scale * 2.0**k for k in range(20)]:
+        try:
+            c_order_cholesky(mat + shift * np.eye(len(mat)))
+        except np.linalg.LinAlgError:
+            continue
+        return shift
+    raise AssertionError("LAPACK refuses the matrix at every shift below the cap")
+
+
+def _assert_reconstructs(factor, shifted):
+    scale = float(np.trace(shifted)) / len(shifted)
+    assert np.array_equal(factor, np.tril(factor))
+    assert np.abs(factor @ factor.T - shifted).max() <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
 def test_factor_matches_c_order_cholesky(n):
     mat = _scattered_covariance(n)
-    factor, shift = factor_covariance(mat)
-    assert shift == 0.0
-    assert np.array_equal(factor, c_order_cholesky(mat))
-    factor, shift = factor_covariance(mat, fixed_rel_jitter=1e-10)
-    assert shift == 1e-10 * (float(np.trace(mat)) / n)
-    assert np.array_equal(factor, c_order_cholesky(mat + shift * np.eye(n)))
+    for jitter in (None, 1e-10):
+        factor, shift = factor_covariance(mat, fixed_rel_jitter=jitter)
+        assert shift == (0.0 if jitter is None else jitter * (float(np.trace(mat)) / n))
+        shifted = mat + shift * np.eye(n)
+        if n <= ROW_BLOCK:
+            # One block column: LAPACK's factor of the whole matrix.
+            assert np.array_equal(factor, c_order_cholesky(shifted))
+        else:
+            assert np.array_equal(factor, block_column_cholesky(shifted))
+            assert np.abs(factor - c_order_cholesky(shifted)).max() <= 1e-13
+        _assert_reconstructs(factor, shifted)
 
 
 def test_ladder_factor_matches_c_order_cholesky():
     # Degree-3 Schoenberg kernel: rank 16 on 326 points, so only a
-    # shifted matrix factors.
+    # shifted matrix factors, and the block columns take the least shift
+    # LAPACK takes, 1e-12 of the unit diagonal.
     grid = build_grid(FullSphere(2, 1.0), 16)
     model = SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.3, 0.3, 0.2))
     mat = model.covariance_matrix(grid.chart, grid.coords)
     with pytest.raises(np.linalg.LinAlgError):
         c_order_cholesky(mat)
     factor, shift = factor_covariance(mat)
-    assert 0.0 < shift < 1e-6
-    assert np.array_equal(factor, c_order_cholesky(mat + shift * np.eye(len(mat))))
+    assert shift == _lapack_ladder_shift(mat) == 1e-12
+    shifted = mat + shift * np.eye(len(mat))
+    assert np.array_equal(factor, block_column_cholesky(shifted))
+    _assert_reconstructs(factor, shifted)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
     shifts = []
 
-    def record(matrix, **kwargs):
-        factor, shift = factor_covariance(matrix, **kwargs)
+    def record(cov, **kwargs):
+        factor, shift = factor_covariance(cov, **kwargs)
         shifts.append(shift)
         return factor, shift
 
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
     factor, active, _ = pickands._factor_w(alpha, lattice)
-    assert active.sum() > 256
+    assert active.sum() > ROW_BLOCK
     cov_w = broadcast_pickands_cov_w(alpha, lattice)
-    # At alpha = 2, W is linear in s: rank 2, so it takes the ladder.
+    # At alpha = 2, W is linear in s: rank 2, so it takes the ladder, at
+    # LAPACK's shift, 1e-12 of the mean diagonal 2.94.
     (shift,) = shifts
+    assert shift == _lapack_ladder_shift(cov_w)
     assert (shift > 0.0) == (alpha == 2.0)
-    if shift:
-        cov_w = cov_w + shift * np.eye(len(cov_w))
-    assert np.array_equal(factor, c_order_cholesky(cov_w))
+    shifted = cov_w + shift * np.eye(len(cov_w))
+    assert np.array_equal(factor, block_column_cholesky(shifted))
+    if not shift:
+        assert np.abs(factor - c_order_cholesky(shifted)).max() <= 1e-12
+    _assert_reconstructs(factor, shifted)
 
 
 def _peak_doubles(fn):
-    """Peak traced allocation of ``fn()`` in units of 8-byte doubles."""
+    """Peak traced allocation of ``fn()`` in units of 8-byte doubles.
+
+    tracemalloc sees numpy's arrays but not what LAPACK and BLAS malloc
+    for themselves (numpy.linalg's copy of its operand, OpenBLAS's work
+    buffers), so it bounds the package's own arrays only; the child
+    process test below bounds the resident peak."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -304,8 +352,33 @@ def test_plain_factorization_peak_is_the_factor():
     a = np.linspace(0.0, 1.0, n)
     matrix = np.exp(-np.abs(a[:, None] - a[None, :]))
     peak = _peak_doubles(lambda: factor_covariance(matrix))
-    # An unused identity used to double it.
-    assert peak <= 1.0 * n * n + 8192, peak / (n * n)
+    # The factor, one block column and the solve's panel below its
+    # diagonal block.  An unused identity used to double it; LAPACK's
+    # own copy and output of the whole matrix, invisible here, are gone.
+    assert peak <= 1.0 * n * n + 3 * n * ROW_BLOCK, peak / (n * n)
+
+
+def test_pickands_factorization_resident_peak_is_the_factor(monkeypatch):
+    # The default 2-D window, 1680 points, in a fresh single-thread
+    # process, so that the resident peak counts what tracemalloc cannot
+    # see.  The whole-matrix path grew it by 4 n^2 doubles: the distance
+    # table, the covariance, LAPACK's copy and its output.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code = (
+        "import resource\n"
+        "from excursion import pickands\n"
+        "lattice = pickands.cube_lattice(2, 4.0, 0.1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(int(active.sum()), grown)\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    n, grown_kib = map(int, proc.stdout.split())
+    assert n == 1680
+    bound = 8 * (n * n + 6 * n * ROW_BLOCK)
+    assert 1024 * grown_kib <= bound, 1024 * grown_kib / bound
 
 
 def test_lattice_budget_is_checked_before_allocating():
