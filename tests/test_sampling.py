@@ -60,6 +60,9 @@ def test_factor_validation():
         factor_covariance(np.ones((2, 3)))
     with pytest.raises(ValidationError):
         factor_covariance(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # Off the diagonal: refused by the block column's own check.
+    with pytest.raises(ValidationError, match="finite"):
+        factor_covariance(np.array([[1.0, np.nan], [np.nan, 1.0]]))
     with pytest.raises(ValidationError):
         factor_covariance(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
