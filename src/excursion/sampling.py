@@ -31,7 +31,12 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   ``rfftn(row).real``, and a draw is ``irfftn(sqrt(lambda) * rfftn(z))``
   (``CirculantFactor``), with no n x n array and no O(n^3)
   factorization.  It walks ``factor_covariance``'s shift ladder, on the
-  eigenvalues.  ``numpy.fft`` is
+  eigenvalues.  A block of draws is drawn and transformed in steps of
+  ``CirculantFactor.step`` replications, the most whose normals and
+  half-spectrum fit in ``_CIRCULANT_STEP_BYTES`` (2 MiB): each step's
+  spectrum is scaled by the root in place and its reordered field
+  written straight into the block's columns.  Each replication is
+  transformed on its own, so the step decides no value.  ``numpy.fft`` is
   single-threaded and makes no BLAS call, so these draws do not depend
   on the BLAS thread cap; it is loaded on first use, and ``scipy.fft``,
   no faster on the sides the rule admits, would cost its import.
@@ -72,8 +77,8 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   ROW_BLOCK rows per block) of replication j's normals: the zeros above
   the diagonal blocks are never multiplied.  At n <= ROW_BLOCK that is
   ``factor @ z`` bit for bit; above it the two agree to rounding.  A
-  circulant factor transforms the whole block of rows at once, and a
-  feature factor multiplies it by F.
+  circulant factor transforms the block's rows a step at a time, and a
+  feature factor multiplies them by F.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -81,7 +86,11 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   are.  Lattices handed to ``simulate_z`` are checked on the points
   actually factorized.  The replication checks of the grid sampler and
   the Pickands estimators refuse more than ``_MAX_REPS`` replications
-  before the per-replication statistics are allocated.
+  before the per-replication statistics are allocated.  A draw loop
+  holds the n x BATCH block it yields.  The circulant one holds besides
+  it only one step's normals and their transforms, a small multiple of
+  the step budget, so it never holds a whole block's normals or
+  spectra: at the point budget that is one 41 MB block plus a few MB.
 """
 
 from __future__ import annotations
@@ -107,6 +116,9 @@ __all__ = [
 # Replications per matrix-product block.  Fixed: results must not
 # depend on how the replicate loop is carved up.
 BATCH = 512
+# Bytes of normals and half-spectrum one step of a circulant draw may
+# hold (see ``CirculantFactor.step``).
+_CIRCULANT_STEP_BYTES = 2 << 20
 # Rows per block of the lower-triangular draw product.  Fixed for the
 # same reason: the blocking decides how each entry's sum is rounded.
 ROW_BLOCK = 256
@@ -316,30 +328,44 @@ class CirculantFactor:
     ``root`` holds sqrt(lambda + shift) in ``numpy.fft.rfftn`` layout for
     the lattice ``shape``; ``index`` holds, for each point in the
     caller's order, its C-order index on the lattice.  ``len`` is the
-    point count, as for a dense factor.
+    point count, as for a dense factor.  ``step`` is the most
+    replications whose normals and half-spectrum fit in
+    ``_CIRCULANT_STEP_BYTES``, at least 1 and at most BATCH:
+    ``draw_in_batches`` draws and transforms that many at a time.
     """
 
-    __slots__ = ("root", "shape", "index")
+    __slots__ = ("root", "shape", "index", "step")
 
     def __init__(self, root: np.ndarray, shape: tuple[int, ...], index: np.ndarray):
         self.root = root
         self.shape = shape
         self.index = index
+        per_rep = 8 * index.shape[0] + 16 * root.size
+        self.step = max(1, min(BATCH, _CIRCULANT_STEP_BYTES // per_rep))
 
     def __len__(self) -> int:
         return self.index.shape[0]
 
-    def product(self, zt: np.ndarray) -> np.ndarray:
+    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The field for each row of normals in ``zt``, one column per row.
 
         Row j of ``zt`` is laid out on the lattice and convolved with the
         root's kernel, irfftn(root * rfftn(z)), whose covariance is the
-        circulant one; the columns come back in the caller's point order.
+        circulant one; the columns come back in the caller's point order,
+        written into ``out`` (n x rows) when it is given.  Each row is
+        transformed on its own, so a row's column does not depend on how
+        many rows are transformed together.
         """
         axes = tuple(range(1, len(self.shape) + 1))
-        z = zt.reshape(zt.shape[0], *self.shape)
-        x = np.fft.irfftn(np.fft.rfftn(z, axes=axes) * self.root, s=self.shape, axes=axes)
-        return np.take(x.reshape(zt.shape[0], -1), self.index, axis=1).T
+        spectrum = np.fft.rfftn(zt.reshape(zt.shape[0], *self.shape), axes=axes)
+        spectrum *= self.root
+        x = np.fft.irfftn(spectrum, s=self.shape, axes=axes).reshape(zt.shape[0], -1)
+        del spectrum
+        # out.T is C-contiguous when ``out`` is columns of a Fortran-order
+        # block, as ``draw_in_batches`` passes it, so take writes in place.
+        fields = np.empty((zt.shape[0], len(self))) if out is None else out.T
+        np.take(x, self.index, axis=1, out=fields, mode="clip")
+        return fields.T
 
 
 class FeatureFactor:
@@ -358,9 +384,10 @@ class FeatureFactor:
     def __len__(self) -> int:
         return self.features.shape[1]
 
-    def product(self, zt: np.ndarray) -> np.ndarray:
-        """The field for each row of normals in ``zt``, one column per row."""
-        return self.features @ zt.T
+    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The field for each row of normals in ``zt``, one column per row,
+        written into ``out`` when it is given."""
+        return np.matmul(self.features, zt.T, out=out)
 
 
 class TiltedFactor:
@@ -436,8 +463,9 @@ def replicate_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | int(index)))
 
 
-def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``factor @ z`` for a lower-triangular ``factor``, by row blocks.
+def _lower_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``factor @ z`` for a lower-triangular ``factor``, by row blocks,
+    written into ``out`` when it is given.
 
     Rows a:b of the result are ``factor[a:b, :b] @ z[:b]`` for blocks of
     ROW_BLOCK rows, so the columns right of each row block's diagonal
@@ -449,7 +477,8 @@ def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
     block is the whole ``factor @ z``, bit for bit.
     """
     n = factor.shape[0]
-    out = np.empty((n, z.shape[1]))
+    if out is None:
+        out = np.empty((n, z.shape[1]))
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
         np.matmul(factor[a:b, :b], z[:b], out=out[a:b])
@@ -465,7 +494,11 @@ def draw_in_batches(factor, reps: int, seed: int):
     lower-triangular factor L (an ndarray) is multiplied as
     ``_lower_product`` does (row blocks of the lower triangle; identical
     to ``L @ z`` at n <= ROW_BLOCK); ``CirculantFactor`` and
-    ``FeatureFactor`` apply their own ``product``.  A ``TiltedFactor``
+    ``FeatureFactor`` apply their own ``product``.  Each product writes
+    into the block's columns.  A circulant factor is applied ``step``
+    replications at a time, into a block stored by columns; every other
+    factor is applied to the whole block at once, since the partition
+    decides how a BLAS product rounds.  A ``TiltedFactor``
     over L with P points draws tau = integers(P) from the same stream
     after the normals; column j is then L (z + L[tau]), and L z for
     tau >= n.  Only the first tau + 1 entries of the row, the nonzero
@@ -493,21 +526,38 @@ def draw_in_batches(factor, reps: int, seed: int):
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     key[1] = seed
-    # One replication's normals per row, written contiguously; the dense
-    # product reads the transpose.  Never yielded, so reused per block,
-    # and so are the row views, built once rather than per replication.
-    zt = np.empty((min(BATCH, int(reps)), n))
+    # The blocks are drawn and transformed ``step`` replications at a
+    # time: each step's normals fill the rows of one reused buffer, one
+    # contiguous row per replication (the dense product reads the
+    # transpose), and its field goes straight into its columns of the
+    # block.  Only a circulant factor takes less than the whole block;
+    # its block is stored by columns, so a step's columns are one
+    # contiguous run.
+    circulant = isinstance(factor, CirculantFactor)
+    step = factor.step if circulant else BATCH
+    height = factor.features.shape[0] if isinstance(factor, FeatureFactor) else n
+    if dense:
+        def product(z, out):
+            return _lower_product(factor, z.T, out)
+    else:
+        product = factor.product
+    zt = np.empty((min(step, int(reps)), n))
     rows = list(zt)
     for start in range(0, int(reps), BATCH):
         width = min(BATCH, int(reps) - start)
-        for j in range(width):
-            key[0] = start + j
-            bitgen.state = fresh
-            gen.standard_normal(n, out=rows[j])
-            if tilted:
-                tau = int(gen.integers(points))
-                if tau < n:
-                    lead = rows[j][: tau + 1]
-                    lead += factor[tau, : tau + 1]
-        z = zt[:width]
-        yield start, _lower_product(factor, z.T) if dense else factor.product(z)
+        block = np.empty((height, width), order="F" if circulant else "C")
+        for lo in range(0, width, step):
+            count = min(step, width - lo)
+            for j in range(count):
+                key[0] = start + lo + j
+                bitgen.state = fresh
+                gen.standard_normal(out=rows[j])
+                if tilted:
+                    tau = int(gen.integers(points))
+                    if tau < n:
+                        lead = rows[j][: tau + 1]
+                        lead += factor[tau, : tau + 1]
+            product(zt[:count], block[:, lo : lo + count])
+        yield start, block
+        # Released before the next block is allocated.
+        del block

@@ -16,14 +16,19 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_fresh(code):
-    """Run ``code`` in a new interpreter that imports this checkout's ``src``.
+    """Run ``code`` in a new interpreter that imports this checkout's ``src``."""
+    return run_python("-c", code)
+
+
+def run_python(*args):
+    """Run a new interpreter with ``args`` that imports this checkout's ``src``.
 
     The child's ``PYTHONPATH`` starts with ``src``, so the check holds
     whether or not the parent test run found the package that way.
     """
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), path)))}
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def tube_volume_by_counting(domain, r, n_points=10_000_000, key=7):

@@ -6,7 +6,9 @@ matrix to the last bit, the factor must reconstruct the dense matrix,
 and the shift ladder must act on the eigenvalues as the Cholesky ladder
 acts on the matrix.  ``sample_field`` must pick it exactly on the grids
 the selection rule names, and keep the dense path, draw for draw, on
-every other grid.
+every other grid.  A draw transformed a step at a time must equal the
+one-shot transform of its block bit for bit, and its resident peak at
+the point budget must stay near one yielded block.
 """
 
 import math
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from _oracles import run_fresh
 from excursion import validation
 from excursion.covariance import (
     LocallyIsotropicModel,
@@ -27,7 +30,14 @@ from excursion.covariance import (
 from excursion.curvatures import FullTorus, Rectangle
 from excursion.errors import FactorizationError, ValidationError
 from excursion.manifolds import FlatTorus, _ManifoldBase
-from excursion.sampling import draw_in_batches, factor_circulant, factor_covariance
+from excursion.sampling import (
+    _CIRCULANT_STEP_BYTES,
+    BATCH,
+    draw_in_batches,
+    factor_circulant,
+    factor_covariance,
+    replicate_generator,
+)
 from excursion.validation import Grid, build_grid, sample_field
 
 
@@ -133,6 +143,67 @@ def test_factor_validation():
         factor_circulant(np.array([1.0, np.nan, 0.0, np.nan]), np.arange(4))
     with pytest.raises(ValidationError):
         factor_circulant(np.array([0.0, 0.5, 0.0, 0.5]), np.arange(4))
+
+
+@pytest.mark.parametrize(
+    "periods, side", [((1.0, 2.5), 48), ((1.0, 0.7, 3.0), 14)], ids=["2d", "3d"]
+)
+def test_stepped_draws_match_the_one_shot_transform(periods, side):
+    # The draw loop transforms a block a step at a time.  Each block must
+    # be, bit for bit, the transform of the whole block's normals at
+    # once, reordered by the index, for counts that end mid-step and
+    # mid-block.
+    lattice = build_grid(FullTorus(periods), side)
+    n = len(lattice)
+    order = np.random.default_rng(side).permutation(n)
+    shape = (side,) * len(periods)
+    model = StableOnChart(FlatTorus(periods), 1.0, 1.0)
+    row = model.covariance_row(lattice.chart, lattice.coords).reshape(shape)
+    factor, _ = factor_circulant(row, order)
+    step = factor.step
+    assert 1 < step < BATCH and step == _CIRCULANT_STEP_BYTES // (8 * n + 16 * factor.root.size)
+    axes = tuple(range(1, len(shape) + 1))
+    for reps in (1, step - 1, step + 1, BATCH + 1, 2 * BATCH + 7):
+        widths = []
+        for start, block in draw_in_batches(factor, reps, 4):
+            widths.append(block.shape[1])
+            streams = range(start, start + block.shape[1])
+            z = np.stack([replicate_generator(4, i).standard_normal(shape) for i in streams])
+            x = np.fft.irfftn(factor.root * np.fft.rfftn(z, axes=axes), s=shape, axes=axes)
+            assert np.array_equal(block, x.reshape(len(z), n)[:, order].T), (reps, start)
+        assert widths == [min(BATCH, reps - start) for start in range(0, reps, BATCH)]
+
+
+def test_circulant_draw_resident_peak_at_the_cap(monkeypatch):
+    # 10,000 points, the point budget, in a fresh single-thread process.
+    # Besides the one block it yields, the draw holds a step's normals,
+    # spectrum and transforms, about twice the step budget.  The slack
+    # covers that, the lattice index and covariance row, and the
+    # allocator's and the FFT's own overhead: the peak grew by 50 MB in
+    # all.  Drawing each whole block's normals at once grew it by about
+    # 165 MB.
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    code = (
+        "import resource\n"
+        "import numpy.fft\n"
+        "from excursion import validation\n"
+        "from excursion.covariance import StableOnChart\n"
+        "from excursion.curvatures import FullTorus\n"
+        "from excursion.manifolds import FlatTorus\n"
+        "grid = validation.build_grid(FullTorus((1.0, 1.0)), 50).refine()\n"
+        "model = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "validation.sample_field(model, grid, 600, 0, prefix=2500)\n"
+        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(len(grid), type(validation._factor(model, grid, None)).__name__, grown)\n"
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    n, kind, grown_kib = proc.stdout.split()
+    assert (int(n), kind) == (10_000, "CirculantFactor")
+    slack = 16 << 20
+    bound = 8 * int(n) * BATCH + _CIRCULANT_STEP_BYTES + slack
+    assert 1024 * int(grown_kib) <= bound, 1024 * int(grown_kib) / bound
 
 
 # 48 x 48 = 2304 points, over the size rule, with side 2^4 * 3.

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from _oracles import run_fresh
+from _oracles import run_fresh, run_python
 from excursion.cli import build_parser, main, resolve
 from excursion.errors import ConfigError, ValidationError
 from excursion.serialize import format_value
@@ -822,6 +822,42 @@ def test_bench_tracer_installs_on_the_package():
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
+
+
+# The benchmark's three workload commands at their smoke sizes.
+_BENCH_COMMANDS = [
+    pytest.param(
+        ["validate", "--shape", "full_torus", "--periods", "1,1", "--family", "stable_on_chart",
+         "--c", "1", "--alpha", "1", "--h-value", "0.98", "--u", "2,2.5,3", "--resolution", "60",
+         "--reps", "100"],
+        id="validate-torus-dense",
+    ),
+    pytest.param(
+        ["validate", "--shape", "full_sphere", "--dim", "2", "--radius", "1",
+         "--family", "sphere_schoenberg", "--b", "0.2,0.3,0.3,0.2", "--u", "2,2.5,3",
+         "--resolution", "12", "--reps", "2000"],
+        id="validate-sphere-streams",
+    ),
+    pytest.param(
+        ["pickands-const", "--alpha", "1", "--dim", "2", "--reps", "1000"],
+        id="pickands-window",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", _BENCH_COMMANDS)
+def test_traced_run_writes_the_untraced_bytes(tmp_path, argv):
+    # bench/traced.py wraps the package's functions in place; an output
+    # that depended on timing, or on the wrappers, would differ here.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    traced = os.path.join(root, "bench", "traced.py")
+    argv = [*argv, "--seed", "0", "--threads", "2"]
+    plain, spanned = tmp_path / "plain.csv", tmp_path / "traced.csv"
+    proc = run_python("-m", "excursion.cli", *argv, "--output", str(plain))
+    assert proc.returncode == 0, proc.stderr
+    proc = run_python(traced, str(tmp_path / "spans.json"), "--", *argv, "--output", str(spanned))
+    assert proc.returncode == 0, proc.stderr
+    assert spanned.read_bytes() == plain.read_bytes()
 
 
 def test_export_lists_resolve():

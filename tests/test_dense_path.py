@@ -328,15 +328,6 @@ def _peak_doubles(fn):
     return peak / 8.0
 
 
-def test_covariance_matrix_peak_is_three_matrices():
-    grid = build_grid(FullTorus((1.0, 1.0)), 40)
-    n = len(grid)
-    model = StableOnChart(FlatTorus((1.0, 1.0)), c=1.0, alpha=1.0)
-    peak = _peak_doubles(lambda: model.covariance_matrix(grid.chart, grid.coords))
-    # The broadcast build peaked at 7 n^2.
-    assert peak <= 3.0 * n * n + 8192, peak / (n * n)
-
-
 def test_covariance_matrix_peak_is_two_matrices():
     grid = build_grid(FullTorus((1.0, 1.0)), 40)
     n = len(grid)
