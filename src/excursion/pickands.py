@@ -99,8 +99,10 @@ from .sampling import (
     _MAX_REPS,
     _axis_sum_of_squares,
     _cap_points,
+    _check_count,
     _check_stream,
     CovarianceColumns,
+    DenseFactor,
     TiltedFactor,
     draw_in_batches,
     factor_covariance,
@@ -271,9 +273,7 @@ def _check_window(cube_side: float, spacing: float, reps: int) -> tuple[float, f
         raise ValidationError(f"cube side must be at least 1, got {cube_side}")
     if not 0.0 < spacing <= 0.25:
         raise ValidationError(f"spacing must lie in (0, 0.25], got {spacing}")
-    if not isinstance(reps, (int, np.integer)) or not 1000 <= reps <= _MAX_REPS:
-        raise ValidationError(f"replication count must lie in [1000, {_MAX_REPS}], got {reps!r}")
-    return cube_side, spacing, int(reps)
+    return cube_side, spacing, _check_count("replication count", reps, 1000, _MAX_REPS)
 
 
 def _lattice_mean(
@@ -300,8 +300,7 @@ def _lattice_mean(
     if not window:
         lattice = lattice - spacing * (_lattice_steps(cube_side, spacing) // 2)
     factor, active, drift = _factor_w(alpha, lattice, of_z=window)
-    if window:
-        factor = TiltedFactor(factor, lattice.shape[0])
+    factor = TiltedFactor(factor, lattice.shape[0]) if window else DenseFactor(factor)
     drift_active = drift[active][:, None]
 
     stats = np.empty(reps)

@@ -67,18 +67,21 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   builds one Philox per call and re-keys it for each replication (key
   words written, counter at 0, buffer empty), which gives the same
   streams bit for bit without constructing a generator per replication.
-  Each replication's normals fill one contiguous row, and all three
-  factors consume that one loop.  A ``TiltedFactor`` (importance
-  sampling) also draws one integer from each replication's stream,
-  after its normals, and adds the row of the dense factor it names to
-  them; the row depends on the stream alone, so tilted draws keep every
-  property above.  For a dense factor, column j of a block is
-  the row-blocked lower-triangular product (``_lower_product``,
-  ROW_BLOCK rows per block) of replication j's normals: the zeros above
-  the diagonal blocks are never multiplied.  At n <= ROW_BLOCK that is
-  ``factor @ z`` bit for bit; above it the two agree to rounding.  A
-  circulant factor transforms the block's rows a step at a time, and a
-  feature factor multiplies them by F.
+  It reads every factor through one protocol: ``len`` normals per
+  replication, which ``normals(gen, row)`` fills into one contiguous
+  row from the replication's stream; ``height`` field values per
+  replication, in a block stored in ``order``; and ``product(zt, out)``,
+  which writes the fields of up to ``step`` such rows into their
+  columns of the block.  A ``DenseFactor`` takes the whole block at
+  once, since the partition decides how a BLAS product rounds, by row
+  blocks of its lower triangle (``_lower_product``): the zeros above
+  the diagonal blocks are never multiplied, and at n <= ROW_BLOCK it is
+  ``factor @ z`` bit for bit.  A ``TiltedFactor`` (importance sampling)
+  is a dense one whose ``normals`` also draws an integer from the
+  stream and adds the factor row it names; the row depends on the
+  stream alone, so tilted draws keep every property above.  A
+  ``CirculantFactor`` stores its block by columns, so a step's columns
+  are one contiguous run.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -104,6 +107,7 @@ from .errors import FactorizationError, ValidationError
 __all__ = [
     "CovarianceColumns",
     "factor_covariance",
+    "DenseFactor",
     "CirculantFactor",
     "factor_circulant",
     "FeatureFactor",
@@ -321,7 +325,42 @@ def factor_covariance(
     return factor, shift
 
 
-class CirculantFactor:
+class _Factor:
+    """The defaults of the protocol ``draw_in_batches`` reads (see the
+    module docstring): BATCH replications per step, blocks stored by
+    rows, one field value per normal, and plain standard normals."""
+
+    __slots__ = ()
+    step = BATCH
+    order = "C"
+
+    @property
+    def height(self) -> int:
+        return len(self)
+
+    def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
+        gen.standard_normal(out=row)
+
+
+class DenseFactor(_Factor):
+    """A lower-triangular factor L, as a map: the field is L z, by the
+    row-blocked product ``_lower_product``."""
+
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: np.ndarray):
+        self.factor = factor
+
+    def __len__(self) -> int:
+        return self.factor.shape[0]
+
+    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L z for each row z of ``zt``, one column per row, written into
+        ``out`` when it is given."""
+        return _lower_product(self.factor, zt.T, out)
+
+
+class CirculantFactor(_Factor):
     """The symmetric square root of a covariance that is block-circulant
     on a regular lattice, as a map rather than a matrix.
 
@@ -330,11 +369,12 @@ class CirculantFactor:
     caller's order, its C-order index on the lattice.  ``len`` is the
     point count, as for a dense factor.  ``step`` is the most
     replications whose normals and half-spectrum fit in
-    ``_CIRCULANT_STEP_BYTES``, at least 1 and at most BATCH:
-    ``draw_in_batches`` draws and transforms that many at a time.
+    ``_CIRCULANT_STEP_BYTES``, at least 1 and at most BATCH, and blocks
+    are stored by columns.
     """
 
     __slots__ = ("root", "shape", "index", "step")
+    order = "F"
 
     def __init__(self, root: np.ndarray, shape: tuple[int, ...], index: np.ndarray):
         self.root = root
@@ -368,12 +408,12 @@ class CirculantFactor:
         return fields.T
 
 
-class FeatureFactor:
+class FeatureFactor(_Factor):
     """A covariance F F^T given by an (n, r) feature array F with r < n,
     as a map rather than a matrix.
 
-    ``len`` is r, the normals per replication; the field is F z, exact
-    with no factorization and no shift.
+    ``len`` is r, the normals per replication, and ``height`` n; the
+    field is F z, exact with no factorization and no shift.
     """
 
     __slots__ = ("features",)
@@ -384,34 +424,43 @@ class FeatureFactor:
     def __len__(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def height(self) -> int:
+        return self.features.shape[0]
+
     def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The field for each row of normals in ``zt``, one column per row,
         written into ``out`` when it is given."""
         return np.matmul(self.features, zt.T, out=out)
 
 
-class TiltedFactor:
+class TiltedFactor(DenseFactor):
     """A dense lower-triangular factor L drawn under the equal mixture
-    of its exponential tilts, as a map rather than a matrix.
+    of its exponential tilts.
 
     The mixture runs over tau in range(``points``).  Component tau is
     the law of X = L z reweighted by e^{X(tau) - Var X(tau) / 2}, which
     is X with z shifted by L[tau], so each component, and the mixture,
     is drawn exactly.  Rows tau >= len(L) stand for points of zero
     variance: their row is 0, and their component is the untilted law.
-    ``len`` is n, the normals per replication.
     """
 
-    __slots__ = ("factor", "points")
+    __slots__ = ("points",)
 
     def __init__(self, factor: np.ndarray, points: int):
         if points < factor.shape[0]:
             raise ValidationError(f"{points} tilt points for a factor of {factor.shape[0]} rows")
-        self.factor = factor
+        super().__init__(factor)
         self.points = points
 
-    def __len__(self) -> int:
-        return self.factor.shape[0]
+    def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
+        """z, then tau = ``gen.integers(points)`` from the same stream,
+        and z + L[tau]: only the first tau + 1 entries, the nonzero ones,
+        are added, and none for tau >= n."""
+        gen.standard_normal(out=row)
+        tau = int(gen.integers(self.points))
+        if tau < row.shape[0]:
+            row[: tau + 1] += self.factor[tau, : tau + 1]
 
 
 def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:
@@ -455,6 +504,15 @@ def _check_stream(seed, index) -> int:
     return int(seed)
 
 
+def _check_count(name: str, value, low: int, high: int) -> int:
+    """``value`` as an int, after refusing a bool, a non-integer or a
+    count outside [low, high]."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral and low <= value <= high):
+        raise ValidationError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def replicate_generator(seed: int, index: int) -> np.random.Generator:
     """The dedicated stream for replication ``index`` under ``seed``."""
     seed = _check_stream(seed, index)
@@ -488,31 +546,15 @@ def _lower_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = N
 def draw_in_batches(factor, reps: int, seed: int):
     """Yield blocks of exact joint draws as (first_index, samples).
 
-    ``samples`` has one column per replication: column j of a block
-    starting at i is the factor applied to z = replicate_generator(seed,
-    i + j).standard_normal(n), with n = len(factor).  A dense
-    lower-triangular factor L (an ndarray) is multiplied as
-    ``_lower_product`` does (row blocks of the lower triangle; identical
-    to ``L @ z`` at n <= ROW_BLOCK); ``CirculantFactor`` and
-    ``FeatureFactor`` apply their own ``product``.  Each product writes
-    into the block's columns.  A circulant factor is applied ``step``
-    replications at a time, into a block stored by columns; every other
-    factor is applied to the whole block at once, since the partition
-    decides how a BLAS product rounds.  A ``TiltedFactor``
-    over L with P points draws tau = integers(P) from the same stream
-    after the normals; column j is then L (z + L[tau]), and L z for
-    tau >= n.  Only the first tau + 1 entries of the row, the nonzero
-    ones, are added.  Block size is fixed at BATCH so the partition
-    never influences the values.
+    ``samples`` is a ``factor.height`` x width block stored in
+    ``factor.order``, with one column per replication: column j of a
+    block starting at i is ``factor.product`` of the normals
+    ``factor.normals`` fills from replicate_generator(seed, i + j) (see
+    the module docstring).  Block size is fixed at BATCH so the
+    partition never influences the values.
     """
-    if not isinstance(reps, (int, np.integer)) or reps < 1:
-        raise ValidationError(f"replication count must be a positive integer, got {reps!r}")
+    reps = _check_count("replication count", reps, 1, _MAX_REPS)
     seed = _check_stream(seed, reps - 1)
-    n = len(factor)
-    tilted = isinstance(factor, TiltedFactor)
-    if tilted:
-        points, factor = factor.points, factor.factor
-    dense = isinstance(factor, np.ndarray)
     # A fresh Philox's state is the start of a stream: counter 0, empty
     # buffer.  Assigning it back with only the key changed starts the
     # stream of another replication.  The key holds the 128-bit key low
@@ -526,38 +568,21 @@ def draw_in_batches(factor, reps: int, seed: int):
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     key[1] = seed
-    # The blocks are drawn and transformed ``step`` replications at a
-    # time: each step's normals fill the rows of one reused buffer, one
-    # contiguous row per replication (the dense product reads the
-    # transpose), and its field goes straight into its columns of the
-    # block.  Only a circulant factor takes less than the whole block;
-    # its block is stored by columns, so a step's columns are one
-    # contiguous run.
-    circulant = isinstance(factor, CirculantFactor)
-    step = factor.step if circulant else BATCH
-    height = factor.features.shape[0] if isinstance(factor, FeatureFactor) else n
-    if dense:
-        def product(z, out):
-            return _lower_product(factor, z.T, out)
-    else:
-        product = factor.product
-    zt = np.empty((min(step, int(reps)), n))
+    # Each step's normals fill the rows of one reused buffer, and its
+    # field goes straight into its columns of the block.
+    step, normals = factor.step, factor.normals
+    zt = np.empty((min(step, reps), len(factor)))
     rows = list(zt)
-    for start in range(0, int(reps), BATCH):
-        width = min(BATCH, int(reps) - start)
-        block = np.empty((height, width), order="F" if circulant else "C")
+    for start in range(0, reps, BATCH):
+        width = min(BATCH, reps - start)
+        block = np.empty((factor.height, width), order=factor.order)
         for lo in range(0, width, step):
             count = min(step, width - lo)
             for j in range(count):
                 key[0] = start + lo + j
                 bitgen.state = fresh
-                gen.standard_normal(out=rows[j])
-                if tilted:
-                    tau = int(gen.integers(points))
-                    if tau < n:
-                        lead = rows[j][: tau + 1]
-                        lead += factor[tau, : tau + 1]
-            product(zt[:count], block[:, lo : lo + count])
+                normals(gen, rows[j])
+            factor.product(zt[:count], block[:, lo : lo + count])
         yield start, block
         # Released before the next block is allocated.
         del block

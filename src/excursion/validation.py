@@ -28,10 +28,11 @@ by draw rather than by statistical accident.
 Samplers: ``sample_field`` picks one of three factors in ``_factor``.
 
 * circulant (``sampling.factor_circulant``): when the grid is a whole
-  regular lattice of the model's own flat torus (every point exactly
-  i_k * (P_k / R), each once, in any order, as ``build_grid`` and
-  ``Grid.refine`` make them), of at least SPECTRAL_MIN_POINTS points,
-  with a side whose prime factors are all in SPECTRAL_RADICES;
+  lattice of the model's own flat torus that ``build_grid`` or
+  ``Grid.refine`` made, which carries its ``lattice`` index (a
+  hand-built grid carries none, whatever its points), of at least
+  SPECTRAL_MIN_POINTS points, with a side whose prime factors are all
+  in SPECTRAL_RADICES;
 * features (``sampling.FeatureFactor``): for a ``SphereSchoenberg``
   kernel whose feature count r (``feature_count``, known from the
   coefficients alone) is below FEATURE_MAX_SHARE times the grid's point
@@ -69,8 +70,10 @@ from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
     _MAX_REPS,
     CovarianceColumns,
+    DenseFactor,
     FeatureFactor,
     _cap_points,
+    _check_count,
     _check_stream,
     draw_in_batches,
     factor_circulant,
@@ -166,12 +169,18 @@ class McEstimate:
 
 @dataclass(frozen=True, eq=False)
 class Grid:
-    """Evaluation points on a domain, all in one chart."""
+    """Evaluation points on a domain, all in one chart.
+
+    ``lattice`` is set on the flat-torus grids ``build_grid`` and
+    ``refine`` make: each point's C-order index on the R^k lattice of
+    points i_k * (P_k / R).  Every other grid has None.
+    """
 
     domain: object
     chart: str
     coords: np.ndarray = field(repr=False)
     resolution: int
+    lattice: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -187,9 +196,17 @@ class Grid:
         # First occurrences (np.unique sorts stably) past the parent's rows are
         # the fine points the parent lacks, kept in fine-grid order.
         first = np.unique(both, axis=0, return_index=True)[1]
-        coords = np.concatenate([self.coords, both[np.sort(first[first >= len(self)])]])
+        new = np.sort(first[first >= len(self)])
+        coords = np.concatenate([self.coords, both[new]])
         _cap_points(coords.shape[0])
-        return Grid(self.domain, self.chart, coords, fine_res)
+        lattice = None
+        if self.lattice is not None:
+            # Parent point i_k * (P_k / R) is fine point 2 i_k; the new
+            # points' fine-grid positions are their lattice indices.
+            steps = np.unravel_index(self.lattice, (self.resolution,) * self.coords.shape[1])
+            parent = np.ravel_multi_index(2 * np.array(steps), (fine_res,) * len(steps))
+            lattice = np.concatenate([parent, new - len(self)])
+        return Grid(self.domain, self.chart, coords, fine_res, lattice)
 
 
 def _tensor(axes: list[np.ndarray]) -> np.ndarray:
@@ -217,7 +234,7 @@ def build_grid(domain, resolution: int) -> Grid:
     if isinstance(domain, FullTorus):
         _cap_points(resolution, len(domain.periods))
         axes = [np.arange(resolution) * (p / resolution) for p in domain.periods]
-        return Grid(domain, "main", _tensor(axes), resolution)
+        return Grid(domain, "main", _tensor(axes), resolution, np.arange(resolution**domain.k))
 
     if isinstance(domain, FullSphere):
         if domain.dim == 1:
@@ -252,80 +269,37 @@ def build_grid(domain, resolution: int) -> Grid:
     raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
 
 
-def _spectral_index(model, grid: Grid) -> np.ndarray | None:
-    """The C-order lattice index of each grid point, when the circulant
-    sampler applies; else None.
-
-    It applies when ``grid`` is a whole regular lattice of the model's
-    own flat torus: every point exactly i_k * (P_k / R), as
-    ``build_grid`` makes them, each lattice point once, in any order;
-    and when the lattice is one the FFT wins on (see
-    SPECTRAL_MIN_POINTS).
-    """
-    domain, side = grid.domain, grid.resolution
-    if not (
-        isinstance(domain, FullTorus)
-        and model.manifold == domain.manifold
-        and isinstance(side, (int, np.integer))
-    ):
-        return None
-    n, k = len(grid), domain.k
-    if n < SPECTRAL_MIN_POINTS or grid.coords.shape != (side**k, k):
-        return None
-    rest = side
-    for prime in SPECTRAL_RADICES:
-        while rest % prime == 0:
-            rest //= prime
-    if rest != 1:
-        return None
-    pitch = np.array([p / side for p in domain.periods])
-    steps = np.rint(grid.coords / pitch)
-    if not (np.array_equal(steps * pitch, grid.coords) and steps.min() >= 0 and steps.max() < side):
-        return None
-    index = np.ravel_multi_index(steps.astype(np.intp).T, (side,) * k)
-    seen = np.zeros(n, dtype=bool)
-    seen[index] = True
-    return index if seen.all() else None
-
-
-def _circulant(model, grid: Grid):
-    """The circulant factor where ``_spectral_index`` admits the grid."""
-    index = _spectral_index(model, grid)
-    if index is None:
-        return None
-    # The grid's points in lattice order are the build_grid lattice.
-    lattice = np.empty_like(grid.coords)
-    lattice[index] = grid.coords
-    shape = (grid.resolution,) * lattice.shape[1]
-    row = model.covariance_row(grid.chart, lattice).reshape(shape)
-    return factor_circulant(row, index)[0]
-
-
-def _features(model, grid: Grid):
-    """The feature factor of a Schoenberg kernel with fewer than
-    FEATURE_MAX_SHARE features per grid point, counted before any is
-    built."""
-    if not (
-        isinstance(model, SphereSchoenberg)
-        and model.feature_count() < FEATURE_MAX_SHARE * len(grid)
-    ):
-        return None
-    return FeatureFactor(model.features(grid.chart, grid.coords))
-
-
 def _factor(model, grid: Grid, fixed_rel_jitter):
-    """The circulant or feature factor where its rule admits the input,
-    else the dense Cholesky factor, which a fixed jitter always takes:
-    it serves restriction across grids, which only the dense factor
-    gives."""
-    factor = None
+    """The circulant factor where the grid is a lattice of the model's
+    own torus that the FFT wins on (see SPECTRAL_MIN_POINTS), else the
+    feature factor of a Schoenberg kernel with fewer than
+    FEATURE_MAX_SHARE features per grid point (counted before any is
+    built), else the dense Cholesky factor.  A fixed jitter always takes
+    the dense one: it serves restriction across grids, which only the
+    dense factor gives."""
     if fixed_rel_jitter is None:
-        factor = _circulant(model, grid)
-        if factor is None:
-            factor = _features(model, grid)
-    if factor is None:
-        factor = factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
-    return factor
+        side = grid.resolution
+        if (
+            grid.lattice is not None
+            and model.manifold == grid.domain.manifold
+            and len(grid) >= SPECTRAL_MIN_POINTS
+        ):
+            rest = side
+            for prime in SPECTRAL_RADICES:
+                while rest % prime == 0:
+                    rest //= prime
+            if rest == 1:
+                # The grid's points in lattice order are the build_grid lattice.
+                lattice = np.empty_like(grid.coords)
+                lattice[grid.lattice] = grid.coords
+                row = model.covariance_row(grid.chart, lattice).reshape((side,) * grid.domain.k)
+                return factor_circulant(row, grid.lattice)[0]
+        few = FEATURE_MAX_SHARE * len(grid)
+        if isinstance(model, SphereSchoenberg) and model.feature_count() < few:
+            return FeatureFactor(model.features(grid.chart, grid.coords))
+    return DenseFactor(
+        factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
+    )
 
 
 def _columns(model, grid: Grid) -> CovarianceColumns:
@@ -367,15 +341,12 @@ def sample_field(
     up to rounding in the product when those m points take it too; on
     the circulant path (see the module docstring) it is not.
     """
-    if not isinstance(reps, (int, np.integer)) or not 1 <= reps <= _MAX_REPS:
-        raise ValidationError(f"replication count must lie in [1, {_MAX_REPS}], got {reps!r}")
+    reps = _check_count("replication count", reps, 1, _MAX_REPS)
     _check_stream(seed, reps - 1)
-    head = len(grid) if prefix is None else prefix
-    if not isinstance(head, (int, np.integer)) or not 1 <= head <= len(grid):
-        raise ValidationError(f"prefix must lie in [1, {len(grid)}], got {prefix!r}")
+    head = len(grid) if prefix is None else _check_count("prefix", prefix, 1, len(grid))
     factor = _factor(model, grid, fixed_rel_jitter)
-    sups = np.empty((2, int(reps)))
-    for start, block in draw_in_batches(factor, int(reps), seed):
+    sups = np.empty((2, reps))
+    for start, block in draw_in_batches(factor, reps, seed):
         cols = slice(start, start + block.shape[1])
         sups[1, cols] = block[:head].max(axis=0)
         sups[0, cols] = np.maximum(sups[1, cols], block[head:].max(axis=0, initial=-np.inf))

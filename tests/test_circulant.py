@@ -33,6 +33,7 @@ from excursion.manifolds import FlatTorus, _ManifoldBase
 from excursion.sampling import (
     _CIRCULANT_STEP_BYTES,
     BATCH,
+    DenseFactor,
     draw_in_batches,
     factor_circulant,
     factor_covariance,
@@ -234,7 +235,7 @@ def test_spectral_agrees_with_dense_in_distribution(monkeypatch):
     grid = build_grid(FullTorus((1.0, 1.0)), 48)
     reps = 4000
     factor, _ = factor_covariance(STABLE.covariance_matrix(grid.chart, grid.coords))
-    dense = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, 71)])
+    dense = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), reps, 71)])
     _never_dense(monkeypatch)
     spectral = sample_field(STABLE, grid, reps, 72)
     for u in (2.0, 2.5, 3.0):
@@ -291,5 +292,5 @@ def test_dense_path_kept_off_the_rule(monkeypatch, model, grid, kwargs):
 
     monkeypatch.setattr(validation, "factor_circulant", unreachable)
     factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords), **kwargs)
-    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 40, 9)])
+    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), 40, 9)])
     assert np.array_equal(sample_field(model, grid, 40, 9, **kwargs), expected)

@@ -858,6 +858,12 @@ def test_traced_run_writes_the_untraced_bytes(tmp_path, argv):
     proc = run_python(traced, str(tmp_path / "spans.json"), "--", *argv, "--output", str(spanned))
     assert proc.returncode == 0, proc.stderr
     assert spanned.read_bytes() == plain.read_bytes()
+    # The draw span's attrs read len(factor): a factor it cannot measure
+    # would fail here, not only in the benchmark.
+    spans = json.loads((tmp_path / "spans.json").read_text())
+    draws = [attrs for name, _, _, _, attrs in spans if name == "sampling.draw" and attrs]
+    reps = int(argv[argv.index("--reps") + 1])
+    assert draws and all(a["n"] > 0 and a["reps"] == reps for a in draws), draws
 
 
 def test_export_lists_resolve():

@@ -7,6 +7,7 @@ from excursion.errors import FactorizationError, ValidationError
 from excursion.sampling import (
     BATCH,
     ROW_BLOCK,
+    DenseFactor,
     FeatureFactor,
     TiltedFactor,
     _lower_product,
@@ -120,7 +121,7 @@ def collect(factor, reps, seed):
 
 def test_draws_partition_in_fixed_batches():
     factor, _ = factor_covariance(spd_matrix(3, 4))
-    starts, samples = collect(factor, 1030, 11)
+    starts, samples = collect(DenseFactor(factor), 1030, 11)
     assert starts == [0, BATCH, 2 * BATCH]
     assert samples.shape == (3, 1030)
 
@@ -128,14 +129,14 @@ def test_draws_partition_in_fixed_batches():
 def test_draws_extend_as_a_prefix():
     # Growing the replication budget must leave earlier replications
     # untouched: per-replication streams, not one shared stream.
-    factor, _ = factor_covariance(spd_matrix(3, 4))
+    factor = DenseFactor(factor_covariance(spd_matrix(3, 4))[0])
     _, short = collect(factor, 700, 11)
     _, long = collect(factor, 1030, 11)
     assert np.array_equal(short, long[:, :700])
 
 
 def test_draws_deterministic():
-    factor, _ = factor_covariance(spd_matrix(2, 5))
+    factor = DenseFactor(factor_covariance(spd_matrix(2, 5))[0])
     _, a = collect(factor, 600, 2)
     _, b = collect(factor, 600, 2)
     assert np.array_equal(a, b)
@@ -154,7 +155,7 @@ def test_draws_match_replicate_generator():
     factor, _ = factor_covariance(spd_matrix(5, 6))
     for seed in (0, 12345, 2**64 - 1):
         widths = []
-        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+        for start, block in draw_in_batches(DenseFactor(factor), 2 * BATCH + 1, seed):
             widths.append(block.shape[1])
             streams = range(start, start + block.shape[1])
             z = np.column_stack([replicate_generator(seed, i).standard_normal(5) for i in streams])
@@ -163,7 +164,7 @@ def test_draws_match_replicate_generator():
     n = ROW_BLOCK + 1
     factor, _ = factor_covariance(spd_matrix(n, 6))
     for seed in (0, 12345, 2**64 - 1):
-        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+        for start, block in draw_in_batches(DenseFactor(factor), 2 * BATCH + 1, seed):
             streams = range(start, start + block.shape[1])
             z = np.vstack([replicate_generator(seed, i).standard_normal(n) for i in streams]).T
             assert np.array_equal(block, _lower_product(factor, z)), (seed, start)
@@ -222,10 +223,50 @@ def test_tilted_draws_extend_as_a_prefix():
     _, long = collect(tilted, 1030, 11)
     assert np.array_equal(short, long[:, :700])
     # The tilt moves the draws, and the untilted loop is left as it was.
-    _, plain = collect(factor, 700, 11)
+    _, plain = collect(DenseFactor(factor), 700, 11)
     assert not np.array_equal(short, plain)
     with pytest.raises(ValidationError, match="tilt points"):
         TiltedFactor(factor, 3)
+
+
+class _Identity:
+    """A factor the draw loop knows only through the protocol: the field
+    is the normals themselves, three replications a step, in blocks
+    stored by columns.  ``counts`` records each product's row count."""
+
+    step = 3
+    order = "F"
+    height = 4
+
+    def __init__(self):
+        self.counts = []
+
+    def __len__(self):
+        return 4
+
+    def normals(self, gen, row):
+        gen.standard_normal(out=row)
+
+    def product(self, zt, out):
+        self.counts.append(zt.shape[0])
+        out[...] = zt.T
+
+
+def test_draw_loop_reads_only_the_factor_protocol():
+    # Counts that end mid-step (BATCH is not a multiple of 3) and
+    # mid-block: every block must hold the replications' own normals bit
+    # for bit, in the declared order, filled at most a step at a time.
+    for reps in (1, 2, 4, BATCH + 1, 2 * BATCH + 7):
+        factor = _Identity()
+        widths = []
+        for start, block in draw_in_batches(factor, reps, 8):
+            assert block.flags.f_contiguous and block.shape[0] == 4
+            widths.append(block.shape[1])
+            streams = range(start, start + block.shape[1])
+            z = np.vstack([replicate_generator(8, i).standard_normal(4) for i in streams]).T
+            assert np.array_equal(block, z), (reps, start)
+        assert widths == [min(BATCH, reps - start) for start in range(0, reps, BATCH)]
+        assert max(factor.counts) <= 3 and sum(factor.counts) == reps
 
 
 def test_lower_product_agrees_with_dense():
@@ -251,7 +292,7 @@ def test_lower_product_agrees_with_dense():
 
 
 def test_interleaved_draw_loops_do_not_share_state():
-    factor, _ = factor_covariance(spd_matrix(3, 7))
+    factor = DenseFactor(factor_covariance(spd_matrix(3, 7))[0])
     alone = {seed: [b for _, b in draw_in_batches(factor, 2 * BATCH + 1, seed)] for seed in (1, 2)}
     loops = {seed: draw_in_batches(factor, 2 * BATCH + 1, seed) for seed in (1, 2)}
     for k in range(3):
@@ -262,11 +303,10 @@ def test_interleaved_draw_loops_do_not_share_state():
 
 
 def test_draws_validation():
-    factor, _ = factor_covariance(spd_matrix(2, 5))
-    with pytest.raises(ValidationError):
-        list(draw_in_batches(factor, 0, 1))
-    with pytest.raises(ValidationError):
-        list(draw_in_batches(factor, 2.5, 1))
+    factor = DenseFactor(factor_covariance(spd_matrix(2, 5))[0])
+    for reps in (0, 2.5, True):
+        with pytest.raises(ValidationError, match="replication count"):
+            list(draw_in_batches(factor, reps, 1))
     for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ValidationError, match="seed"):
             list(draw_in_batches(factor, 3, seed))
@@ -275,7 +315,7 @@ def test_draws_validation():
 def test_draws_have_target_covariance():
     mat = spd_matrix(3, 8)
     factor, _ = factor_covariance(mat)
-    _, samples = collect(factor, 4000, 13)
+    _, samples = collect(DenseFactor(factor), 4000, 13)
     sample_cov = np.cov(samples)
     # 4000 draws pin a 3x3 covariance to a few percent.
     assert sample_cov == pytest.approx(mat, rel=0.15, abs=0.3)

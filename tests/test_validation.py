@@ -17,7 +17,7 @@ from excursion.covariance import (
 from excursion.curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from excursion.errors import FactorizationError, UnsupportedShapeError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
-from excursion.sampling import FeatureFactor, draw_in_batches, factor_covariance
+from excursion.sampling import DenseFactor, FeatureFactor, draw_in_batches, factor_covariance
 from excursion.validation import (
     Grid,
     Z95,
@@ -128,6 +128,30 @@ def test_grid_refinement_keeps_parent_prefix():
             assert np.array_equal(np.unique(fine.coords, axis=0), np.unique(target, axis=0))
 
 
+def test_torus_grids_carry_their_lattice():
+    # On built and twice-refined flat tori, point j sits bit for bit at
+    # lattice index lattice[j], unravelled, times P_k / R, and the index
+    # covers the R^k lattice once.  No other grid carries one.
+    for periods, side in (((0.7,), 5), ((1.0, 2.5), 3), ((1.0, 0.7, 3.0), 2)):
+        grid = build_grid(FullTorus(periods), side)
+        for _ in range(3):
+            shape = (grid.resolution,) * len(periods)
+            steps = np.unravel_index(grid.lattice, shape)
+            pitch = [p / grid.resolution for p in periods]
+            expected = np.stack([i * h for i, h in zip(steps, pitch)], axis=-1)
+            assert np.array_equal(grid.coords, expected), (periods, shape)
+            assert np.array_equal(np.sort(grid.lattice), np.arange(math.prod(shape)))
+            grid = grid.refine()
+    for domain, res in [
+        (Rectangle((1.0, 2.0)), 4),
+        (FullSphere(2, 1.0), 4),
+        (FullSphere(1, 1.0), 6),
+        (GreatCircle(1.0), 6),
+    ]:
+        grid = build_grid(domain, res)
+        assert grid.lattice is None and grid.refine().lattice is None
+
+
 def test_single_point_grid_matches_marginal():
     model = PoweredExponential(FlatTorus((1.0,)), 1.0, 1.0)
     grid = Grid(domain=FullTorus((1.0,)), chart="main", coords=np.array([[0.0]]), resolution=1)
@@ -157,7 +181,7 @@ def test_sampled_field_reproduces_covariance():
     cov = model.covariance_matrix(grid.chart, grid.coords)
     factor, _ = factor_covariance(cov)
     pair = []
-    for _, block in draw_in_batches(factor, 20_000, 23):
+    for _, block in draw_in_batches(DenseFactor(factor), 20_000, 23):
         pair.append(block[[0, 25], :])
     sample_corr = float(np.corrcoef(np.hstack(pair))[0, 1])
     assert abs(sample_corr - cov[0, 25]) <= 0.02
@@ -174,6 +198,8 @@ def test_bad_seed_refused_before_the_covariance_is_built(monkeypatch):
     # At resolution 60 the covariance is 3600 x 3600: the seed is checked
     # beside the replication count, before it is built and factorized.
     # The 60 x 60 lattice takes the circulant path, which builds one row.
+    # A bool is no count: True is refused as a replication count and as
+    # a prefix, not read as 1.
     def unreachable(*args):
         raise AssertionError("the covariance was built before the seed was checked")
 
@@ -183,6 +209,11 @@ def test_bad_seed_refused_before_the_covariance_is_built(monkeypatch):
     for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ValidationError, match="seed"):
             empirical_excursion(stable, FullTorus((1.0, 1.0)), [2.0], 60, 1000, seed)
+    grid = build_grid(FullTorus((1.0, 1.0)), 60)
+    with pytest.raises(ValidationError, match="replication count"):
+        sample_field(stable, grid, True, 0)
+    with pytest.raises(ValidationError, match="prefix"):
+        sample_field(stable, grid, 10, 0, prefix=True)
 
 
 def test_refinement_monotonicity_with_shared_replications():
@@ -196,7 +227,7 @@ def test_refinement_monotonicity_with_shared_replications():
     cov = stable.covariance_matrix(fine_grid.chart, fine_grid.coords)
     factor, _ = factor_covariance(cov, fixed_rel_jitter=1e-10)
     n_coarse = len(coarse_grid)
-    for _, block in draw_in_batches(factor, 1000, 11):
+    for _, block in draw_in_batches(DenseFactor(factor), 1000, 11):
         assert np.all(block[:n_coarse].max(axis=0) <= block.max(axis=0))
 
     # End-to-end half: independent coarse and fine runs under matched
@@ -351,7 +382,7 @@ def _no_covariance_matrix(monkeypatch):
 def _dense_sups(model, grid, reps, seed, **kwargs):
     cov = model.covariance_matrix(grid.chart, grid.coords)
     factor, _ = factor_covariance(cov, **kwargs)
-    return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, seed)])
+    return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), reps, seed)])
 
 
 def test_feature_path_agrees_with_dense_in_distribution(monkeypatch):
@@ -359,7 +390,7 @@ def test_feature_path_agrees_with_dense_in_distribution(monkeypatch):
     grid = coarse.refine()
     reps = 8000
     factor, _ = factor_covariance(CUBIC.covariance_matrix(grid.chart, grid.coords))
-    blocks = [b for _, b in draw_in_batches(factor, reps, 71)]
+    blocks = [b for _, b in draw_in_batches(DenseFactor(factor), reps, 71)]
     dense = [np.concatenate([b[:m].max(axis=0) for b in blocks]) for m in (len(grid), len(coarse))]
     _no_covariance_matrix(monkeypatch)
     sups = sample_field(CUBIC, grid, reps, 72, prefix=len(coarse))
