@@ -107,7 +107,7 @@ def _as_int(value, field: str) -> int:
         raise ConfigError(field, f"expected an integer, got {value!r}")
     try:
         out = int(value)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(field, f"expected an integer, got {value!r}")
     if isinstance(value, float) and value != out:
         raise ConfigError(field, f"expected an integer, got {value!r}")

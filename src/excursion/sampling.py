@@ -31,12 +31,12 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   ``rfftn(row).real``, and a draw is ``irfftn(sqrt(lambda) * rfftn(z))``
   (``CirculantFactor``), with no n x n array and no O(n^3)
   factorization.  It walks ``factor_covariance``'s shift ladder, on the
-  eigenvalues.  A block of draws is drawn and transformed in steps of
+  eigenvalues.  Draws are made and transformed in blocks of
   ``CirculantFactor.step`` replications, the most whose normals and
-  half-spectrum fit in ``_CIRCULANT_STEP_BYTES`` (2 MiB): each step's
-  spectrum is scaled by the root in place and its reordered field
-  written straight into the block's columns.  Each replication is
-  transformed on its own, so the step decides no value.  ``numpy.fft`` is
+  half-spectrum fit in ``_CIRCULANT_STEP_BYTES`` (2 MiB): each block's
+  spectrum is scaled by the root in place and its field reordered into
+  the caller's point order.  Each replication is transformed on its
+  own, so the step decides no value.  ``numpy.fft`` is
   single-threaded and makes no BLAS call, so these draws do not depend
   on the BLAS thread cap; it is loaded on first use, and ``scipy.fft``,
   no faster on the sides the rule admits, would cost its import.
@@ -69,19 +69,16 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   streams bit for bit without constructing a generator per replication.
   It reads every factor through one protocol: ``len`` normals per
   replication, which ``normals(gen, row)`` fills into one contiguous
-  row from the replication's stream; ``height`` field values per
-  replication, in a block stored in ``order``; and ``product(zt, out)``,
-  which writes the fields of up to ``step`` such rows into their
-  columns of the block.  A ``DenseFactor`` takes the whole block at
-  once, since the partition decides how a BLAS product rounds, by row
-  blocks of its lower triangle (``_lower_product``): the zeros above
-  the diagonal blocks are never multiplied, and at n <= ROW_BLOCK it is
-  ``factor @ z`` bit for bit.  A ``TiltedFactor`` (importance sampling)
-  is a dense one whose ``normals`` also draws an integer from the
-  stream and adds the factor row it names; the row depends on the
-  stream alone, so tilted draws keep every property above.  A
-  ``CirculantFactor`` stores its block by columns, so a step's columns
-  are one contiguous run.
+  row from the replication's stream; and ``product(zt)``, which
+  returns the fields of up to ``step`` such rows as the columns of a new
+  block, the one the loop yields.  A ``DenseFactor`` keeps a step of BATCH, since the partition
+  decides how a BLAS product rounds, by row blocks of its lower
+  triangle (``_lower_product``): the zeros above the diagonal blocks
+  are never multiplied, and at n <= ROW_BLOCK it is ``factor @ z`` bit
+  for bit.  A ``TiltedFactor`` (importance sampling) is a dense one
+  whose ``normals`` also draws an integer from the stream and adds the
+  factor row it names; the row depends on the stream alone, so tilted
+  draws keep every property above.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -90,10 +87,12 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   actually factorized.  The replication checks of the grid sampler and
   the Pickands estimators refuse more than ``_MAX_REPS`` replications
   before the per-replication statistics are allocated.  A draw loop
-  holds the n x BATCH block it yields.  The circulant one holds besides
-  it only one step's normals and their transforms, a small multiple of
-  the step budget, so it never holds a whole block's normals or
-  spectra: at the point budget that is one 41 MB block plus a few MB.
+  holds one step's normals and the product it makes of them, and keeps
+  no reference to a block it has yielded.  A dense or feature loop's
+  block is n x BATCH.  A circulant block, with its normals and
+  transforms, is a small multiple of the step budget, whatever n: at
+  the point budget the step is 12 replications, and the loop holds a
+  few MB.
 """
 
 from __future__ import annotations
@@ -327,16 +326,11 @@ def factor_covariance(
 
 class _Factor:
     """The defaults of the protocol ``draw_in_batches`` reads (see the
-    module docstring): BATCH replications per step, blocks stored by
-    rows, one field value per normal, and plain standard normals."""
+    module docstring): BATCH replications per step and plain standard
+    normals."""
 
     __slots__ = ()
     step = BATCH
-    order = "C"
-
-    @property
-    def height(self) -> int:
-        return len(self)
 
     def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
         gen.standard_normal(out=row)
@@ -354,10 +348,9 @@ class DenseFactor(_Factor):
     def __len__(self) -> int:
         return self.factor.shape[0]
 
-    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """L z for each row z of ``zt``, one column per row, written into
-        ``out`` when it is given."""
-        return _lower_product(self.factor, zt.T, out)
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        """L z for each row z of ``zt``, one column per row."""
+        return _lower_product(self.factor, zt.T)
 
 
 class CirculantFactor(_Factor):
@@ -369,12 +362,11 @@ class CirculantFactor(_Factor):
     caller's order, its C-order index on the lattice.  ``len`` is the
     point count, as for a dense factor.  ``step`` is the most
     replications whose normals and half-spectrum fit in
-    ``_CIRCULANT_STEP_BYTES``, at least 1 and at most BATCH, and blocks
-    are stored by columns.
+    ``_CIRCULANT_STEP_BYTES``, at least 1 and at most BATCH, so each
+    block ``draw_in_batches`` yields is one step's fields.
     """
 
     __slots__ = ("root", "shape", "index", "step")
-    order = "F"
 
     def __init__(self, root: np.ndarray, shape: tuple[int, ...], index: np.ndarray):
         self.root = root
@@ -386,34 +378,30 @@ class CirculantFactor(_Factor):
     def __len__(self) -> int:
         return self.index.shape[0]
 
-    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def product(self, zt: np.ndarray) -> np.ndarray:
         """The field for each row of normals in ``zt``, one column per row.
 
         Row j of ``zt`` is laid out on the lattice and convolved with the
         root's kernel, irfftn(root * rfftn(z)), whose covariance is the
         circulant one; the columns come back in the caller's point order,
-        written into ``out`` (n x rows) when it is given.  Each row is
-        transformed on its own, so a row's column does not depend on how
-        many rows are transformed together.
+        stored by columns.  Each row is transformed on its own, so a
+        row's column does not depend on how many rows are transformed
+        together.
         """
         axes = tuple(range(1, len(self.shape) + 1))
         spectrum = np.fft.rfftn(zt.reshape(zt.shape[0], *self.shape), axes=axes)
         spectrum *= self.root
         x = np.fft.irfftn(spectrum, s=self.shape, axes=axes).reshape(zt.shape[0], -1)
         del spectrum
-        # out.T is C-contiguous when ``out`` is columns of a Fortran-order
-        # block, as ``draw_in_batches`` passes it, so take writes in place.
-        fields = np.empty((zt.shape[0], len(self))) if out is None else out.T
-        np.take(x, self.index, axis=1, out=fields, mode="clip")
-        return fields.T
+        return np.take(x, self.index, axis=1).T
 
 
 class FeatureFactor(_Factor):
     """A covariance F F^T given by an (n, r) feature array F with r < n,
     as a map rather than a matrix.
 
-    ``len`` is r, the normals per replication, and ``height`` n; the
-    field is F z, exact with no factorization and no shift.
+    ``len`` is r, the normals per replication, and the field is the n
+    values F z, exact with no factorization and no shift.
     """
 
     __slots__ = ("features",)
@@ -424,14 +412,9 @@ class FeatureFactor(_Factor):
     def __len__(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def height(self) -> int:
-        return self.features.shape[0]
-
-    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The field for each row of normals in ``zt``, one column per row,
-        written into ``out`` when it is given."""
-        return np.matmul(self.features, zt.T, out=out)
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        """The field for each row of normals in ``zt``, one column per row."""
+        return self.features @ zt.T
 
 
 class TiltedFactor(DenseFactor):
@@ -521,9 +504,8 @@ def replicate_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | int(index)))
 
 
-def _lower_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``factor @ z`` for a lower-triangular ``factor``, by row blocks,
-    written into ``out`` when it is given.
+def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``factor @ z`` for a lower-triangular ``factor``, by row blocks.
 
     Rows a:b of the result are ``factor[a:b, :b] @ z[:b]`` for blocks of
     ROW_BLOCK rows, so the columns right of each row block's diagonal
@@ -535,8 +517,7 @@ def _lower_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = N
     block is the whole ``factor @ z``, bit for bit.
     """
     n = factor.shape[0]
-    if out is None:
-        out = np.empty((n, z.shape[1]))
+    out = np.empty((n, z.shape[1]))
     for a in range(0, n, ROW_BLOCK):
         b = min(a + ROW_BLOCK, n)
         np.matmul(factor[a:b, :b], z[:b], out=out[a:b])
@@ -546,12 +527,15 @@ def _lower_product(factor: np.ndarray, z: np.ndarray, out: np.ndarray | None = N
 def draw_in_batches(factor, reps: int, seed: int):
     """Yield blocks of exact joint draws as (first_index, samples).
 
-    ``samples`` is a ``factor.height`` x width block stored in
-    ``factor.order``, with one column per replication: column j of a
-    block starting at i is ``factor.product`` of the normals
-    ``factor.normals`` fills from replicate_generator(seed, i + j) (see
-    the module docstring).  Block size is fixed at BATCH so the
-    partition never influences the values.
+    ``samples`` holds one row per field value and one column per
+    replication: the block starting at i is ``factor.product`` of the
+    rows of normals ``factor.normals`` fills from
+    replicate_generator(seed, i + j), one per column j (see the module
+    docstring).  Blocks start at multiples of ``factor.step``, a fixed
+    property of the factor, and each but the last is ``factor.step``
+    wide, so the partition never depends on the replication count.  No
+    reference to a yielded block is kept, so a consumer that drops it
+    frees it before the next is drawn.
     """
     reps = _check_count("replication count", reps, 1, _MAX_REPS)
     seed = _check_stream(seed, reps - 1)
@@ -568,21 +552,16 @@ def draw_in_batches(factor, reps: int, seed: int):
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     key[1] = seed
-    # Each step's normals fill the rows of one reused buffer, and its
-    # field goes straight into its columns of the block.
+    # Each step's normals fill the rows of one reused buffer.  The block
+    # is not named here, so once the consumer drops it nothing holds it
+    # while the next one is drawn.
     step, normals = factor.step, factor.normals
     zt = np.empty((min(step, reps), len(factor)))
     rows = list(zt)
-    for start in range(0, reps, BATCH):
-        width = min(BATCH, reps - start)
-        block = np.empty((factor.height, width), order=factor.order)
-        for lo in range(0, width, step):
-            count = min(step, width - lo)
-            for j in range(count):
-                key[0] = start + lo + j
-                bitgen.state = fresh
-                normals(gen, rows[j])
-            factor.product(zt[:count], block[:, lo : lo + count])
-        yield start, block
-        # Released before the next block is allocated.
-        del block
+    for start in range(0, reps, step):
+        count = min(step, reps - start)
+        for j in range(count):
+            key[0] = start + j
+            bitgen.state = fresh
+            normals(gen, rows[j])
+        yield start, factor.product(zt[:count])

@@ -7,12 +7,13 @@ and the shift ladder must act on the eigenvalues as the Cholesky ladder
 acts on the matrix.  ``sample_field`` must pick it exactly on the grids
 the selection rule names, and keep the dense path, draw for draw, on
 every other grid.  A draw transformed a step at a time must equal the
-one-shot transform of its block bit for bit, and its resident peak at
-the point budget must stay near one yielded block.
+one-shot transform of its block bit for bit, and its peak, traced and
+resident at the point budget, must stay a few step budgets.
 """
 
 import math
 import re
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from excursion.manifolds import FlatTorus, _ManifoldBase
 from excursion.sampling import (
     _CIRCULANT_STEP_BYTES,
     BATCH,
+    CirculantFactor,
     DenseFactor,
     draw_in_batches,
     factor_circulant,
@@ -150,10 +152,10 @@ def test_factor_validation():
     "periods, side", [((1.0, 2.5), 48), ((1.0, 0.7, 3.0), 14)], ids=["2d", "3d"]
 )
 def test_stepped_draws_match_the_one_shot_transform(periods, side):
-    # The draw loop transforms a block a step at a time.  Each block must
-    # be, bit for bit, the transform of the whole block's normals at
-    # once, reordered by the index, for counts that end mid-step and
-    # mid-block.
+    # The draw loop yields one step's transform per block.  Each block
+    # must be, bit for bit, the transform of its normals at once,
+    # reordered by the index, for counts that end mid-step and past
+    # BATCH.
     lattice = build_grid(FullTorus(periods), side)
     n = len(lattice)
     order = np.random.default_rng(side).permutation(n)
@@ -172,20 +174,26 @@ def test_stepped_draws_match_the_one_shot_transform(periods, side):
             z = np.stack([replicate_generator(4, i).standard_normal(shape) for i in streams])
             x = np.fft.irfftn(factor.root * np.fft.rfftn(z, axes=axes), s=shape, axes=axes)
             assert np.array_equal(block, x.reshape(len(z), n)[:, order].T), (reps, start)
-        assert widths == [min(BATCH, reps - start) for start in range(0, reps, BATCH)]
+        assert widths == [min(step, reps - start) for start in range(0, reps, step)]
 
 
 def test_circulant_draw_resident_peak_at_the_cap(monkeypatch):
     # 10,000 points, the point budget, in a fresh single-thread process.
-    # Besides the one block it yields, the draw holds a step's normals,
-    # spectrum and transforms, about twice the step budget.  The slack
-    # covers that, the lattice index and covariance row, and the
-    # allocator's and the FFT's own overhead: the peak grew by 50 MB in
-    # all.  Drawing each whole block's normals at once grew it by about
-    # 165 MB.
+    # Each block the draw yields is one step of 12 replications: with the
+    # step's normals, spectrum and unordered transform it is about two
+    # step budgets.  The slack covers the lattice index, the covariance
+    # row and its spectrum, and the allocator's and the FFT's own
+    # overhead.  The peak grew by about 10 MiB.  Holding an n x BATCH
+    # block, transformed a step at a time, grew it by about 48 MiB, and
+    # drawing each whole block's normals at once by about 165 MB.  The
+    # peak is the process image's own high-water mark (Linux VmHWM):
+    # ru_maxrss would start at the spawning test process's peak, which
+    # the child inherits across exec, and read no growth at all.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = (
-        "import resource\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
         "import numpy.fft\n"
         "from excursion import validation\n"
         "from excursion.covariance import StableOnChart\n"
@@ -193,23 +201,40 @@ def test_circulant_draw_resident_peak_at_the_cap(monkeypatch):
         "from excursion.manifolds import FlatTorus\n"
         "grid = validation.build_grid(FullTorus((1.0, 1.0)), 50).refine()\n"
         "model = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         "validation.sample_field(model, grid, 600, 0, prefix=2500)\n"
-        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "grown = peak() - before\n"
         "print(len(grid), type(validation._factor(model, grid, None)).__name__, grown)\n"
     )
     proc = run_fresh(code)
     assert proc.returncode == 0, proc.stderr
     n, kind, grown_kib = proc.stdout.split()
     assert (int(n), kind) == (10_000, "CirculantFactor")
-    slack = 16 << 20
-    bound = 8 * int(n) * BATCH + _CIRCULANT_STEP_BYTES + slack
+    bound = 4 * _CIRCULANT_STEP_BYTES + (8 << 20)
     assert 1024 * int(grown_kib) <= bound, 1024 * int(grown_kib) / bound
 
 
 # 48 x 48 = 2304 points, over the size rule, with side 2^4 * 3.
 TORUS = FlatTorus((1.0, 1.0))
 STABLE = StableOnChart(TORUS, 1.0, 1.0)
+
+
+def test_circulant_draw_traced_peak_is_a_few_steps():
+    # A consumer that drops each block: the loop then holds one step's
+    # normals, spectrum, transform and block, about two step budgets
+    # (4.7 MiB traced).  A loop that holds an n x BATCH block besides
+    # traced 13.0 MiB here.
+    grid = build_grid(FullTorus((1.0, 1.0)), 48)
+    factor = validation._factor(STABLE, grid, None)
+    assert isinstance(factor, CirculantFactor) and factor.step < BATCH
+    tracemalloc.start()
+    try:
+        for _, block in draw_in_batches(factor, 2 * BATCH + 7, 3):
+            del block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * _CIRCULANT_STEP_BYTES, peak / _CIRCULANT_STEP_BYTES
 
 
 def _never_dense(monkeypatch):

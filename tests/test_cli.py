@@ -726,6 +726,43 @@ def test_config_file_errors(tmp_path, caplog):
         assert f"invalid configuration: {field}: " in caplog.text
 
 
+def test_overflowing_integer_fields_exit_1(tmp_path):
+    # JSON Infinity and 1e400 parse to infinite floats, which int()
+    # refuses with OverflowError rather than ValueError.  Each must be
+    # named as its field's invalid configuration, from a fresh process so
+    # that the real stderr is read.
+    out = tmp_path / "out.csv"
+    validate = {
+        "domain": {"shape": "full_torus", "periods": [1, 1]},
+        "model": {"family": "stable_on_chart", "c": 1, "alpha": 1},
+        "u_grid": [2],
+        "mc": {"reps": 10, "resolution": 10, "seed": 0},
+    }
+    pickands_const = {"alpha": 1, "dim": 1, "reps": 10, "seed": 0}
+    cases = [
+        (["validate", "--h-value", "0.9"], validate, ("mc", "reps"), "Infinity"),
+        (["validate", "--h-value", "0.9"], validate, ("mc", "resolution"), "1e400"),
+        (["validate", "--h-value", "0.9"], validate, ("mc", "seed"), "-Infinity"),
+        (["pickands-const"], pickands_const, ("dim",), "1e400"),
+        (["pickands-const"], pickands_const, ("reps",), "Infinity"),
+    ]
+    for command, data, path, literal in cases:
+        data = json.loads(json.dumps(data))
+        section = data
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = "@"
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(data).replace('"@"', literal))
+        proc = run_python("-m", "excursion.cli", *command, "--config", str(config),
+                          "--output", str(out))
+        field = ".".join(path)
+        assert proc.returncode == 1, (field, proc.stderr)
+        assert f"invalid configuration: {field}: expected an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+
 def test_resolve_leaves_numpy_unloaded():
     # The --threads cap only works if numpy is not loaded before it is set.
     code = (

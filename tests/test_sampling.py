@@ -231,12 +231,10 @@ def test_tilted_draws_extend_as_a_prefix():
 
 class _Identity:
     """A factor the draw loop knows only through the protocol: the field
-    is the normals themselves, three replications a step, in blocks
-    stored by columns.  ``counts`` records each product's row count."""
+    is the normals themselves, three replications a step.  ``counts``
+    records each product's row count."""
 
     step = 3
-    order = "F"
-    height = 4
 
     def __init__(self):
         self.counts = []
@@ -247,26 +245,26 @@ class _Identity:
     def normals(self, gen, row):
         gen.standard_normal(out=row)
 
-    def product(self, zt, out):
+    def product(self, zt):
         self.counts.append(zt.shape[0])
-        out[...] = zt.T
+        return zt.T.copy()
 
 
 def test_draw_loop_reads_only_the_factor_protocol():
-    # Counts that end mid-step (BATCH is not a multiple of 3) and
-    # mid-block: every block must hold the replications' own normals bit
-    # for bit, in the declared order, filled at most a step at a time.
+    # Counts that end mid-step and run past BATCH: each block must be
+    # the product of its replications' own normals bit for bit, one step
+    # per block.
     for reps in (1, 2, 4, BATCH + 1, 2 * BATCH + 7):
         factor = _Identity()
         widths = []
         for start, block in draw_in_batches(factor, reps, 8):
-            assert block.flags.f_contiguous and block.shape[0] == 4
+            assert block.shape[0] == 4
             widths.append(block.shape[1])
             streams = range(start, start + block.shape[1])
             z = np.vstack([replicate_generator(8, i).standard_normal(4) for i in streams]).T
             assert np.array_equal(block, z), (reps, start)
-        assert widths == [min(BATCH, reps - start) for start in range(0, reps, BATCH)]
-        assert max(factor.counts) <= 3 and sum(factor.counts) == reps
+        assert widths == [min(3, reps - start) for start in range(0, reps, 3)]
+        assert factor.counts == widths
 
 
 def test_lower_product_agrees_with_dense():
