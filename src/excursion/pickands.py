@@ -209,19 +209,19 @@ def _drift(lattice: np.ndarray, alpha: float) -> np.ndarray:
 
 def _factor_w(
     alpha: float, lattice: np.ndarray, *, of_z: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[DenseFactor, np.ndarray, np.ndarray]:
     """Factor Cov(W), or with ``of_z`` Cov(sqrt(2) W) = Cov(Z), on the
     positive-variance lattice points.
 
     Returns (factor, active_mask, drift) where ``active_mask`` flags the
     rows that were factorized; the others (the origin) are pinned to 0.
-    With no positive-variance point the factor is 0 x 0 and nothing is
-    factorized.
+    With no positive-variance point the factor has no slabs and nothing
+    is factorized.
     """
     drift = _drift(lattice, alpha)
     active = drift > 0.0
     if not active.any():
-        return np.empty((0, 0)), active, drift
+        return DenseFactor([]), active, drift
     pts = lattice[active]
     _cap_points(pts.shape[0])
     norms = drift[active]
@@ -260,9 +260,9 @@ def simulate_z(alpha: float, n_dim: int, lattice: np.ndarray, seed: int) -> np.n
     lattice = _validate_lattice(n_dim, lattice)
     stream = replicate_generator(seed, 0)
     factor, active, drift = _factor_w(alpha, lattice)
-    z = stream.standard_normal(factor.shape[0])
+    z = stream.standard_normal((1, len(factor)))
     out = np.zeros(lattice.shape[0])
-    out[active] = SQRT2 * (factor @ z)
+    out[active] = SQRT2 * factor.product(z)[:, 0]
     return out - drift
 
 
@@ -300,7 +300,8 @@ def _lattice_mean(
     if not window:
         lattice = lattice - spacing * (_lattice_steps(cube_side, spacing) // 2)
     factor, active, drift = _factor_w(alpha, lattice, of_z=window)
-    factor = TiltedFactor(factor, lattice.shape[0]) if window else DenseFactor(factor)
+    if window:
+        factor = TiltedFactor(factor, lattice.shape[0])
     drift_active = drift[active][:, None]
 
     stats = np.empty(reps)

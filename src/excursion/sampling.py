@@ -16,12 +16,13 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   genuinely indefinite kernel is distinguishable from conditioning).
   The covariance comes in as ``CovarianceColumns``, a source of block
   columns Cov[a:, a:b] of ROW_BLOCK columns, and the factor is built
-  left-looking, one block column at a time, straight into the one
-  n x n output (Golub & Van Loan, Matrix Computations, 4.2): no
-  covariance matrix, no shifted copy and no LAPACK copy of either is
-  formed.  Only the lower triangle is read, so the source need not be
-  symmetric.  The dense path peaks at the n^2 doubles of the factor
-  plus a few n x ROW_BLOCK panels: 0.8 GB at the ``_MAX_GRID_POINTS``
+  left-looking, one block column at a time (Golub & Van Loan, Matrix
+  Computations, 4.2), straight into its row slabs L[a:b, :b]
+  (``DenseFactor``): no covariance matrix, no shifted copy, no LAPACK
+  copy of either and no n x n factor is formed.  Only the lower
+  triangle is read, so the source need not be symmetric.  The dense
+  path peaks at the slabs, about n^2 / 2 doubles, plus a few
+  n x ROW_BLOCK panels: about 0.47 GB at the ``_MAX_GRID_POINTS``
   budget.  A whole matrix is accepted too, and read by block columns.
 
 * ``factor_circulant``: the spectral square root of a covariance that
@@ -50,10 +51,13 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   whose 128-bit key is the seed in the high word and i in the low word,
   so streams are distinct across both seeds and replications,
   reproducible, order independent, and parallelizable, and a run with
-  more replications extends a shorter run instead of reshuffling it.
-  For the same reason a densely factored sample on a grid that extends
-  another grid (extra points appended) restricts to the sample on the
-  smaller grid if both take one diagonal shift (``fixed_rel_jitter``):
+  more replications extends a shorter run bit for bit instead of
+  reshuffling it.  Every product is of a whole step of rows, so a
+  narrow last block is rounded as the longer run rounds those columns.
+  Because the streams are per replication, a densely factored sample
+  on a grid that extends another grid (extra points appended)
+  restricts to the sample on the smaller grid if both take one
+  diagonal shift (``fixed_rel_jitter``):
   the draws extend exactly, and the factor's leading block is the
   smaller grid's factor up to rounding (the last block column and the
   products' shapes depend on the matrix size), amplified by
@@ -70,15 +74,15 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   It reads every factor through one protocol: ``len`` normals per
   replication, which ``normals(gen, row)`` fills into one contiguous
   row from the replication's stream; and ``product(zt)``, which
-  returns the fields of up to ``step`` such rows as the columns of a new
-  block, the one the loop yields.  A ``DenseFactor`` keeps a step of BATCH, since the partition
-  decides how a BLAS product rounds, by row blocks of its lower
-  triangle (``_lower_product``): the zeros above the diagonal blocks
-  are never multiplied, and at n <= ROW_BLOCK it is ``factor @ z`` bit
-  for bit.  A ``TiltedFactor`` (importance sampling) is a dense one
-  whose ``normals`` also draws an integer from the stream and adds the
-  factor row it names; the row depends on the stream alone, so tilted
-  draws keep every property above.
+  returns the fields of ``step`` such rows as the columns of a new
+  block; the loop yields its leading columns.  A ``DenseFactor`` keeps
+  a step of BATCH, since the partition decides how a BLAS product
+  rounds, and multiplies slab by slab: the zeros right of the diagonal
+  blocks are neither stored nor multiplied, and at n <= ROW_BLOCK it
+  is ``L @ z`` bit for bit.  A ``TiltedFactor`` (importance sampling)
+  is a dense one whose ``normals`` also draws an integer from the
+  stream and adds the factor row it names; the row depends on the
+  stream alone, so tilted draws keep every property above.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -89,7 +93,8 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   before the per-replication statistics are allocated.  A draw loop
   holds one step's normals and the product it makes of them, and keeps
   no reference to a block it has yielded.  A dense or feature loop's
-  block is n x BATCH.  A circulant block, with its normals and
+  block is n x BATCH, the last one too, however few replications it
+  holds.  A circulant block, with its normals and
   transforms, is a small multiple of the step budget, whatever n: at
   the point budget the step is 12 replications, and the loop holds a
   few MB.
@@ -130,8 +135,8 @@ _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
 
 # Largest point set whose covariance is built and factorized densely.
-# The dense path holds the n^2 doubles of the factor plus a few
-# n x ROW_BLOCK panels: 0.8 GB at this count.
+# The dense path holds the factor's row slabs, about n^2 / 2 doubles,
+# plus a few n x ROW_BLOCK panels: about 0.47 GB at this count.
 _MAX_GRID_POINTS = 10_000
 # Largest replication count one run may ask for: a run holds one or two
 # floats per replication, at most 160 MB at this count.
@@ -246,51 +251,62 @@ def _matrix_columns(matrix) -> CovarianceColumns:
     return CovarianceColumns(lambda a, b: matrix[a:, a:b].copy(), np.diagonal(matrix))
 
 
-def _block_cholesky(cov: CovarianceColumns, shift: float) -> np.ndarray | None:
+def _block_cholesky(cov: CovarianceColumns, shift: float) -> DenseFactor | None:
     """L with L @ L.T = Cov + shift * I, by left-looking block columns,
     or None where a diagonal block is not numerically positive definite.
 
-    Block column a:b of L is built from Cov[a:, a:b] alone: the earlier
-    columns' update is one product, the diagonal block is
-    ``np.linalg.cholesky``'s factor, and the panel below it a solve
-    against that block.  Each is written straight into L, whose upper
-    triangle outside the diagonal blocks is never written.  Besides L
-    the peak is a few (n - a) x ROW_BLOCK panels.  At n <= ROW_BLOCK
-    the one block is ``np.linalg.cholesky(Cov + shift * I)`` bit for
-    bit.
+    L is built straight into its row slabs L[a:b, :b] (``DenseFactor``),
+    each of whose entries is written once.  Block column a:b of L is
+    built from Cov[a:, a:b] alone: the earlier columns' update
+    L[a:, :a] @ L[a:b, :a].T is made one row slab at a time, through
+    one reused ROW_BLOCK x ROW_BLOCK buffer, the diagonal block is
+    ``np.linalg.cholesky``'s factor, and the panel below it one solve
+    against that block, whose rows are copied into the slabs below.
+    Besides the slabs the peak is a few (n - a) x ROW_BLOCK panels.  At
+    n <= ROW_BLOCK the one slab is ``np.linalg.cholesky(Cov + shift *
+    I)`` bit for bit.
     """
     n = len(cov)
-    factor = np.zeros((n, n))
-    for a in range(0, n, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n)
+    starts = range(0, n, ROW_BLOCK)
+    slabs = [np.empty((min(a + ROW_BLOCK, n) - a, min(a + ROW_BLOCK, n))) for a in starts]
+    update = np.empty((ROW_BLOCK, ROW_BLOCK))
+    for k, a in enumerate(starts):
+        b = a + slabs[k].shape[0]
         col = cov.block(a, b)
         if not np.isfinite(col).all():
             raise ValidationError("covariance entries must be finite")
         if shift:
             np.fill_diagonal(col, col.diagonal() + shift)
         if a:
-            col -= factor[a:, :a] @ factor[a:b, :a].T
+            right = slabs[k][:, :a].T
+            for c, slab in zip(starts[k:], slabs[k:]):
+                part = np.matmul(slab[:, :a], right, out=update[: slab.shape[0], : b - a])
+                col[c - a : c - a + slab.shape[0]] -= part
         try:
             top = np.linalg.cholesky(col[: b - a])
         except np.linalg.LinAlgError:
             return None
-        factor[a:b, a:b] = top
+        slabs[k][:, a:b] = top
         if b < n:
-            factor[b:, a:b] = np.linalg.solve(top, col[b - a :].T).T
+            panel = np.linalg.solve(top, col[b - a :].T).T
+            for c, slab in zip(starts[k + 1 :], slabs[k + 1 :]):
+                slab[:, a:b] = panel[c - b : c - b + slab.shape[0]]
+            del panel
         # Dropped before the next block column is built.
         del col, top
-    return factor
+    return DenseFactor(slabs)
 
 
 def factor_covariance(
     cov, *, fixed_rel_jitter: float | None = None
-) -> tuple[np.ndarray, float]:
+) -> tuple[DenseFactor, float]:
     """Lower Cholesky factor of a covariance.
 
     ``cov`` is a ``CovarianceColumns`` source, or a whole square matrix,
-    which is read by block columns.  Returns (L, shift) with L lower
-    triangular such that L @ L.T = Cov + shift * I; shift is 0.0 when
-    no inflation was needed.  ``fixed_rel_jitter`` bypasses the ladder
+    which is read by block columns.  Returns (L, shift) with L a
+    ``DenseFactor``, the row slabs of a lower-triangular matrix such
+    that L @ L.T = Cov + shift * I; shift is 0.0 when no inflation was
+    needed.  ``fixed_rel_jitter`` bypasses the ladder
     and applies exactly that relative shift, so that a grid and its
     refinement share it (see ``validation.sample_field``).
 
@@ -337,20 +353,37 @@ class _Factor:
 
 
 class DenseFactor(_Factor):
-    """A lower-triangular factor L, as a map: the field is L z, by the
-    row-blocked product ``_lower_product``."""
+    """A lower-triangular n x n factor L, held as its row slabs: slab k
+    is the contiguous array L[a:b, :b] for rows a:b = k ROW_BLOCK :
+    min((k + 1) ROW_BLOCK, n), so the zeros right of each diagonal
+    block are never stored.  About n^2 / 2 doubles; ``len`` is n."""
 
-    __slots__ = ("factor",)
+    __slots__ = ("slabs",)
 
-    def __init__(self, factor: np.ndarray):
-        self.factor = factor
+    def __init__(self, slabs: list[np.ndarray]):
+        self.slabs = slabs
 
     def __len__(self) -> int:
-        return self.factor.shape[0]
+        return sum(slab.shape[0] for slab in self.slabs)
 
     def product(self, zt: np.ndarray) -> np.ndarray:
-        """L z for each row z of ``zt``, one column per row."""
-        return _lower_product(self.factor, zt.T)
+        """L z for each row z of ``zt``, one column per row.
+
+        Rows a:b of the result are L[a:b, :b] @ z[:b], one product per
+        slab, so the zeros right of each diagonal block are never
+        multiplied: about half the flops of the dense product once n is
+        several blocks.  Each entry sums the same products as the dense
+        product but may round differently (about 1e-15 relative); at
+        n <= ROW_BLOCK the one slab is the whole ``L @ z``, bit for bit.
+        """
+        z = zt.T
+        out = np.empty((len(self), z.shape[1]))
+        a = 0
+        for slab in self.slabs:
+            b = a + slab.shape[0]
+            np.matmul(slab, z[: slab.shape[1]], out=out[a:b])
+            a = b
+        return out
 
 
 class CirculantFactor(_Factor):
@@ -418,8 +451,8 @@ class FeatureFactor(_Factor):
 
 
 class TiltedFactor(DenseFactor):
-    """A dense lower-triangular factor L drawn under the equal mixture
-    of its exponential tilts.
+    """A ``DenseFactor`` L drawn under the equal mixture of its
+    exponential tilts.
 
     The mixture runs over tau in range(``points``).  Component tau is
     the law of X = L z reweighted by e^{X(tau) - Var X(tau) / 2}, which
@@ -430,20 +463,20 @@ class TiltedFactor(DenseFactor):
 
     __slots__ = ("points",)
 
-    def __init__(self, factor: np.ndarray, points: int):
-        if points < factor.shape[0]:
-            raise ValidationError(f"{points} tilt points for a factor of {factor.shape[0]} rows")
-        super().__init__(factor)
+    def __init__(self, factor: DenseFactor, points: int):
+        if points < len(factor):
+            raise ValidationError(f"{points} tilt points for a factor of {len(factor)} rows")
+        super().__init__(factor.slabs)
         self.points = points
 
     def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
         """z, then tau = ``gen.integers(points)`` from the same stream,
         and z + L[tau]: only the first tau + 1 entries, the nonzero ones,
-        are added, and none for tau >= n."""
+        are added, read from row tau's slab, and none for tau >= n."""
         gen.standard_normal(out=row)
         tau = int(gen.integers(self.points))
         if tau < row.shape[0]:
-            row[: tau + 1] += self.factor[tau, : tau + 1]
+            row[: tau + 1] += self.slabs[tau // ROW_BLOCK][tau % ROW_BLOCK, : tau + 1]
 
 
 def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:
@@ -504,26 +537,6 @@ def replicate_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | int(index)))
 
 
-def _lower_product(factor: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``factor @ z`` for a lower-triangular ``factor``, by row blocks.
-
-    Rows a:b of the result are ``factor[a:b, :b] @ z[:b]`` for blocks of
-    ROW_BLOCK rows, so the columns right of each row block's diagonal
-    block, which hold only zeros, are never read or multiplied: about
-    half the flops of the dense product once n is several blocks.  The
-    upper halves of the diagonal blocks are read, and must be zero.
-    Each entry sums the same products as the dense product but may
-    round differently (about 1e-15 relative); at n <= ROW_BLOCK the one
-    block is the whole ``factor @ z``, bit for bit.
-    """
-    n = factor.shape[0]
-    out = np.empty((n, z.shape[1]))
-    for a in range(0, n, ROW_BLOCK):
-        b = min(a + ROW_BLOCK, n)
-        np.matmul(factor[a:b, :b], z[:b], out=out[a:b])
-    return out
-
-
 def draw_in_batches(factor, reps: int, seed: int):
     """Yield blocks of exact joint draws as (first_index, samples).
 
@@ -533,7 +546,12 @@ def draw_in_batches(factor, reps: int, seed: int):
     replicate_generator(seed, i + j), one per column j (see the module
     docstring).  Blocks start at multiples of ``factor.step``, a fixed
     property of the factor, and each but the last is ``factor.step``
-    wide, so the partition never depends on the replication count.  No
+    wide, so the partition never depends on the replication count.
+    Every product is of ``factor.step`` rows, the last block's tail
+    rows left as they were (zeros when it is also the first), and the
+    last block is its leading columns, so a shorter run's columns are
+    the longer run's bit for bit: BLAS may take another kernel for a
+    narrower product and round its columns differently.  No
     reference to a yielded block is kept, so a consumer that drops it
     frees it before the next is drawn.
     """
@@ -556,7 +574,7 @@ def draw_in_batches(factor, reps: int, seed: int):
     # is not named here, so once the consumer drops it nothing holds it
     # while the next one is drawn.
     step, normals = factor.step, factor.normals
-    zt = np.empty((min(step, reps), len(factor)))
+    zt = np.zeros((step, len(factor)))
     rows = list(zt)
     for start in range(0, reps, step):
         count = min(step, reps - start)
@@ -564,4 +582,4 @@ def draw_in_batches(factor, reps: int, seed: int):
             key[0] = start + j
             bitgen.state = fresh
             normals(gen, rows[j])
-        yield start, factor.product(zt[:count])
+        yield start, factor.product(zt)[:, :count]

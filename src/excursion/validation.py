@@ -70,7 +70,6 @@ from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
     _MAX_REPS,
     CovarianceColumns,
-    DenseFactor,
     FeatureFactor,
     _cap_points,
     _check_count,
@@ -297,9 +296,7 @@ def _factor(model, grid: Grid, fixed_rel_jitter):
         few = FEATURE_MAX_SHARE * len(grid)
         if isinstance(model, SphereSchoenberg) and model.feature_count() < few:
             return FeatureFactor(model.features(grid.chart, grid.coords))
-    return DenseFactor(
-        factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
-    )
+    return factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
 
 
 def _columns(model, grid: Grid) -> CovarianceColumns:

@@ -31,6 +31,37 @@ def run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
+# Defines peak() in a child: its own resident high-water mark in bytes.
+_PEAK = (
+    "def peak():\n"
+    "    with open('/proc/self/status') as fh:\n"
+    "        return 1024 * next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+)
+
+
+def run_with_peak(code):
+    """``run_fresh(code)`` with ``peak()`` defined in the child.
+
+    ``peak()`` reads the process image's own high-water mark (Linux
+    ``VmHWM``).  ``ru_maxrss`` would not do: a child inherits its
+    spawner's across exec, so its growth reads 0 whenever the spawner,
+    such as the test process, is the larger.
+    """
+    return run_fresh(_PEAK + code)
+
+
+def lower_matrix(factor):
+    """The n x n lower-triangular matrix a ``DenseFactor`` holds as its
+    row slabs L[a:b, :b], zeros above them."""
+    n = len(factor)
+    low = np.zeros((n, n))
+    a = 0
+    for slab in factor.slabs:
+        low[a : a + slab.shape[0], : slab.shape[1]] = slab
+        a += slab.shape[0]
+    return low
+
+
 def tube_volume_by_counting(domain, r, n_points=10_000_000, key=7):
     """Volume of {x : dist(x, D) <= r} by uniform point counting.
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from _oracles import run_fresh
+from _oracles import run_with_peak
 from excursion import validation
 from excursion.covariance import (
     LocallyIsotropicModel,
@@ -35,7 +35,6 @@ from excursion.sampling import (
     _CIRCULANT_STEP_BYTES,
     BATCH,
     CirculantFactor,
-    DenseFactor,
     draw_in_batches,
     factor_circulant,
     factor_covariance,
@@ -185,15 +184,9 @@ def test_circulant_draw_resident_peak_at_the_cap(monkeypatch):
     # row and its spectrum, and the allocator's and the FFT's own
     # overhead.  The peak grew by about 10 MiB.  Holding an n x BATCH
     # block, transformed a step at a time, grew it by about 48 MiB, and
-    # drawing each whole block's normals at once by about 165 MB.  The
-    # peak is the process image's own high-water mark (Linux VmHWM):
-    # ru_maxrss would start at the spawning test process's peak, which
-    # the child inherits across exec, and read no growth at all.
+    # drawing each whole block's normals at once by about 165 MB.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = (
-        "def peak():\n"
-        "    with open('/proc/self/status') as fh:\n"
-        "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
         "import numpy.fft\n"
         "from excursion import validation\n"
         "from excursion.covariance import StableOnChart\n"
@@ -206,12 +199,12 @@ def test_circulant_draw_resident_peak_at_the_cap(monkeypatch):
         "grown = peak() - before\n"
         "print(len(grid), type(validation._factor(model, grid, None)).__name__, grown)\n"
     )
-    proc = run_fresh(code)
+    proc = run_with_peak(code)
     assert proc.returncode == 0, proc.stderr
-    n, kind, grown_kib = proc.stdout.split()
+    n, kind, grown = proc.stdout.split()
     assert (int(n), kind) == (10_000, "CirculantFactor")
     bound = 4 * _CIRCULANT_STEP_BYTES + (8 << 20)
-    assert 1024 * int(grown_kib) <= bound, 1024 * int(grown_kib) / bound
+    assert int(grown) <= bound, int(grown) / bound
 
 
 # 48 x 48 = 2304 points, over the size rule, with side 2^4 * 3.
@@ -260,7 +253,7 @@ def test_spectral_agrees_with_dense_in_distribution(monkeypatch):
     grid = build_grid(FullTorus((1.0, 1.0)), 48)
     reps = 4000
     factor, _ = factor_covariance(STABLE.covariance_matrix(grid.chart, grid.coords))
-    dense = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), reps, 71)])
+    dense = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, 71)])
     _never_dense(monkeypatch)
     spectral = sample_field(STABLE, grid, reps, 72)
     for u in (2.0, 2.5, 3.0):
@@ -317,5 +310,5 @@ def test_dense_path_kept_off_the_rule(monkeypatch, model, grid, kwargs):
 
     monkeypatch.setattr(validation, "factor_circulant", unreachable)
     factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords), **kwargs)
-    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), 40, 9)])
+    expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 40, 9)])
     assert np.array_equal(sample_field(model, grid, 40, 9, **kwargs), expected)

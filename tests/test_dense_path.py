@@ -10,9 +10,10 @@ against itself must be symmetric by construction, since nothing
 symmetrizes it afterwards.  Covariance matrices are built in the
 distance buffer (kernel in place) and must equal the whole-array
 expressions in ``_oracles`` bit for bit, which symmetrize explicitly.
-They are factored by block columns: at n <= ROW_BLOCK the factor is
-LAPACK's of the whole matrix bit for bit, above it the block-column
-oracle's, with LAPACK's reconstruction error and its ladder shift.
+They are factored by block columns into row slabs: at n <= ROW_BLOCK
+the factor is LAPACK's of the whole matrix bit for bit, above it the
+block-column oracle's, with LAPACK's reconstruction error and its ladder
+shift.
 """
 
 import time
@@ -29,7 +30,9 @@ from _oracles import (
     broadcast_torus_geodesic,
     c_order_cholesky,
     exp_power_kernel,
+    lower_matrix,
     run_fresh,
+    run_with_peak,
     squared_exponential_kernel,
     transpose_symmetrized,
 )
@@ -258,6 +261,7 @@ def test_factor_matches_c_order_cholesky(n):
     mat = _scattered_covariance(n)
     for jitter in (None, 1e-10):
         factor, shift = factor_covariance(mat, fixed_rel_jitter=jitter)
+        factor = lower_matrix(factor)
         assert shift == (0.0 if jitter is None else jitter * (float(np.trace(mat)) / n))
         shifted = mat + shift * np.eye(n)
         if n <= ROW_BLOCK:
@@ -279,6 +283,7 @@ def test_ladder_factor_matches_c_order_cholesky():
     with pytest.raises(np.linalg.LinAlgError):
         c_order_cholesky(mat)
     factor, shift = factor_covariance(mat)
+    factor = lower_matrix(factor)
     assert shift == _lapack_ladder_shift(mat) == 1e-12
     shifted = mat + shift * np.eye(len(mat))
     assert np.array_equal(factor, block_column_cholesky(shifted))
@@ -297,6 +302,7 @@ def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
     factor, active, _ = pickands._factor_w(alpha, lattice)
+    factor = lower_matrix(factor)
     assert active.sum() > ROW_BLOCK
     cov_w = broadcast_pickands_cov_w(alpha, lattice)
     # At alpha = 2, W is linear in s: rank 2, so it takes the ladder, at
@@ -338,38 +344,46 @@ def test_covariance_matrix_peak_is_two_matrices():
     assert peak <= 2.0 * n * n + 2 * 256**2, peak / (n * n)
 
 
+def _slab_doubles(n):
+    """Doubles in the row slabs L[a:b, :b] of an n-point factor."""
+    return sum((min(a + ROW_BLOCK, n) - a) * min(a + ROW_BLOCK, n) for a in range(0, n, ROW_BLOCK))
+
+
 def test_plain_factorization_peak_is_the_factor():
     n = 1600
     a = np.linspace(0.0, 1.0, n)
     matrix = np.exp(-np.abs(a[:, None] - a[None, :]))
     peak = _peak_doubles(lambda: factor_covariance(matrix))
-    # The factor, one block column and the solve's panel below its
-    # diagonal block.  An unused identity used to double it; LAPACK's
-    # own copy and output of the whole matrix, invisible here, are gone.
-    assert peak <= 1.0 * n * n + 3 * n * ROW_BLOCK, peak / (n * n)
+    # The factor's row slabs (0.58 n^2 here), one block column and the
+    # solve's panel below its diagonal block: 1.058 n^2, and 0.898 n^2
+    # traced.  An n x n factor traced 1.32 n^2.  An unused identity
+    # once doubled it; LAPACK's own copy and output of the whole
+    # matrix, invisible here, are gone.
+    assert peak <= _slab_doubles(n) + 3 * n * ROW_BLOCK, peak / (n * n)
 
 
 def test_pickands_factorization_resident_peak_is_the_factor(monkeypatch):
     # The default 2-D window, 1680 points, in a fresh single-thread
     # process, so that the resident peak counts what tracemalloc cannot
-    # see.  The whole-matrix path grew it by 4 n^2 doubles: the distance
-    # table, the covariance, LAPACK's copy and its output.
+    # see: the slabs and a few n x ROW_BLOCK panels, 25.5 MiB.  The
+    # slabs grew it by 22.7 MiB, an n x n factor by 34.5 MiB, and the
+    # whole-matrix path by 4 n^2 doubles: the distance table, the
+    # covariance, LAPACK's copy and its output.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = (
-        "import resource\n"
         "from excursion import pickands\n"
         "lattice = pickands.cube_lattice(2, 4.0, 0.1)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
         "factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)\n"
-        "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "grown = peak() - before\n"
         "print(int(active.sum()), grown)\n"
     )
-    proc = run_fresh(code)
+    proc = run_with_peak(code)
     assert proc.returncode == 0, proc.stderr
-    n, grown_kib = map(int, proc.stdout.split())
+    n, grown = map(int, proc.stdout.split())
     assert n == 1680
-    bound = 8 * (n * n + 6 * n * ROW_BLOCK)
-    assert 1024 * grown_kib <= bound, 1024 * grown_kib / bound
+    bound = 8 * (_slab_doubles(n) + 4 * n * ROW_BLOCK)
+    assert grown <= bound, grown / bound
 
 
 def test_lattice_budget_is_checked_before_allocating():

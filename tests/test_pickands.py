@@ -17,7 +17,7 @@ from excursion.pickands import (
     resolve_constant,
     simulate_z,
 )
-from excursion.sampling import DenseFactor, TiltedFactor, draw_in_batches
+from excursion.sampling import TiltedFactor, draw_in_batches
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -153,7 +153,7 @@ def _single_and_paired(alpha, n_dim, cube_side, spacing, reps, seed):
     factor, active, drift = pickands._factor_w(alpha, lattice)
     drift = drift[active][:, None]
     single, paired = np.empty(reps), np.empty(reps)
-    for start, block in draw_in_batches(DenseFactor(factor), reps, seed):
+    for start, block in draw_in_batches(factor, reps, seed):
         block *= math.sqrt(2.0)
         block -= drift
         cols = slice(start, start + block.shape[1])

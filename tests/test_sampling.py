@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _oracles import lower_matrix
 from excursion.errors import FactorizationError, ValidationError
 from excursion.sampling import (
     BATCH,
@@ -10,7 +11,6 @@ from excursion.sampling import (
     DenseFactor,
     FeatureFactor,
     TiltedFactor,
-    _lower_product,
     draw_in_batches,
     factor_covariance,
     replicate_generator,
@@ -27,8 +27,9 @@ def test_factor_reconstructs_spd():
     mat = spd_matrix(6, 0)
     factor, shift = factor_covariance(mat)
     assert shift == 0.0
-    assert np.allclose(factor, np.tril(factor))
-    assert factor @ factor.T == pytest.approx(mat, rel=1e-10)
+    assert len(factor) == 6
+    low = lower_matrix(factor)
+    assert low @ low.T == pytest.approx(mat, rel=1e-10)
 
 
 def test_factor_singular_needs_small_shift():
@@ -37,7 +38,8 @@ def test_factor_singular_needs_small_shift():
     mat = np.ones((5, 5))
     factor, shift = factor_covariance(mat)
     assert 0.0 < shift <= 1e-6 * 1.0
-    assert factor @ factor.T == pytest.approx(mat + shift * np.eye(5), rel=1e-9)
+    low = lower_matrix(factor)
+    assert low @ low.T == pytest.approx(mat + shift * np.eye(5), rel=1e-9)
 
 
 def test_factor_indefinite_reports_spectrum():
@@ -51,7 +53,8 @@ def test_factor_fixed_jitter_path():
     scale = float(np.trace(mat)) / 4
     factor, shift = factor_covariance(mat, fixed_rel_jitter=1e-10)
     assert shift == pytest.approx(1e-10 * scale, rel=1e-12)
-    assert factor @ factor.T == pytest.approx(mat + shift * np.eye(4), rel=1e-9)
+    low = lower_matrix(factor)
+    assert low @ low.T == pytest.approx(mat + shift * np.eye(4), rel=1e-9)
     with pytest.raises(FactorizationError, match="requested diagonal shift"):
         factor_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), fixed_rel_jitter=1e-10)
 
@@ -121,7 +124,7 @@ def collect(factor, reps, seed):
 
 def test_draws_partition_in_fixed_batches():
     factor, _ = factor_covariance(spd_matrix(3, 4))
-    starts, samples = collect(DenseFactor(factor), 1030, 11)
+    starts, samples = collect(factor, 1030, 11)
     assert starts == [0, BATCH, 2 * BATCH]
     assert samples.shape == (3, 1030)
 
@@ -129,45 +132,66 @@ def test_draws_partition_in_fixed_batches():
 def test_draws_extend_as_a_prefix():
     # Growing the replication budget must leave earlier replications
     # untouched: per-replication streams, not one shared stream.
-    factor = DenseFactor(factor_covariance(spd_matrix(3, 4))[0])
+    factor = factor_covariance(spd_matrix(3, 4))[0]
     _, short = collect(factor, 700, 11)
     _, long = collect(factor, 1030, 11)
     assert np.array_equal(short, long[:, :700])
 
 
 def test_draws_deterministic():
-    factor = DenseFactor(factor_covariance(spd_matrix(2, 5))[0])
+    factor = factor_covariance(spd_matrix(2, 5))[0]
     _, a = collect(factor, 600, 2)
     _, b = collect(factor, 600, 2)
     assert np.array_equal(a, b)
 
 
+def _row_blocked(low, z):
+    """``low @ z`` by rows a:b of ROW_BLOCK as low[a:b, :b] @ z[:b],
+    read from the n x n matrix: the slab product's operands as views."""
+    out = np.empty((len(low), z.shape[1]))
+    for a in range(0, len(low), ROW_BLOCK):
+        b = min(a + ROW_BLOCK, len(low))
+        np.matmul(low[a:b, :b], z[:b], out=out[a:b])
+    return out
+
+
+def _padded(zt):
+    """The columns z of the rows ``zt`` of normals, with zero columns
+    up to BATCH: the width the loop multiplies, laid out as the loop
+    lays it out (one row per replication)."""
+    return np.pad(zt, ((0, BATCH - len(zt)), (0, 0))).T
+
+
 def test_draws_match_replicate_generator():
     # The draw loop re-keys one generator; column i must still be the
     # factor times replication i's own stream, bit for bit, across a
-    # block boundary and a width-1 last block.  The oracle multiplies
-    # block by block, as the loop does: a matrix-vector product may
-    # round differently from the matrix-matrix one.  At n = 5 that is
-    # the dense product; above ROW_BLOCK it is the row-blocked one, fed
-    # the normals as the loop lays them out (one row per replication):
-    # the one-row last block is a matrix-vector product, whose rounding
-    # depends on that layout.
+    # block boundary and a width-1 last block.  The loop multiplies
+    # BATCH rows of normals at every step, so the oracle does too, the
+    # last block's replications padded with zero columns: a narrower
+    # product, matrix-vector at width 1, may round differently.  At
+    # n = 5 that is the dense product; above ROW_BLOCK it is the
+    # row-blocked one.  Both are fed the normals as the loop lays them
+    # out, whose layout decides the rounding too.
     factor, _ = factor_covariance(spd_matrix(5, 6))
+    low = lower_matrix(factor)
     for seed in (0, 12345, 2**64 - 1):
         widths = []
-        for start, block in draw_in_batches(DenseFactor(factor), 2 * BATCH + 1, seed):
-            widths.append(block.shape[1])
-            streams = range(start, start + block.shape[1])
-            z = np.column_stack([replicate_generator(seed, i).standard_normal(5) for i in streams])
-            assert np.array_equal(block, factor @ z), (seed, start)
+        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+            width = block.shape[1]
+            widths.append(width)
+            streams = range(start, start + width)
+            zt = np.vstack([replicate_generator(seed, i).standard_normal(5) for i in streams])
+            assert np.array_equal(block, (low @ _padded(zt))[:, :width]), (seed, start)
         assert widths == [BATCH, BATCH, 1]
     n = ROW_BLOCK + 1
     factor, _ = factor_covariance(spd_matrix(n, 6))
+    low = lower_matrix(factor)
     for seed in (0, 12345, 2**64 - 1):
-        for start, block in draw_in_batches(DenseFactor(factor), 2 * BATCH + 1, seed):
-            streams = range(start, start + block.shape[1])
-            z = np.vstack([replicate_generator(seed, i).standard_normal(n) for i in streams]).T
-            assert np.array_equal(block, _lower_product(factor, z)), (seed, start)
+        for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
+            width = block.shape[1]
+            streams = range(start, start + width)
+            zt = np.vstack([replicate_generator(seed, i).standard_normal(n) for i in streams])
+            assert np.array_equal(block, _row_blocked(low, _padded(zt))[:, :width]), (seed, start)
 
 
 def test_feature_draws_match_replicate_generator():
@@ -183,36 +207,40 @@ def test_feature_draws_match_replicate_generator():
             widths.append(block.shape[1])
             streams = range(start, start + block.shape[1])
             zt = np.vstack([replicate_generator(seed, i).standard_normal(7) for i in streams])
-            assert np.array_equal(block, features @ zt.T), (seed, start)
+            width = block.shape[1]
+            assert np.array_equal(block, (features @ _padded(zt))[:, :width]), (seed, start)
         assert widths == [BATCH, BATCH, 1]
 
 
-def _tilted_oracle(factor, points, seed, i):
-    """Replication i's normals with its tilt row added: z, then the
-    index tau, both from replicate_generator(seed, i)."""
-    n = factor.shape[0]
+def _tilted_oracle(low, points, seed, i):
+    """Replication i's normals with its tilt row of ``low`` added: z,
+    then the index tau, both from replicate_generator(seed, i)."""
+    n = len(low)
     stream = replicate_generator(seed, i)
     z = stream.standard_normal(n)
     tau = int(stream.integers(points))
-    return z + (factor[tau] if tau < n else 0.0), tau
+    return z + (low[tau] if tau < n else 0.0), tau
 
 
 def test_tilted_draws_match_replicate_generator():
-    # Column i is factor @ (z + row): z then the index tau from
-    # replication i's own stream, row = factor[tau], and 0 for tau >= n.
-    # Bit for bit at n = 5 (the dense product) and against the
-    # row-blocked product above ROW_BLOCK; the zero rows must turn up.
+    # Column i is L @ (z + row): z then the index tau from replication
+    # i's own stream, row = L[tau], and 0 for tau >= n.  Bit for bit at
+    # n = 5 (the dense product) and against the row-blocked product
+    # above ROW_BLOCK, both BATCH wide as the loop multiplies; the zero
+    # rows must turn up.
     for n, points in ((5, 7), (ROW_BLOCK + 1, ROW_BLOCK + 1)):
         factor, _ = factor_covariance(spd_matrix(n, 6))
+        low = lower_matrix(factor)
         for seed in (0, 2**64 - 1):
             seen = set()
             for start, block in draw_in_batches(TiltedFactor(factor, points), 2 * BATCH + 1, seed):
-                streams = range(start, start + block.shape[1])
-                shifted, taus = zip(*(_tilted_oracle(factor, points, seed, i) for i in streams))
+                width = block.shape[1]
+                streams = range(start, start + width)
+                shifted, taus = zip(*(_tilted_oracle(low, points, seed, i) for i in streams))
                 seen.update(tau >= n for tau in taus)
-                z = np.vstack(shifted).T
-                expected = factor @ z if n <= ROW_BLOCK else _lower_product(factor, z)
-                assert np.array_equal(block, expected), (n, seed, start)
+                z = _padded(np.vstack(shifted))
+                expected = low @ z if n <= ROW_BLOCK else _row_blocked(low, z)
+                assert np.array_equal(block, expected[:, :width]), (n, seed, start)
             assert seen == ({False, True} if points > n else {False})
 
 
@@ -223,7 +251,7 @@ def test_tilted_draws_extend_as_a_prefix():
     _, long = collect(tilted, 1030, 11)
     assert np.array_equal(short, long[:, :700])
     # The tilt moves the draws, and the untilted loop is left as it was.
-    _, plain = collect(DenseFactor(factor), 700, 11)
+    _, plain = collect(factor, 700, 11)
     assert not np.array_equal(short, plain)
     with pytest.raises(ValidationError, match="tilt points"):
         TiltedFactor(factor, 3)
@@ -253,7 +281,7 @@ class _Identity:
 def test_draw_loop_reads_only_the_factor_protocol():
     # Counts that end mid-step and run past BATCH: each block must be
     # the product of its replications' own normals bit for bit, one step
-    # per block.
+    # per block, cut from a product of a whole step.
     for reps in (1, 2, 4, BATCH + 1, 2 * BATCH + 7):
         factor = _Identity()
         widths = []
@@ -264,33 +292,58 @@ def test_draw_loop_reads_only_the_factor_protocol():
             z = np.vstack([replicate_generator(8, i).standard_normal(4) for i in streams]).T
             assert np.array_equal(block, z), (reps, start)
         assert widths == [min(3, reps - start) for start in range(0, reps, 3)]
-        assert factor.counts == widths
+        # Every product is a whole step, the last block's too.
+        assert factor.counts == [3] * len(widths)
 
 
 def test_lower_product_agrees_with_dense():
-    # Rounding-level agreement above the row block (a ragged last block
-    # at 2 * ROW_BLOCK + 37), bit-identity at or below it, and entries
-    # right of each row block's diagonal block are never read: NaN put
-    # there must not reach the result.
+    # A DenseFactor of the row slabs of a lower-triangular matrix: its
+    # product agrees with the dense one to rounding above the row block
+    # (a ragged last slab at 2 * ROW_BLOCK + 37), bit for bit at or
+    # below it, and bit for bit with the row-blocked product of the
+    # n x n matrix's own views at every size.
     rng = np.random.default_rng(9)
     for n in (ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 37):
-        factor = np.tril(rng.standard_normal((n, n)))
-        poisoned = factor.copy()
-        for a in range(0, n, ROW_BLOCK):
-            poisoned[a : a + ROW_BLOCK, a + ROW_BLOCK :] = np.nan
+        low = np.tril(rng.standard_normal((n, n)))
+        slabs = [low[a : a + ROW_BLOCK, : a + ROW_BLOCK].copy() for a in range(0, n, ROW_BLOCK)]
+        factor = DenseFactor(slabs)
+        assert len(factor) == n
+        assert np.array_equal(lower_matrix(factor), low)
         for width in (1, BATCH):
-            z = rng.standard_normal((width, n)).T
-            dense = factor @ z
-            got = _lower_product(factor, z)
+            zt = rng.standard_normal((width, n))
+            dense = low @ zt.T
+            got = factor.product(zt)
             if n <= ROW_BLOCK:
                 assert np.array_equal(got, dense)
             else:
                 assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense)), (n, width)
-            assert np.array_equal(_lower_product(poisoned, z), got), (n, width)
+            assert np.array_equal(got, _row_blocked(low, zt.T)), (n, width)
+
+
+def test_draws_extend_as_a_prefix_at_every_count():
+    # A run of any length is the leading columns of a longer one, bit
+    # for bit, whatever width its last block is: widths 1, 2 and 7, and
+    # one or two replications past a block, once took narrower BLAS
+    # kernels than the longer run's and rounded their columns
+    # differently.  Dense factors below and above ROW_BLOCK, a tilted
+    # one and a feature one.
+    dense = factor_covariance(spd_matrix(40, 3))[0]
+    wide = factor_covariance(spd_matrix(ROW_BLOCK + 44, 3))[0]
+    factors = {
+        "dense": dense,
+        "row-blocked": wide,
+        "tilted": TiltedFactor(wide, ROW_BLOCK + 50),
+        "feature": FeatureFactor(np.random.default_rng(4).standard_normal((60, 9))),
+    }
+    for name, factor in factors.items():
+        _, long = collect(factor, 2 * BATCH + 76, 5)
+        for reps in (1, 2, 7, BATCH + 1, BATCH + 2, 2 * BATCH + 1):
+            _, short = collect(factor, reps, 5)
+            assert np.array_equal(short, long[:, :reps]), (name, reps)
 
 
 def test_interleaved_draw_loops_do_not_share_state():
-    factor = DenseFactor(factor_covariance(spd_matrix(3, 7))[0])
+    factor = factor_covariance(spd_matrix(3, 7))[0]
     alone = {seed: [b for _, b in draw_in_batches(factor, 2 * BATCH + 1, seed)] for seed in (1, 2)}
     loops = {seed: draw_in_batches(factor, 2 * BATCH + 1, seed) for seed in (1, 2)}
     for k in range(3):
@@ -301,7 +354,7 @@ def test_interleaved_draw_loops_do_not_share_state():
 
 
 def test_draws_validation():
-    factor = DenseFactor(factor_covariance(spd_matrix(2, 5))[0])
+    factor = factor_covariance(spd_matrix(2, 5))[0]
     for reps in (0, 2.5, True):
         with pytest.raises(ValidationError, match="replication count"):
             list(draw_in_batches(factor, reps, 1))
@@ -313,7 +366,7 @@ def test_draws_validation():
 def test_draws_have_target_covariance():
     mat = spd_matrix(3, 8)
     factor, _ = factor_covariance(mat)
-    _, samples = collect(DenseFactor(factor), 4000, 13)
+    _, samples = collect(factor, 4000, 13)
     sample_cov = np.cov(samples)
     # 4000 draws pin a 3x3 covariance to a few percent.
     assert sample_cov == pytest.approx(mat, rel=0.15, abs=0.3)

@@ -17,7 +17,7 @@ from excursion.covariance import (
 from excursion.curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from excursion.errors import FactorizationError, UnsupportedShapeError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
-from excursion.sampling import DenseFactor, FeatureFactor, draw_in_batches, factor_covariance
+from excursion.sampling import FeatureFactor, draw_in_batches, factor_covariance
 from excursion.validation import (
     Grid,
     Z95,
@@ -181,7 +181,7 @@ def test_sampled_field_reproduces_covariance():
     cov = model.covariance_matrix(grid.chart, grid.coords)
     factor, _ = factor_covariance(cov)
     pair = []
-    for _, block in draw_in_batches(DenseFactor(factor), 20_000, 23):
+    for _, block in draw_in_batches(factor, 20_000, 23):
         pair.append(block[[0, 25], :])
     sample_corr = float(np.corrcoef(np.hstack(pair))[0, 1])
     assert abs(sample_corr - cov[0, 25]) <= 0.02
@@ -227,7 +227,7 @@ def test_refinement_monotonicity_with_shared_replications():
     cov = stable.covariance_matrix(fine_grid.chart, fine_grid.coords)
     factor, _ = factor_covariance(cov, fixed_rel_jitter=1e-10)
     n_coarse = len(coarse_grid)
-    for _, block in draw_in_batches(DenseFactor(factor), 1000, 11):
+    for _, block in draw_in_batches(factor, 1000, 11):
         assert np.all(block[:n_coarse].max(axis=0) <= block.max(axis=0))
 
     # End-to-end half: independent coarse and fine runs under matched
@@ -382,7 +382,7 @@ def _no_covariance_matrix(monkeypatch):
 def _dense_sups(model, grid, reps, seed, **kwargs):
     cov = model.covariance_matrix(grid.chart, grid.coords)
     factor, _ = factor_covariance(cov, **kwargs)
-    return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(DenseFactor(factor), reps, seed)])
+    return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, seed)])
 
 
 def test_feature_path_agrees_with_dense_in_distribution(monkeypatch):
@@ -390,7 +390,7 @@ def test_feature_path_agrees_with_dense_in_distribution(monkeypatch):
     grid = coarse.refine()
     reps = 8000
     factor, _ = factor_covariance(CUBIC.covariance_matrix(grid.chart, grid.coords))
-    blocks = [b for _, b in draw_in_batches(DenseFactor(factor), reps, 71)]
+    blocks = [b for _, b in draw_in_batches(factor, reps, 71)]
     dense = [np.concatenate([b[:m].max(axis=0) for b in blocks]) for m in (len(grid), len(coarse))]
     _no_covariance_matrix(monkeypatch)
     sups = sample_field(CUBIC, grid, reps, 72, prefix=len(coarse))
