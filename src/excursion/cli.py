@@ -59,6 +59,7 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ExcursionError, FactorizationError, ValidationError
+from .serialize import csv_text
 
 __all__ = ["main", "run"]
 
@@ -280,19 +281,13 @@ def _resolve_output(args) -> str:
     return output
 
 
-def _csv(header: list[str], rows) -> str:
-    from .serialize import csv_line
-
-    return "\n".join([",".join(header), *(csv_line(row) for row in rows)]) + "\n"
-
-
 def _approx_csv(results) -> str:
     terms = [f"term_{j}" for j in range(len(results[0].terms))]
     rows = (
         [res.method, res.u, res.total, *res.terms, res.h_value, res.h_provenance]
         for res in results
     )
-    return _csv(["method", "u", "total", *terms, "H_value", "H_provenance"], rows)
+    return csv_text(["method", "u", "total", *terms, "H_value", "H_provenance"], rows)
 
 
 def _analytic(config: dict, domain, model) -> list:
@@ -313,7 +308,7 @@ def _run_lk(config: dict) -> str:
     from .curvatures import lk_curvatures
 
     lk = lk_curvatures(_construct(config, "domain"))
-    return _csv(["j", "L_j"], ([j, float(value)] for j, value in enumerate(lk)))
+    return csv_text(["j", "L_j"], ([j, float(value)] for j, value in enumerate(lk)))
 
 
 def _run_approx(config: dict) -> str:
@@ -326,17 +321,16 @@ def _run_pickands_const(config: dict) -> str:
     fields = ("alpha", "dim", "cube_side", "spacing", "reps", "seed")
     est = estimate_pickands(*(config[f] for f in fields))
     inputs = [est.alpha, est.n_dim, est.cube_side, est.spacing, est.reps, est.seed]
-    return _csv(
+    return csv_text(
         ["alpha", "N", "K", "spacing", "reps", "seed", "estimate", "stderr"],
         [inputs + [est.estimate, est.stderr]],
     )
 
 
-def _run_validate(config: dict) -> str:
+def _validate_grids(config: dict, domain) -> list:
+    """The grids a ``validate`` run samples, the first holding the last
+    as its prefix; building them checks them against the point budget."""
     from . import validation
-
-    domain, model = _domain_and_model(config)
-    analytic = _analytic(config, domain, model)
 
     # From R = 4 on, rows at half resolution make discretization drift
     # visible in the same table.  Both grids are sampled in one pass: the
@@ -344,16 +338,23 @@ def _run_validate(config: dict) -> str:
     # Below 4 the prefix is the whole grid, and zip drops its second row.
     mc = config["mc"]
     if mc["resolution"] < 4:
-        grids = [validation.build_grid(domain, mc["resolution"])]
-    else:
-        coarse = validation.build_grid(domain, mc["resolution"] // 2)
-        grids = [coarse.refine(), coarse]
+        return [validation.build_grid(domain, mc["resolution"])]
+    coarse = validation.build_grid(domain, mc["resolution"] // 2)
+    return [coarse.refine(), coarse]
+
+
+def _run_validate(config: dict) -> str:
+    from . import validation
+
+    domain, model = _domain_and_model(config)
+    analytic = _analytic(config, domain, model)
+    grids = _validate_grids(config, domain)
+    mc = config["mc"]
     sups = validation.sample_field(model, grids[0], mc["reps"], mc["seed"], prefix=len(grids[-1]))
     rows = []
     for grid, grid_sups in zip(grids, sups):
         empirical = validation.estimates_from_sups(
-            grid_sups, config["u_grid"], grid_size=len(grid), resolution=grid.resolution,
-            seed=mc["seed"],
+            grid_sups, config["u_grid"], resolution=grid.resolution, seed=mc["seed"]
         )
         rows.extend(validation.compare_report(analytic, empirical).rows)
     return validation.ComparisonTable(tuple(rows)).to_csv()
@@ -426,8 +427,14 @@ def resolve(args) -> ResolvedRun:
         if h is None:
             from .covariance import local_expansion
             from .pickands import resolve_constant
+            from .sampling import _check_draws
 
             domain, model = _domain_and_model(config)
+            if sub == "validate":
+                # The checks the run makes of its grids and draws, made
+                # before the estimate rather than after it.
+                _validate_grids(config, domain)
+                _check_draws(config["mc"]["reps"], config["mc"]["seed"])
             _, alpha = local_expansion(model)
             resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"])
             h = {"value": resolved.value, "provenance": resolved.provenance}

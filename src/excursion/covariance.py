@@ -8,11 +8,17 @@ Two kinds of model:
 * locally isotropic: 1 - C(p, q) = c * d_M(p, q)^alpha * (1 + o(1))
   near the diagonal, for c > 0 and alpha in (0, 2], exposing (c, alpha).
 
-A locally isotropic model may carry a full covariance so it can be
-simulated; the bare parameter pair is enough for the fractional-index
-tail approximation.
+A locally isotropic model may carry a full covariance on the same
+manifold so it can be simulated; the bare parameter pair is enough for
+the fractional-index tail approximation.
 
-Construction checks parameter domains only.  Whether a family is in
+Every model is evaluated by the shared base's ``covariance``,
+``covariance_table`` and ``covariance_matrix``: a family defines only
+the correlation hooks they read, and a locally isotropic model forwards
+those hooks to its full covariance.
+
+Construction checks parameter domains, and a full covariance's
+manifold, only.  Whether a family is in
 fact positive semidefinite on its manifold is a property of the pair
 (family, manifold); combinations that are not are still constructible
 here and fail later, at factorization time, when a simulation is
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError, ValidationError
+from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError
 from .manifolds import ChartPoint, Sphere, _ManifoldBase
 
 __all__ = [
@@ -53,12 +59,12 @@ class _ModelBase:
     manifold: _ManifoldBase
 
     # The correlation hooks, between two coordinate arrays and for one
-    # pair; ``covariance_table``, ``covariance_matrix``, ``covariance_row``
-    # and ``covariance`` add the point checks, and all but the first the
-    # diagonal pin.  Both default to
-    # geodesic distance.  The table hook hands the kernel the distance
-    # buffer it just made, which for ``b is a`` is symmetric by
-    # construction, so the matrix is too.
+    # pair, are all a family or a wrapper defines; ``covariance_table``,
+    # ``covariance_matrix`` and ``covariance`` add the point checks, and
+    # the matrix the diagonal pin.  Both default to geodesic distance.
+    # The table hook hands the kernel the distance buffer it just made,
+    # which for ``b is a`` is symmetric by construction, so the matrix is
+    # too.
     def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._kernel(self.manifold.pairwise_geodesic(chart, a, b))
 
@@ -103,19 +109,6 @@ class _ModelBase:
         # Symmetric by construction; pin the diagonal, where a distance can round away from 0.
         np.fill_diagonal(mat, 1.0)
         return mat
-
-    def covariance_row(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        """Row 0 of ``covariance_matrix(chart, coords)`` without building
-        the rest: the covariances of the first point with every point.
-
-        Equal to that row to the last bit wherever the distance tables
-        are elementwise (Euclidean space, flat tori); on spheres the
-        inner products go through a matrix product, which may round
-        differently for one row than for the whole matrix."""
-        coords = self._checked_coords(coords)
-        row = np.asarray(self._correlation_table(chart, coords[:1], coords))[0]
-        row[0] = 1.0
-        return row
 
 
 class SmoothIsotropicModel(_ModelBase):
@@ -269,9 +262,10 @@ class SphereSchoenberg(SmoothIsotropicModel):
 class LocallyIsotropicModel(_ModelBase):
     """Near-diagonal behaviour 1 - C = c d^alpha (1 + o(1)).
 
-    ``full_model`` optionally attaches a complete covariance whose local
-    expansion matches (c, alpha); without one the model supports the
-    tail approximation but cannot be evaluated or simulated.
+    ``full_model`` optionally attaches a complete covariance, on the same
+    manifold, whose local expansion matches (c, alpha); the model then
+    evaluates through its correlation hooks.  Without one the model
+    supports the tail approximation but cannot be evaluated or simulated.
     """
 
     manifold: _ManifoldBase
@@ -288,6 +282,11 @@ class LocallyIsotropicModel(_ModelBase):
             raise ValidationError(f"local expansion exponent must lie in (0, 2], got {self.alpha}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "alpha", alpha)
+        # Points are checked against this manifold, then measured by the full model's.
+        if self.full_model is not None and self.full_model.manifold != self.manifold:
+            raise ManifoldMismatchError(
+                f"model lives on {self.manifold}, its full covariance on {self.full_model.manifold}"
+            )
 
     def local_expansion(self) -> tuple[float, float]:
         return (self.c, self.alpha)
@@ -300,20 +299,16 @@ class LocallyIsotropicModel(_ModelBase):
             )
         return self.full_model
 
+    # The hooks the evaluation methods read, taken from the full model;
+    # ``b`` goes through as the same object, so ``b is a`` still holds.
     def correlation_from_distance(self, d):
         return self._evaluable().correlation_from_distance(d)
 
-    def covariance(self, p: ChartPoint, q: ChartPoint) -> float:
-        return self._evaluable().covariance(p, q)
+    def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._evaluable()._correlation_table(chart, a, b)
 
-    def covariance_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._evaluable().covariance_table(chart, a, b)
-
-    def covariance_matrix(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self._evaluable().covariance_matrix(chart, coords)
-
-    def covariance_row(self, chart: str, coords: np.ndarray) -> np.ndarray:
-        return self._evaluable().covariance_row(chart, coords)
+    def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
+        return self._evaluable()._correlation(p, q)
 
 
 @dataclass(frozen=True)
@@ -325,10 +320,9 @@ class _ExpPowerKernel(LocallyIsotropicModel):
 
     full_model: None = field(default=None, init=False, compare=False)
 
-    covariance = _ModelBase.covariance
-    covariance_table = _ModelBase.covariance_table
-    covariance_matrix = _ModelBase.covariance_matrix
-    covariance_row = _ModelBase.covariance_row
+    # The base's hooks, not the forwarders to a full model.
+    _correlation_table = _ModelBase._correlation_table
+    _correlation = _ModelBase._correlation
 
     def correlation_from_distance(self, d):
         return self._kernel(np.array(d, dtype=float))[()]

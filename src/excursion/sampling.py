@@ -529,6 +529,13 @@ def _check_count(name: str, value, low: int, high: int) -> int:
     return int(value)
 
 
+def _check_draws(reps, seed) -> tuple[int, int]:
+    """``reps`` and ``seed`` as ints, after refusing a replication count
+    outside [1, _MAX_REPS] or a stream that does not fit its key."""
+    reps = _check_count("replication count", reps, 1, _MAX_REPS)
+    return reps, _check_stream(seed, reps - 1)
+
+
 def replicate_generator(seed: int, index: int) -> np.random.Generator:
     """The dedicated stream for replication ``index`` under ``seed``."""
     seed = _check_stream(seed, index)
@@ -555,8 +562,7 @@ def draw_in_batches(factor, reps: int, seed: int):
     reference to a yielded block is kept, so a consumer that drops it
     frees it before the next is drawn.
     """
-    reps = _check_count("replication count", reps, 1, _MAX_REPS)
-    seed = _check_stream(seed, reps - 1)
+    reps, seed = _check_draws(reps, seed)
     # A fresh Philox's state is the start of a stream: counter 0, empty
     # buffer.  Assigning it back with only the key changed starts the
     # stream of another replication.  The key holds the 128-bit key low

@@ -12,7 +12,7 @@ import math
 
 from .errors import ValidationError
 
-__all__ = ["format_value", "csv_line"]
+__all__ = ["format_value", "csv_line", "csv_text"]
 
 
 def format_value(v) -> str:
@@ -30,3 +30,9 @@ def format_value(v) -> str:
 
 def csv_line(values) -> str:
     return ",".join(format_value(v) for v in values)
+
+
+def csv_text(header, rows) -> str:
+    """A whole CSV file: the header line, then one line per row, each
+    line ended by a newline."""
+    return "\n".join([",".join(header), *(csv_line(row) for row in rows)]) + "\n"

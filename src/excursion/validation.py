@@ -60,7 +60,7 @@ sublattice of its draws, not the draws of a standalone coarse run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -68,17 +68,16 @@ from .covariance import SphereSchoenberg
 from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
-    _MAX_REPS,
     CovarianceColumns,
     FeatureFactor,
     _cap_points,
     _check_count,
-    _check_stream,
+    _check_draws,
     draw_in_batches,
     factor_circulant,
     factor_covariance,
 )
-from .serialize import csv_line
+from .serialize import csv_text
 
 __all__ = [
     "Z95",
@@ -121,19 +120,6 @@ FEATURE_MAX_SHARE = 0.5
 # the scipy version.
 Z95 = 1.959963984540054
 
-_COMPARISON_COLUMNS = (
-    "u",
-    "analytic_total",
-    "p_hat",
-    "ci_low",
-    "ci_high",
-    "ratio",
-    "within_ci",
-    "resolution",
-    "reps",
-    "seed",
-)
-
 
 def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
@@ -161,7 +147,6 @@ class McEstimate:
     ci_low: float
     ci_high: float
     reps: int
-    grid_size: int
     resolution: int
     seed: int
 
@@ -291,8 +276,10 @@ def _factor(model, grid: Grid, fixed_rel_jitter):
                 # The grid's points in lattice order are the build_grid lattice.
                 lattice = np.empty_like(grid.coords)
                 lattice[grid.lattice] = grid.coords
-                row = model.covariance_row(grid.chart, lattice).reshape((side,) * grid.domain.k)
-                return factor_circulant(row, grid.lattice)[0]
+                # Row 0 of the covariance matrix, its diagonal entry pinned as there.
+                row = model.covariance_table(grid.chart, lattice[:1], lattice)[0]
+                row[0] = 1.0
+                return factor_circulant(row.reshape((side,) * grid.domain.k), grid.lattice)[0]
         few = FEATURE_MAX_SHARE * len(grid)
         if isinstance(model, SphereSchoenberg) and model.feature_count() < few:
             return FeatureFactor(model.features(grid.chart, grid.coords))
@@ -338,8 +325,7 @@ def sample_field(
     up to rounding in the product when those m points take it too; on
     the circulant path (see the module docstring) it is not.
     """
-    reps = _check_count("replication count", reps, 1, _MAX_REPS)
-    _check_stream(seed, reps - 1)
+    reps, _ = _check_draws(reps, seed)
     head = len(grid) if prefix is None else _check_count("prefix", prefix, 1, len(grid))
     factor = _factor(model, grid, fixed_rel_jitter)
     sups = np.empty((2, reps))
@@ -353,7 +339,7 @@ def sample_field(
 
 
 def estimates_from_sups(
-    sups: np.ndarray, u_grid, *, grid_size: int, resolution: int, seed: int
+    sups: np.ndarray, u_grid, *, resolution: int, seed: int
 ) -> list[McEstimate]:
     """Threshold counts and Wilson intervals on a shared sample set."""
     sups = np.asarray(sups, dtype=float)
@@ -372,7 +358,6 @@ def estimates_from_sups(
                 ci_low=low,
                 ci_high=high,
                 reps=reps,
-                grid_size=int(grid_size),
                 resolution=int(resolution),
                 seed=int(seed),
             )
@@ -391,13 +376,13 @@ def empirical_excursion(
     """Empirical P{sup >= u} on a fresh grid, one sample set for all u."""
     grid = build_grid(domain, resolution)
     sups = sample_field(model, grid, reps, seed)
-    return estimates_from_sups(
-        sups, u_grid, grid_size=len(grid), resolution=grid.resolution, seed=int(seed)
-    )
+    return estimates_from_sups(sups, u_grid, resolution=grid.resolution, seed=int(seed))
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
+    """One ``validate`` CSV row; the fields, in order, are its columns."""
+
     u: float
     analytic_total: float
     p_hat: float
@@ -415,10 +400,7 @@ class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
 
     def to_csv(self) -> str:
-        lines = [",".join(_COMPARISON_COLUMNS)]
-        for row in self.rows:
-            lines.append(csv_line([getattr(row, c) for c in _COMPARISON_COLUMNS]))
-        return "\n".join(lines) + "\n"
+        return csv_text([f.name for f in fields(ComparisonRow)], map(astuple, self.rows))
 
 
 def compare_report(analytic, empirical) -> ComparisonTable:

@@ -64,6 +64,14 @@ def _families(torus):
     ]
 
 
+def _row(model, lattice):
+    """Row 0 of the lattice's covariance matrix as the sampler builds it:
+    the table of the first point against every point, entry 0 pinned."""
+    row = model.covariance_table(lattice.chart, lattice.coords[:1], lattice.coords)[0]
+    row[0] = 1.0
+    return row
+
+
 LATTICES = [
     pytest.param((1.0,), 9, id="1d-odd"),
     pytest.param((1.0,), 12, id="1d-even"),
@@ -77,7 +85,7 @@ LATTICES = [
 def test_row_is_row_zero_of_the_dense_matrix(periods, side):
     lattice = build_grid(FullTorus(periods), side)
     for model in _families(FlatTorus(periods)):
-        row = model.covariance_row(lattice.chart, lattice.coords)
+        row = _row(model, lattice)
         dense = model.covariance_matrix(lattice.chart, lattice.coords)
         assert np.array_equal(row, dense[0]), type(model).__name__
         assert row[0] == 1.0
@@ -91,7 +99,7 @@ def test_factor_reconstructs_the_dense_matrix(periods, side):
     order = np.random.default_rng(side).permutation(n)
     coords = lattice.coords[order]
     for model in _families(FlatTorus(periods)):
-        row = model.covariance_row(lattice.chart, lattice.coords).reshape((side,) * len(periods))
+        row = _row(model, lattice).reshape((side,) * len(periods))
         dense = model.covariance_matrix(lattice.chart, coords)
         smallest = float(np.linalg.eigvalsh(dense)[0])
         if smallest < -1e-6:
@@ -160,7 +168,7 @@ def test_stepped_draws_match_the_one_shot_transform(periods, side):
     order = np.random.default_rng(side).permutation(n)
     shape = (side,) * len(periods)
     model = StableOnChart(FlatTorus(periods), 1.0, 1.0)
-    row = model.covariance_row(lattice.chart, lattice.coords).reshape(shape)
+    row = _row(model, lattice).reshape(shape)
     factor, _ = factor_circulant(row, order)
     step = factor.step
     assert 1 < step < BATCH and step == _CIRCULANT_STEP_BYTES // (8 * n + 16 * factor.root.size)

@@ -329,6 +329,28 @@ def test_manifest_wall_time_covers_the_h_estimate(tmp_path, monkeypatch):
     assert manifest["wall_time_seconds"] >= pause
 
 
+def test_validate_budgets_checked_before_the_h_estimate(monkeypatch, caplog):
+    # A rough validate run without a pinned H estimates it in cli.resolve;
+    # a grid or a replication count over its budget is refused first, with
+    # the message the run itself gives.
+    from excursion import pickands
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("H was estimated before the budgets were checked")
+
+    monkeypatch.setattr(pickands, "resolve_constant", unreachable)
+    base = ["validate", "--shape", "full_torus", "--periods", "1,1", "--family",
+            "stable_on_chart", "--c", "1", "--alpha", "1", "--u", "2", "--seed", "0"]
+    cases = [
+        (["--resolution", "1000", "--reps", "100"], "grid would have 250000 points"),
+        (["--resolution", "20", "--reps", "20000000"], "replication count must lie in"),
+    ]
+    for extra, message in cases:
+        caplog.clear()
+        assert main(base + extra) == 1
+        assert message in caplog.text
+
+
 def test_pickands_const_manifest_round_trip(tmp_path):
     first = tmp_path / "pc.csv"
     argv = [

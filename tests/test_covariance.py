@@ -14,7 +14,7 @@ from excursion.covariance import (
     expansion_ratio_check,
     local_expansion,
 )
-from excursion.errors import DegenerateModelError, ValidationError
+from excursion.errors import DegenerateModelError, ManifoldMismatchError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
 
 
@@ -187,6 +187,12 @@ def test_model_parameter_validation():
         LocallyIsotropicModel(c=1.0, alpha=0.0, manifold=e2)
     with pytest.raises(TypeError):
         PoweredExponential(e2, 1.0, 1.0, full_model=SquaredExponential(e2, 1.0))
+    # A full covariance on another manifold would measure unwrapped
+    # distances on a torus: at (0, 0) and (5/6, 0), 0.249 for 0.946.
+    with pytest.raises(ManifoldMismatchError):
+        LocallyIsotropicModel(
+            FlatTorus((1.0, 1.0)), 2.0, 2.0, full_model=SquaredExponential(e2, 0.5)
+        )
 
 
 def test_bare_local_model_cannot_be_evaluated():
@@ -208,9 +214,22 @@ def test_local_expansion_echo_and_conversion():
     assert c == -smooth.rho_prime_0()
     converted = smooth.local_model()
     assert converted.local_expansion() == (c, alpha)
-    # The attached covariance is the original kernel.
+    # The attached covariance is the original kernel, bit for bit in
+    # every evaluation method; the sphere's matrix is one symmetric
+    # product, which holds only if the table hook gets ``b is a``.
     p, q = e2.point(0.0, 0.0), e2.point(0.3, 0.4)
     assert converted.covariance(p, q) == smooth.covariance(p, q)
+    schoenberg = SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.3, 0.3, 0.2))
+    for model in (smooth, schoenberg):
+        local = model.local_model()
+        chart = model.manifold.charts[0]
+        coords = random_coords(model.manifold, 40, 5)
+        a, b = coords[:7], coords[7:]
+        table = local.covariance_table(chart, a, b)
+        assert np.array_equal(table, model.covariance_table(chart, a, b))
+        matrix = local.covariance_matrix(chart, coords)
+        assert np.array_equal(matrix, model.covariance_matrix(chart, coords))
+        assert np.array_equal(matrix, matrix.T)
 
 
 def test_expansion_ratio_near_one():

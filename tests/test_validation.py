@@ -197,14 +197,14 @@ def test_sample_field_rejects_indefinite_kernel():
 def test_bad_seed_refused_before_the_covariance_is_built(monkeypatch):
     # At resolution 60 the covariance is 3600 x 3600: the seed is checked
     # beside the replication count, before it is built and factorized.
-    # The 60 x 60 lattice takes the circulant path, which builds one row.
+    # The 60 x 60 lattice takes the circulant path, which builds one row;
+    # every path reads the covariance through ``covariance_table``.
     # A bool is no count: True is refused as a replication count and as
     # a prefix, not read as 1.
     def unreachable(*args):
         raise AssertionError("the covariance was built before the seed was checked")
 
-    monkeypatch.setattr(StableOnChart, "covariance_matrix", unreachable)
-    monkeypatch.setattr(StableOnChart, "covariance_row", unreachable)
+    monkeypatch.setattr(StableOnChart, "covariance_table", unreachable)
     stable = StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.0)
     for seed in (-1, 2**64, 1.5, True):
         with pytest.raises(ValidationError, match="seed"):
@@ -282,16 +282,15 @@ def test_bonferroni_over_quarter_squares():
 
 def test_estimates_share_one_sample_set():
     sups = np.array([0.2, 1.1, 2.5, 0.9, 3.0, -0.5])
-    out = estimates_from_sups(sups, [0.0, 1.0, 2.0], grid_size=4, resolution=2, seed=9)
+    out = estimates_from_sups(sups, [0.0, 1.0, 2.0], resolution=2, seed=9)
     assert [e.p_hat for e in out] == [5 / 6, 3 / 6, 2 / 6]
     for e in out:
         assert e.ci_low <= e.p_hat <= e.ci_high
-        assert e.grid_size == 4
         assert e.seed == 9
     p_hats = [e.p_hat for e in out]
     assert all(b <= a for a, b in zip(p_hats, p_hats[1:]))
     with pytest.raises(ValidationError):
-        estimates_from_sups(sups, [math.inf], grid_size=4, resolution=2, seed=9)
+        estimates_from_sups(sups, [math.inf], resolution=2, seed=9)
 
 
 def test_empirical_excursion_deterministic():
