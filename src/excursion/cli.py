@@ -431,8 +431,7 @@ def resolve(args) -> ResolvedRun:
 
             domain, model = _domain_and_model(config)
             if sub == "validate":
-                # The checks the run makes of its grids and draws, made
-                # before the estimate rather than after it.
+                # The run's own grid and draw checks, before the estimate.
                 _validate_grids(config, domain)
                 _check_draws(config["mc"]["reps"], config["mc"]["seed"])
             _, alpha = local_expansion(model)
