@@ -28,6 +28,9 @@ region by midpoint quadrature; with B = c^{1/alpha} G^{1/2} it recovers
 c^{N/alpha} times the Riemannian volume of the region, which is the
 bridge between the chart-by-chart picture and the volume in the tail
 formula.  Tests drive it against closed-form areas.
+``metric_sqrt_field`` builds that B from the manifold's own
+``metric_diagonal`` (every catalogue chart is orthogonal), so a
+manifold's metric is written in one place only.
 """
 
 from __future__ import annotations
@@ -39,14 +42,8 @@ import numpy as np
 
 from .covariance import LocallyIsotropicModel, SmoothIsotropicModel, local_expansion
 from .curvatures import lk_curvatures, rescale_lk
-from .errors import (
-    DegenerateChartError,
-    DegenerateModelError,
-    ManifoldMismatchError,
-    ValidationError,
-)
+from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError
 from .kernels import beta_j, gaussian_tail
-from .manifolds import Euclidean, FlatTorus, Sphere
 
 __all__ = [
     "ApproxResult",
@@ -168,46 +165,30 @@ def metric_sqrt_field(manifold, chart: str | None = None, scale: float = 1.0):
     """B(t) = scale * G^{1/2}(t) as a vectorized matrix field.
 
     Returns a callable mapping an (m, N) chart-coordinate array to an
-    (m, N, N) array of matrices.  Pass scale = c^{1/alpha} to build the
-    integrand of the chart-volume identity.
+    (m, N, N) array of diagonal matrices, scale * sqrt(metric_diagonal).
+    Pass scale = c^{1/alpha} to build the integrand of the chart-volume
+    identity.  A point where the chart degenerates raises
+    ``DegenerateChartError``.
     """
     scale = float(scale)
     if not (math.isfinite(scale) and scale > 0):
         raise ValidationError(f"scale must be positive, got {scale}")
+    if not hasattr(manifold, "metric_diagonal"):
+        raise ValidationError(f"no metric field for {type(manifold).__name__}")
     if chart is None:
         chart = manifold.charts[0]
     if chart not in manifold.charts:
         raise ValidationError(f"unknown chart {chart!r} (expected one of {manifold.charts})")
     n = manifold.dim
+    idx = np.arange(n)
 
-    if isinstance(manifold, (Euclidean, FlatTorus)):
+    def field(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        out = np.zeros((points.shape[0], n, n))
+        out[:, idx, idx] = scale * np.sqrt(manifold.metric_diagonal(chart, points))
+        return out
 
-        def field(points: np.ndarray) -> np.ndarray:
-            points = np.asarray(points, dtype=float)
-            return np.broadcast_to(scale * np.eye(n), (points.shape[0], n, n)).copy()
-
-        return field
-
-    if isinstance(manifold, Sphere):
-
-        def field(points: np.ndarray) -> np.ndarray:
-            points = np.asarray(points, dtype=float)
-            sines = np.sin(points[:, : n - 1])
-            if np.any(sines < 1e-12):
-                raise DegenerateChartError(
-                    "metric degenerate on the quadrature region (polar angle at a pole)"
-                )
-            diag = np.concatenate(
-                [np.ones((points.shape[0], 1)), np.cumprod(sines, axis=1)], axis=1
-            )
-            out = np.zeros((points.shape[0], n, n))
-            idx = np.arange(n)
-            out[:, idx, idx] = scale * manifold.radius * diag
-            return out
-
-        return field
-
-    raise ValidationError(f"no metric field for {type(manifold).__name__}")
+    return field
 
 
 def euclidean_det_integral(field, lower, upper, resolution=512) -> float:
@@ -227,7 +208,10 @@ def euclidean_det_integral(field, lower, upper, resolution=512) -> float:
     if not np.all(upper > lower):
         raise ValidationError("upper bounds must exceed lower bounds")
     n = lower.shape[0]
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (n,)).copy()
+    res = np.broadcast_to(np.asarray(resolution, dtype=object), (n,))
+    if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in res):
+        raise ValidationError(f"resolution must be integers, got {resolution!r}")
+    res = res.astype(int)
     if np.any(res < 1):
         raise ValidationError(f"resolution must be at least 1 per axis, got {resolution}")
 

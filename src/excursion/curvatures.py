@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModelError, UnsupportedShapeError, ValidationError
-from .manifolds import Euclidean, FlatTorus, Sphere
+from .manifolds import Euclidean, FlatTorus, Sphere, _check_dim
 
 __all__ = [
     "Rectangle",
@@ -103,8 +103,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"Ball dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", _check_dim(self.dim, "Ball"))
         (radius,) = _positive_lengths((self.radius,), "Ball")
         object.__setattr__(self, "radius", radius)
 
@@ -132,8 +131,7 @@ class FullSphere:
     radius: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"Sphere dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", _check_dim(self.dim, "FullSphere"))
         (radius,) = _positive_lengths((self.radius,), "FullSphere")
         object.__setattr__(self, "radius", radius)
 

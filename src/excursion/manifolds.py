@@ -5,6 +5,12 @@ metric tensor, geodesic distance in closed form, an embedding, and the
 chart quadratic form ||G^{1/2}(p) (q - p)|| that approximates geodesic
 distance for nearby points.
 
+Every catalogue chart is orthogonal, so a manifold states its metric
+once, as ``metric_diagonal(chart, coords)``: the diagonal of G at each
+row of an (m, N) coordinate array.  The flat default is all ones, and
+the sphere overrides it.  ``metric_tensor``, the chart quadratic form
+and ``approximations.metric_sqrt_field`` all read that one method.
+
 Sphere coordinates are hyperspherical angles (theta_1, ..., theta_N):
 theta_1..theta_{N-1} are polar angles in [0, pi], theta_N is azimuthal
 (2 pi periodic), and the metric is
@@ -81,12 +87,11 @@ class ChartPoint:
         return np.asarray(self.coords, dtype=float)
 
 
-def _sqrt_spd(g: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a small SPD matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(g)
-    if w[0] <= 0.0:
-        raise DegenerateChartError(f"metric not positive definite (eigenvalue {w[0]:g})")
-    return (v * np.sqrt(w)) @ v.T
+def _check_dim(dim, what: str) -> int:
+    """A positive integer dimension (numpy integers too, never a bool)."""
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        raise ValidationError(f"{what} dimension must be a positive integer, got {dim!r}")
+    return int(dim)
 
 
 class _ManifoldBase:
@@ -124,11 +129,16 @@ class _ManifoldBase:
             raise ManifoldMismatchError(
                 f"quadratic form needs points in one chart, got {p.chart!r} and {q.chart!r}"
             )
-        root = _sqrt_spd(self.metric_tensor(p))
-        return float(np.linalg.norm(root @ self._chart_displacement(p, q)))
+        root = np.sqrt(self.metric_diagonal(p.chart, p.array[None, :])[0])
+        return float(np.linalg.norm(root * self._chart_displacement(p, q)))
+
+    def metric_diagonal(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        """Diagonal of G at each row of an (m, N) coordinate array; flat here."""
+        return np.ones(np.shape(coords))
 
     def metric_tensor(self, p: ChartPoint) -> np.ndarray:
-        raise NotImplementedError
+        self.validate_point(p)
+        return np.diag(self.metric_diagonal(p.chart, p.array[None, :])[0])
 
     def geodesic_distance(self, p: ChartPoint, q: ChartPoint) -> float:
         raise NotImplementedError
@@ -165,13 +175,8 @@ class Euclidean(_ManifoldBase):
     dim: int
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"Euclidean dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", _check_dim(self.dim, "Euclidean"))
         object.__setattr__(self, "charts", ("main",))
-
-    def metric_tensor(self, p: ChartPoint) -> np.ndarray:
-        self.validate_point(p)
-        return np.eye(self.dim)
 
     def geodesic_distance(self, p: ChartPoint, q: ChartPoint) -> float:
         self.validate_point(p)
@@ -216,10 +221,6 @@ class FlatTorus(_ManifoldBase):
     @property
     def dim(self) -> int:
         return len(self.periods)
-
-    def metric_tensor(self, p: ChartPoint) -> np.ndarray:
-        self.validate_point(p)
-        return np.eye(self.dim)
 
     def _wrap_signed(self, delta: np.ndarray) -> np.ndarray:
         """Reduce coordinate differences to the minimal representative."""
@@ -284,8 +285,7 @@ class Sphere(_ManifoldBase):
     radius: float
 
     def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 1:
-            raise ValidationError(f"Sphere dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", _check_dim(self.dim, "Sphere"))
         radius = float(self.radius)
         if not (math.isfinite(radius) and radius > 0):
             raise ValidationError(f"Sphere radius must be positive, got {self.radius}")
@@ -300,18 +300,19 @@ class Sphere(_ManifoldBase):
                     f"polar angle theta_{i + 1} = {angle:g} outside the chart domain [0, pi]"
                 )
 
-    def _polar_sines(self, p: ChartPoint) -> np.ndarray:
-        return np.sin(p.array[: self.dim - 1])
-
-    def metric_tensor(self, p: ChartPoint) -> np.ndarray:
-        self.validate_point(p)
-        sines = self._polar_sines(p)
-        if np.any(sines < _POLE_TOL):
+    def metric_diagonal(self, chart: str, coords: np.ndarray) -> np.ndarray:
+        """r^2 (1, sin^2 theta_1, sin^2 theta_1 sin^2 theta_2, ...) per row."""
+        coords = np.asarray(coords, dtype=float)
+        sines = np.sin(coords[:, : self.dim - 1])
+        diag = np.ones(coords.shape)
+        diag[:, 1:] = np.cumprod(sines**2, axis=1)
+        # The last entry is the smallest, and near the poles of a high
+        # dimensional sphere it underflows to 0 before any sine is tiny.
+        if np.any(sines < _POLE_TOL) or not np.all(diag[:, -1] > 0.0):
             raise DegenerateChartError(
-                f"metric degenerate at {p.coords} in chart {p.chart!r} (polar angle at a pole)"
+                f"metric degenerate in chart {chart!r} (polar angle at a pole)"
             )
-        diag = np.concatenate([[1.0], np.cumprod(sines**2)])
-        return self.radius**2 * np.diag(diag)
+        return self.radius**2 * diag
 
     def _chart_displacement(self, p: ChartPoint, q: ChartPoint) -> np.ndarray:
         delta = q.array - p.array

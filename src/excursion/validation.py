@@ -121,7 +121,7 @@ FEATURE_MAX_SHARE = 0.5
 Z95 = 1.959963984540054
 
 
-def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
+def wilson_interval(count: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Well behaved at zero and full counts (never collapses to a point,
@@ -132,9 +132,9 @@ def wilson_interval(count: int, n: int, z: float = Z95) -> tuple[float, float]:
     if n < 1:
         raise ValidationError(f"sample size must be positive, got {n}")
     p = count / n
-    denom = 1.0 + z * z / n
-    center = (p + z * z / (2.0 * n)) / denom
-    half = (z / denom) * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
+    denom = 1.0 + Z95 * Z95 / n
+    center = (p + Z95 * Z95 / (2.0 * n)) / denom
+    half = (Z95 / denom) * math.sqrt(p * (1.0 - p) / n + Z95 * Z95 / (4.0 * n * n))
     return (max(0.0, center - half), min(1.0, center + half))
 
 

@@ -235,6 +235,34 @@ def test_metric_field_sphere_values():
         field(np.array([[5e-14, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "manifold",
+    [Euclidean(3), FlatTorus((1.0, 2.0)), Sphere(1, 1.7), Sphere(2, 0.6), Sphere(3, 2.5)],
+    ids=repr,
+)
+def test_metric_field_squares_to_metric_tensor(manifold):
+    rng = np.random.default_rng(25)
+    for chart in manifold.charts:
+        if isinstance(manifold, Sphere):
+            polar = rng.uniform(1e-3, math.pi - 1e-3, size=(200, manifold.dim - 1))
+            pts = np.column_stack([polar, rng.uniform(0.0, 2.0 * math.pi, size=200)])
+        else:
+            pts = rng.uniform(-1.0, 3.0, size=(200, manifold.dim))
+        tensors = np.stack([manifold.metric_tensor(manifold.point(*p, chart=chart)) for p in pts])
+        field = metric_sqrt_field(manifold, chart)
+        np.testing.assert_allclose(field(pts) ** 2, tensors, rtol=1e-15, atol=0.0)
+        if manifold.dim > 1 and isinstance(manifold, Sphere):
+            pole = np.array([[0.0] * (manifold.dim - 1) + [1.0]])
+            with pytest.raises(DegenerateChartError, match=chart):
+                field(np.vstack([pts[:3], pole]))
+            with pytest.raises(DegenerateChartError, match=chart):
+                manifold.metric_tensor(manifold.point(*pole[0], chart=chart))
+    with pytest.raises(ValidationError):
+        metric_sqrt_field(FullSphere(2, 1.0))
+    with pytest.raises(ValidationError):
+        metric_sqrt_field(object())
+
+
 def test_det_integral_euclidean_box_volume():
     field = metric_sqrt_field(Euclidean(2))
     vol = euclidean_det_integral(field, (0.0, 0.0), (1.5, 2.0), resolution=32)
@@ -279,6 +307,17 @@ def test_det_integral_deterministic_and_guarded():
         euclidean_det_integral(field, (0.0, 0.0), (0.0, 1.0), 8)
     with pytest.raises(ValidationError):
         euclidean_det_integral(field, (0.0, 0.0), (1.0, 1.0), 0)
+
+
+def test_det_integral_refuses_non_integral_resolution():
+    field = metric_sqrt_field(Sphere(2, 1.0))
+    args = ((0.5, 0.0), (2.5, 1.0))
+    for resolution in (2.99, True, (3, 2.5), (True, 3)):
+        with pytest.raises(ValidationError):
+            euclidean_det_integral(field, *args, resolution=resolution)
+    at_3 = euclidean_det_integral(field, *args, resolution=3)
+    assert euclidean_det_integral(field, *args, resolution=np.int64(3)) == at_3
+    assert euclidean_det_integral(field, *args, resolution=(3, np.int64(3))) == at_3
 
 
 def test_stable_model_usable_in_both_roles():

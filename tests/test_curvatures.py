@@ -124,6 +124,15 @@ def test_shape_validation():
         GreatCircle(-2.0)
 
 
+def test_domain_dimension_refuses_bool_and_accepts_numpy_integers():
+    for shape in (Ball, FullSphere):
+        with pytest.raises(ValidationError):
+            shape(True, 1.0)
+        domain = shape(np.int64(2), 1.0)
+        assert type(domain.dim) is int
+        assert np.array_equal(lk_curvatures(domain), lk_curvatures(shape(2, 1.0)))
+
+
 @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
 def test_steiner_against_counting_rectangle(r):
     domain = Rectangle((1.0, 2.0))

@@ -63,6 +63,14 @@ def test_metric_degenerate_at_pole():
         s2.metric_tensor(s2.point(0.0, 0.0))
     with pytest.raises(DegenerateChartError):
         s2.metric_tensor(ChartPoint("south", (math.pi - 1e-14, 0.5)))
+    # Every sine is 1e-11, above the pole tolerance, but the product of
+    # their squares underflows to 0.
+    s16 = Sphere(16, 1.0)
+    p, q = s16.point(*[1e-11] * 15, 0.5), s16.point(*[1e-11] * 15, 0.6)
+    with pytest.raises(DegenerateChartError):
+        s16.metric_tensor(p)
+    with pytest.raises(DegenerateChartError):
+        s16.chart_quadratic_form(p, q)
 
 
 def test_point_validation():
@@ -85,6 +93,17 @@ def test_point_validation():
         FlatTorus((1.0, -2.0))
     with pytest.raises(ValidationError):
         Euclidean(0)
+
+
+def test_dimension_refuses_bool_and_accepts_numpy_integers():
+    for build in (Euclidean, lambda dim: Sphere(dim, 1.0)):
+        with pytest.raises(ValidationError):
+            build(True)
+        with pytest.raises(ValidationError):
+            build(2.0)
+        m = build(np.int64(2))
+        assert type(m.dim) is int
+        assert m == build(2)
 
 
 def test_distance_euclidean():
