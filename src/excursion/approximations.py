@@ -184,6 +184,8 @@ def metric_sqrt_field(manifold, chart: str | None = None, scale: float = 1.0):
 
     def field(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != n:
+            raise ValidationError(f"points must be an (m, {n}) array, got shape {points.shape}")
         out = np.zeros((points.shape[0], n, n))
         out[:, idx, idx] = scale * np.sqrt(manifold.metric_diagonal(chart, points))
         return out
@@ -208,7 +210,12 @@ def euclidean_det_integral(field, lower, upper, resolution=512) -> float:
     if not np.all(upper > lower):
         raise ValidationError("upper bounds must exceed lower bounds")
     n = lower.shape[0]
-    res = np.broadcast_to(np.asarray(resolution, dtype=object), (n,))
+    try:
+        res = np.broadcast_to(np.asarray(resolution, dtype=object), (n,))
+    except ValueError:
+        raise ValidationError(
+            f"resolution must be one value or {n} values, one per axis, got {resolution!r}"
+        ) from None
     if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in res):
         raise ValidationError(f"resolution must be integers, got {resolution!r}")
     res = res.astype(int)

@@ -480,14 +480,12 @@ def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) ->
 
 def _versions() -> dict:
     import numpy
-    import scipy
 
     from . import __version__
 
     return {
         "python": ".".join(str(v) for v in sys.version_info[:3]),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "excursion": __version__,
     }
 

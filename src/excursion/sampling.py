@@ -47,14 +47,22 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   (``SphereSchoenberg.features``).  A draw is F z with r normals, with
   no n x n array, no factorization and no shift.
 
-* counter-based generators: replication i draws from a Philox stream
-  whose 128-bit key is the seed in the high word and i in the low word,
-  so streams are distinct across both seeds and replications,
-  reproducible, order independent, and parallelizable, and a run with
-  more replications extends a shorter run bit for bit instead of
-  reshuffling it.  Every product is of a whole step of rows, so a
-  narrow last block is rounded as the longer run rounds those columns.
-  Because the streams are per replication, a densely factored sample
+* counter-based generators: a Philox stream is keyed by 128 bits, the
+  seed in the high word and an index in the low word, so streams are
+  distinct across both seeds and indices, reproducible, order
+  independent, and parallelizable.  ``replicate_generator`` defines
+  the stream.  A dense, tilted or circulant draw takes one stream per
+  replication, indexed by the replication; a feature draw takes one
+  per block of BATCH replications, indexed by the block's first
+  replication, and fills the whole block's normals in one call (a
+  replication needs only r normals there, so re-keying a stream for
+  each would be most of the draw).  ``draw_in_batches`` defines both
+  schemes.  Either way replication i's normals depend on (seed, i)
+  alone, so a run with more replications extends a shorter run bit
+  for bit instead of reshuffling it.  Every product is of a whole
+  step of rows, so a narrow last block is rounded as the longer run
+  rounds those columns.
+  Because a dense draw's streams are per replication, its sample
   on a grid that extends another grid (extra points appended)
   restricts to the sample on the smaller grid if both take one
   diagonal shift (``fixed_rel_jitter``):
@@ -67,22 +75,23 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   sample restricts to the feature sample of any subset of its points:
   each value is the same r-term dot product, up to rounding (BLAS may
   order its sum differently at another product height).
-  ``replicate_generator`` defines the stream.  ``draw_in_batches``
-  builds one Philox per call and re-keys it for each replication (key
-  words written, counter at 0, buffer empty), which gives the same
-  streams bit for bit without constructing a generator per replication.
-  It reads every factor through one protocol: ``len`` normals per
-  replication, which ``normals(gen, row)`` fills into one contiguous
-  row from the replication's stream; and ``product(zt)``, which
-  returns the fields of ``step`` such rows as the columns of a new
-  block; the loop yields its leading columns.  A ``DenseFactor`` keeps
-  a step of BATCH, since the partition decides how a BLAS product
-  rounds, and multiplies slab by slab: the zeros right of the diagonal
-  blocks are neither stored nor multiplied, and at n <= ROW_BLOCK it
-  is ``L @ z`` bit for bit.  A ``TiltedFactor`` (importance sampling)
-  is a dense one whose ``normals`` also draws an integer from the
-  stream and adds the factor row it names; the row depends on the
-  stream alone, so tilted draws keep every property above.
+  ``draw_in_batches`` reads every factor through one protocol: ``len``
+  normals per replication; ``fill(stream, zt, start, count)``, which
+  writes the normals of replications start, start + 1, ... into the
+  rows of ``zt``, where ``stream(index)`` is the generator of
+  replicate_generator(seed, index), re-keyed rather than constructed
+  (``_replicate_streams``); and ``product(zt)``, which returns the fields of
+  ``step`` such rows as the columns of a new block; the loop yields
+  its leading columns.  The default ``fill`` writes each row through
+  ``normals(gen, row)`` from its replication's stream.  A
+  ``DenseFactor`` keeps a step of BATCH, since the partition decides
+  how a BLAS product rounds, and multiplies slab by slab: the zeros
+  right of the diagonal blocks are neither stored nor multiplied, and
+  at n <= ROW_BLOCK it is ``L @ z`` bit for bit.  A ``TiltedFactor``
+  (importance sampling) is a dense one whose ``normals`` also draws an
+  integer from the stream and adds the factor row it names; the row
+  depends on the stream alone, so tilted draws keep every property
+  above.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -342,11 +351,18 @@ def factor_covariance(
 
 class _Factor:
     """The defaults of the protocol ``draw_in_batches`` reads (see the
-    module docstring): BATCH replications per step and plain standard
-    normals."""
+    module docstring): BATCH replications per step, each drawing plain
+    standard normals from its own stream."""
 
     __slots__ = ()
     step = BATCH
+
+    def fill(self, stream, zt: np.ndarray, start: int, count: int) -> None:
+        """Row j < ``count`` of ``zt`` from replication start + j's own
+        stream, ``stream(start + j)``, through ``normals``."""
+        normals = self.normals
+        for j, row in zip(range(count), zt):
+            normals(stream(start + j), row)
 
     def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
         gen.standard_normal(out=row)
@@ -444,6 +460,12 @@ class FeatureFactor(_Factor):
 
     def __len__(self) -> int:
         return self.features.shape[1]
+
+    def fill(self, stream, zt: np.ndarray, start: int, count: int) -> None:
+        """Every row of ``zt`` in one call from the block's stream,
+        ``stream(start)``: row j is replication start + j, ``count`` or
+        not, so a shorter run's rows are a longer run's."""
+        stream(start).standard_normal(out=zt)
 
     def product(self, zt: np.ndarray) -> np.ndarray:
         """The field for each row of normals in ``zt``, one column per row."""
@@ -544,31 +566,16 @@ def replicate_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) | int(index)))
 
 
-def draw_in_batches(factor, reps: int, seed: int):
-    """Yield blocks of exact joint draws as (first_index, samples).
+def _replicate_streams(seed: int):
+    """``stream(index)``: the generator of replicate_generator(seed,
+    index), at the start of its stream, until the next call.
 
-    ``samples`` holds one row per field value and one column per
-    replication: the block starting at i is ``factor.product`` of the
-    rows of normals ``factor.normals`` fills from
-    replicate_generator(seed, i + j), one per column j (see the module
-    docstring).  Blocks start at multiples of ``factor.step``, a fixed
-    property of the factor, and each but the last is ``factor.step``
-    wide, so the partition never depends on the replication count.
-    Every product is of ``factor.step`` rows, the last block's tail
-    rows left as they were (zeros when it is also the first), and the
-    last block is its leading columns, so a shorter run's columns are
-    the longer run's bit for bit: BLAS may take another kernel for a
-    narrower product and round its columns differently.  No
-    reference to a yielded block is kept, so a consumer that drops it
-    frees it before the next is drawn.
+    One Philox serves every call: a fresh Philox's state is the start of
+    a stream (counter 0, empty buffer), and assigning it back with only
+    the key changed starts another.  The key holds the 128-bit key low
+    word first.  Its arrays are held as lists of Python ints, which the
+    state setter converts faster than it copies arrays.
     """
-    reps, seed = _check_draws(reps, seed)
-    # A fresh Philox's state is the start of a stream: counter 0, empty
-    # buffer.  Assigning it back with only the key changed starts the
-    # stream of another replication.  The key holds the 128-bit key low
-    # word first.  Its arrays are held as lists of Python ints, which the
-    # state setter converts faster than it copies arrays.  Local to this
-    # call, so interleaved loops share nothing.
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
     fresh = bitgen.state
@@ -576,16 +583,56 @@ def draw_in_batches(factor, reps: int, seed: int):
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     key[1] = seed
-    # Each step's normals fill the rows of one reused buffer.  The block
-    # is not named here, so once the consumer drops it nothing holds it
-    # while the next one is drawn.
-    step, normals = factor.step, factor.normals
+
+    def stream(index: int) -> np.random.Generator:
+        key[0] = index
+        bitgen.state = fresh
+        return gen
+
+    return stream
+
+
+def draw_in_batches(factor, reps: int, seed: int):
+    """Yield blocks of exact joint draws as (first_index, samples).
+
+    ``samples`` holds one row per field value and one column per
+    replication: the block starting at i is ``factor.product`` of the
+    rows of normals ``factor.fill`` writes, row j for replication
+    i + j.  Blocks start at multiples of ``factor.step``, a fixed
+    property of the factor, and each but the last is ``factor.step``
+    wide, so the partition never depends on the replication count.
+    The streams come in two schemes, both keyed by the seed and one
+    index, as replicate_generator(seed, index) is:
+
+    * per replication (the ``_Factor`` default: dense, tilted and
+      circulant factors): row j is ``factor.normals`` from
+      replicate_generator(seed, i + j), one re-keyed stream per row;
+    * per block (``FeatureFactor``): the block's whole (step, len)
+      array is one ``standard_normal`` call on
+      replicate_generator(seed, i), row after row, so row j holds that
+      stream's normals j len to (j + 1) len.  Every row is filled,
+      the last block's too.
+
+    Either way replication i's normals are a function of (seed, i)
+    alone, given the factor's step, and no two blocks or replications
+    of one draw share a stream.  Every product is
+    of ``factor.step`` rows, the last block's rows past the count left
+    as they were (zeros when it is also the first) or filled, and the
+    last block is its leading columns, so a shorter run's columns are
+    the longer run's bit for bit: BLAS may take another kernel for a
+    narrower product and round its columns differently.  No
+    reference to a yielded block is kept, so a consumer that drops it
+    frees it before the next is drawn.
+    """
+    reps, seed = _check_draws(reps, seed)
+    # Local to this call, so interleaved loops share nothing.
+    stream = _replicate_streams(seed)
+    # Each step's normals fill one reused buffer.  The block is not
+    # named here, so once the consumer drops it nothing holds it while
+    # the next one is drawn.
+    step, fill, product = factor.step, factor.fill, factor.product
     zt = np.zeros((step, len(factor)))
-    rows = list(zt)
     for start in range(0, reps, step):
         count = min(step, reps - start)
-        for j in range(count):
-            key[0] = start + j
-            bitgen.state = fresh
-            normals(gen, rows[j])
-        yield start, factor.product(zt)[:, :count]
+        fill(stream, zt, start, count)
+        yield start, product(zt)[:, :count]

@@ -235,6 +235,15 @@ def test_metric_field_sphere_values():
         field(np.array([[5e-14, 0.0]]))
 
 
+def test_metric_field_refuses_points_of_another_dimension():
+    # A single column would broadcast across the diagonal unnoticed.
+    for manifold in (Euclidean(2), Sphere(2, 1.0)):
+        field = metric_sqrt_field(manifold)
+        for points in (np.ones((3, 1)), np.ones((3, 3)), np.ones(2)):
+            with pytest.raises(ValidationError, match="points must be"):
+                field(points)
+
+
 @pytest.mark.parametrize(
     "manifold",
     [Euclidean(3), FlatTorus((1.0, 2.0)), Sphere(1, 1.7), Sphere(2, 0.6), Sphere(3, 2.5)],
@@ -318,6 +327,17 @@ def test_det_integral_refuses_non_integral_resolution():
     at_3 = euclidean_det_integral(field, *args, resolution=3)
     assert euclidean_det_integral(field, *args, resolution=np.int64(3)) == at_3
     assert euclidean_det_integral(field, *args, resolution=(3, np.int64(3))) == at_3
+
+
+def test_det_integral_refuses_resolution_of_another_length():
+    field = metric_sqrt_field(Sphere(2, 1.0))
+    args = ((0.5, 0.0), (2.5, 1.0))
+    for resolution in ((2, 3, 4), (), ((3, 3), (3, 3))):
+        with pytest.raises(ValidationError, match="one per axis"):
+            euclidean_det_integral(field, *args, resolution=resolution)
+    assert euclidean_det_integral(field, *args, resolution=(3,)) == euclidean_det_integral(
+        field, *args, resolution=3
+    )
 
 
 def test_stable_model_usable_in_both_roles():

@@ -194,22 +194,48 @@ def test_draws_match_replicate_generator():
             assert np.array_equal(block, _row_blocked(low, _padded(zt))[:, :width]), (seed, start)
 
 
-def test_feature_draws_match_replicate_generator():
-    # A feature factor draws len(factor) = r normals per replication and
-    # returns F z: column i is the features times replication i's own
-    # r normals, laid out as the loop lays them out.
+def test_feature_draws_match_block_streams():
+    # A feature factor draws len(factor) = r normals per replication
+    # from one stream per block: the block starting at i is the features
+    # times BATCH rows of r normals, all drawn in one call from
+    # replicate_generator(seed, i), row j for replication i + j.  Every
+    # row is drawn, so the width-1 last block is column 0 of that
+    # full-width product.
     features = np.random.default_rng(3).standard_normal((40, 7))
     factor = FeatureFactor(features)
     assert len(factor) == 7
     for seed in (0, 2**64 - 1):
         widths = []
         for start, block in draw_in_batches(factor, 2 * BATCH + 1, seed):
-            widths.append(block.shape[1])
-            streams = range(start, start + block.shape[1])
-            zt = np.vstack([replicate_generator(seed, i).standard_normal(7) for i in streams])
             width = block.shape[1]
-            assert np.array_equal(block, (features @ _padded(zt))[:, :width]), (seed, start)
+            widths.append(width)
+            zt = replicate_generator(seed, start).standard_normal((BATCH, 7))
+            assert np.array_equal(block, (features @ zt.T)[:, :width]), (seed, start)
         assert widths == [BATCH, BATCH, 1]
+
+
+class _CountingGenerator(np.random.Generator):
+    """A generator that counts its ``standard_normal`` calls."""
+
+    calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        _CountingGenerator.calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+def test_feature_draws_fill_a_block_per_call(monkeypatch):
+    # The feature path's gain is one normal-fill call per block instead
+    # of one per replication; the dense path keeps one per replication.
+    monkeypatch.setattr(np.random, "Generator", _CountingGenerator)
+    reps = 2 * BATCH + 1
+    feature = FeatureFactor(np.random.default_rng(3).standard_normal((40, 7)))
+    dense = factor_covariance(spd_matrix(5, 6))[0]
+    for factor, calls in ((feature, 3), (dense, reps)):
+        _CountingGenerator.calls = 0
+        for _ in draw_in_batches(factor, reps, 4):
+            pass
+        assert _CountingGenerator.calls == calls, type(factor).__name__
 
 
 def _tilted_oracle(low, points, seed, i):
@@ -270,8 +296,9 @@ class _Identity:
     def __len__(self):
         return 4
 
-    def normals(self, gen, row):
-        gen.standard_normal(out=row)
+    def fill(self, stream, zt, start, count):
+        for j in range(count):
+            stream(start + j).standard_normal(out=zt[j])
 
     def product(self, zt):
         self.counts.append(zt.shape[0])
