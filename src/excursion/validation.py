@@ -8,22 +8,26 @@ the target from below; the drift under grid refinement is reported
 (``validate`` adds rows at half resolution, taken from the same
 sample) rather than corrected.
 
-Grids:
+Grids: ``_SCHEMES`` gives each domain type (or its nearest catalogue
+base) a chart and its points at resolution R, built once the point
+budget is checked:
 
-* rectangles: inclusive tensor grid, ``resolution`` points per axis;
-* flat tori: tensor grid with pitch period/resolution (no duplicate
-  seam points);
-* 2-sphere: latitude rows at the midpoints (i + 1/2) pi/resolution,
-  each row carrying about 2 resolution sin(theta) longitudes, so the
-  pitch is roughly uniform and the poles are never touched;
-* circles and great circles: equally spaced angles.
+* rectangles: inclusive tensor grid, R points per axis;
+* flat tori: tensor grid with pitch period/R (no duplicate seam points),
+  carrying its ``lattice`` index;
+* circles and great circles: equally spaced angles;
+* 2-sphere: latitude rows at the midpoints (i + 1/2) pi/R, each row
+  carrying about 2 R sin(theta) longitudes, so the pitch is roughly
+  uniform and the poles are never touched.
 
-``Grid.refine`` returns a grid that contains the parent's points as an
-exact prefix (same floating-point values, same order) followed by the
-new points.  ``sample_field`` with a ``prefix`` reduces each draw over
-the parent's points and over the whole grid, so one pass gives both
-samples, and "finer grid never lowers the empirical curve" holds draw
-by draw rather than by statistical accident.
+``Grid.refine`` returns the parent's points as an exact prefix (same
+floating-point values, same order), then by index the points of the grid
+at 2R (2R - 1 on rectangles, whose sides keep both ends) with an odd
+step on some axis: the parent's recur bit for bit at the even steps.  No
+2-sphere row recurs, so there it adds them all.  ``sample_field`` with a
+``prefix`` reduces each draw over the parent's points and over the whole
+grid, so one pass gives both samples, and "finer grid never lowers the
+empirical curve" holds draw by draw rather than by statistical accident.
 
 Samplers: ``sample_field`` picks one of three factors in ``_factor``.
 
@@ -41,8 +45,9 @@ Samplers: ``sample_field`` picks one of three factors in ``_factor``.
   on every grid when a fixed jitter is asked for; it is also the
   reference the tests compare both others against.
 
-All three read replication i's normals from the same re-keyed stream,
-so on any path a run with more replications extends a shorter one, and
+Replication i's normals depend on (seed, i) alone, drawn from its own
+re-keyed stream or, on the feature path, from its BATCH block's, so on
+any path a run with more replications extends a shorter one, and
 a replay is byte-identical (on the circulant path, at any BLAS thread
 cap, since it makes no BLAS call).  On the dense path a refined run
 also restricts to the coarse run sample for sample if both matrices
@@ -65,7 +70,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .covariance import SphereSchoenberg
-from .curvatures import Ball, FullSphere, FullTorus, GreatCircle, Rectangle
+from .curvatures import FullSphere, FullTorus, GreatCircle, Rectangle
 from .errors import UnsupportedShapeError, ValidationError
 from .sampling import (
     CovarianceColumns,
@@ -170,32 +175,25 @@ class Grid:
         return self.coords.shape[0]
 
     def refine(self) -> "Grid":
-        """A finer grid containing this one as an exact prefix."""
-        # The parent's points recur bit for bit among the fine grid's: at
-        # doubled resolution on tori and circles, at 2R - 1 points per axis on
-        # rectangles (plain doubling would not nest there).  On the 2-sphere
-        # no latitude row survives doubling, so the refined grid is the union.
-        fine_res = 2 * self.resolution - isinstance(self.domain, Rectangle)
-        both = np.concatenate([self.coords, build_grid(self.domain, fine_res).coords])
-        # First occurrences (np.unique sorts stably) past the parent's rows are
-        # the fine points the parent lacks, kept in fine-grid order.
-        first = np.unique(both, axis=0, return_index=True)[1]
-        new = np.sort(first[first >= len(self)])
-        coords = np.concatenate([self.coords, both[new]])
-        _cap_points(coords.shape[0])
-        lattice = None
-        if self.lattice is not None:
-            # Parent point i_k * (P_k / R) is fine point 2 i_k; the new
-            # points' fine-grid positions are their lattice indices.
-            steps = np.unravel_index(self.lattice, (self.resolution,) * self.coords.shape[1])
-            parent = np.ravel_multi_index(2 * np.array(steps), (fine_res,) * len(steps))
-            lattice = np.concatenate([parent, new - len(self)])
+        """A finer grid containing this one as an exact prefix (see the
+        module docstring).  Its rule holds for the grids ``build_grid`` or
+        ``refine`` made, which are all ``validate`` and the tests refine."""
+        _, points, trim, _ = _scheme(self.domain)
+        fine_res = 2 * self.resolution - trim
+        fine, shape = points(self.domain, fine_res)
+        odd = np.ones(len(fine), bool) if shape is None else (np.indices(shape) % 2).any(0).ravel()
+        new = np.flatnonzero(odd)
+        _cap_points(len(self) + len(new))
+        # Lattice point j is the fine lattice's j-th point of even steps.
+        even = np.flatnonzero(~odd)
+        lattice = None if self.lattice is None else np.concatenate([even[self.lattice], new])
+        coords = np.concatenate([self.coords, fine[new]])
         return Grid(self.domain, self.chart, coords, fine_res, lattice)
 
 
-def _tensor(axes: list[np.ndarray]) -> np.ndarray:
+def _tensor(axes: list) -> tuple[np.ndarray, tuple[int, ...]]:
     grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    return np.stack([g.ravel() for g in grids], axis=-1), grids[0].shape
 
 
 def _check_resolution(resolution: int) -> int:
@@ -206,51 +204,59 @@ def _check_resolution(resolution: int) -> int:
     return int(resolution)
 
 
+def _rectangle(box: Rectangle, resolution: int):
+    _cap_points(resolution, box.k)
+    return _tensor([np.linspace(0.0, side, resolution) for side in box.sides])
+
+
+def _torus(torus: FullTorus, resolution: int):
+    _cap_points(resolution, torus.k)
+    return _tensor([np.arange(resolution) * (p / resolution) for p in torus.periods])
+
+
+def _sphere(domain, resolution: int):
+    if domain.k == 1:
+        _cap_points(resolution)
+        polar = [[math.pi / 2.0]] * (domain.manifold.dim - 1)
+        return _tensor([*polar, np.arange(resolution) * (2.0 * math.pi / resolution)])
+    if domain.k != 2:
+        raise UnsupportedShapeError(f"no grid scheme for spheres of dimension {domain.k}")
+    # Every latitude row holds at least one point, so the row count is
+    # checked first, then the point count; only then are longitudes built.
+    _cap_points(resolution)
+    thetas = [(i + 0.5) * math.pi / resolution for i in range(resolution)]
+    counts = [max(1, int(round(2.0 * resolution * math.sin(t)))) for t in thetas]
+    _cap_points(sum(counts))
+    blocks = [
+        np.stack([np.full(count, theta), np.arange(count) * (2.0 * math.pi / count)], -1)
+        for theta, count in zip(thetas, counts)
+    ]
+    return np.concatenate(blocks, axis=0), None
+
+
+# Domain type -> (chart, points, trim, lattice); see the module docstring.
+_SCHEMES = {
+    Rectangle: ("main", _rectangle, 1, False),
+    FullTorus: ("main", _torus, 0, True),
+    FullSphere: ("north", _sphere, 0, False),
+    GreatCircle: ("north", _sphere, 0, False),
+}
+
+
+def _scheme(domain) -> tuple:
+    """The scheme of the domain's type or of its nearest catalogue base."""
+    for kind in type(domain).__mro__:
+        if kind in _SCHEMES:
+            return _SCHEMES[kind]
+    raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
+
+
 def build_grid(domain, resolution: int) -> Grid:
     """Quasi-uniform evaluation grid on a catalogue domain."""
     resolution = _check_resolution(resolution)
-
-    if isinstance(domain, Rectangle):
-        _cap_points(resolution, len(domain.sides))
-        axes = [np.linspace(0.0, side, resolution) for side in domain.sides]
-        return Grid(domain, "main", _tensor(axes), resolution)
-
-    if isinstance(domain, FullTorus):
-        _cap_points(resolution, len(domain.periods))
-        axes = [np.arange(resolution) * (p / resolution) for p in domain.periods]
-        return Grid(domain, "main", _tensor(axes), resolution, np.arange(resolution**domain.k))
-
-    if isinstance(domain, FullSphere):
-        if domain.dim == 1:
-            _cap_points(resolution)
-            coords = (np.arange(resolution) * (2.0 * math.pi / resolution))[:, None]
-            return Grid(domain, "north", coords, resolution)
-        if domain.dim == 2:
-            # Every latitude row holds at least one point, so the row
-            # count is checked first, then the point count; only then
-            # are longitudes built.
-            _cap_points(resolution)
-            thetas = [(i + 0.5) * math.pi / resolution for i in range(resolution)]
-            counts = [max(1, int(round(2.0 * resolution * math.sin(t)))) for t in thetas]
-            _cap_points(sum(counts))
-            blocks = [
-                np.stack([np.full(count, theta), np.arange(count) * (2.0 * math.pi / count)], -1)
-                for theta, count in zip(thetas, counts)
-            ]
-            return Grid(domain, "north", np.concatenate(blocks, axis=0), resolution)
-        raise UnsupportedShapeError(
-            f"no grid scheme for spheres of dimension {domain.dim}"
-        )
-
-    if isinstance(domain, GreatCircle):
-        _cap_points(resolution)
-        phis = np.arange(resolution) * (2.0 * math.pi / resolution)
-        coords = np.stack([np.full(resolution, math.pi / 2.0), phis], axis=-1)
-        return Grid(domain, "north", coords, resolution)
-
-    if isinstance(domain, Ball):
-        raise UnsupportedShapeError("no grid scheme for balls")
-    raise UnsupportedShapeError(f"no grid scheme for {type(domain).__name__}")
+    chart, points, _, lattice = _scheme(domain)
+    coords, _ = points(domain, resolution)
+    return Grid(domain, chart, coords, resolution, np.arange(len(coords)) if lattice else None)
 
 
 def _factor(model, grid: Grid, fixed_rel_jitter):
@@ -273,9 +279,8 @@ def _factor(model, grid: Grid, fixed_rel_jitter):
                 while rest % prime == 0:
                     rest //= prime
             if rest == 1:
-                # The grid's points in lattice order are the build_grid lattice.
-                lattice = np.empty_like(grid.coords)
-                lattice[grid.lattice] = grid.coords
+                # build_grid's points are in lattice order.
+                lattice = build_grid(grid.domain, side).coords
                 # Row 0 of the covariance matrix, its diagonal entry pinned as there.
                 row = model.covariance_table(grid.chart, lattice[:1], lattice)[0]
                 row[0] = 1.0

@@ -11,6 +11,8 @@ from scipy.integrate import quad
 
 from excursion.curvatures import Ball, Rectangle
 from excursion.pickands import _lattice_steps
+from excursion.sampling import _cap_points
+from excursion.validation import Grid, build_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,6 +50,32 @@ def run_with_peak(code):
     such as the test process, is the larger.
     """
     return run_fresh(_PEAK + code)
+
+
+def value_matching_refine(grid):
+    """``Grid.refine`` as it was first written: the new points found by
+    matching coordinates against the finer grid's, the torus lattice
+    rebuilt from the parent's unravelled steps."""
+    # The parent's points recur bit for bit among the fine grid's: at
+    # doubled resolution on tori and circles, at 2R - 1 points per axis on
+    # rectangles (plain doubling would not nest there).  On the 2-sphere
+    # no latitude row survives doubling, so the refined grid is the union.
+    fine_res = 2 * grid.resolution - isinstance(grid.domain, Rectangle)
+    both = np.concatenate([grid.coords, build_grid(grid.domain, fine_res).coords])
+    # First occurrences (np.unique sorts stably) past the parent's rows are
+    # the fine points the parent lacks, kept in fine-grid order.
+    first = np.unique(both, axis=0, return_index=True)[1]
+    new = np.sort(first[first >= len(grid)])
+    coords = np.concatenate([grid.coords, both[new]])
+    _cap_points(coords.shape[0])
+    lattice = None
+    if grid.lattice is not None:
+        # Parent point i_k * (P_k / R) is fine point 2 i_k; the new
+        # points' fine-grid positions are their lattice indices.
+        steps = np.unravel_index(grid.lattice, (grid.resolution,) * grid.coords.shape[1])
+        parent = np.ravel_multi_index(2 * np.array(steps), (fine_res,) * len(steps))
+        lattice = np.concatenate([parent, new - len(grid)])
+    return Grid(grid.domain, grid.chart, coords, fine_res, lattice)
 
 
 def lower_matrix(factor):

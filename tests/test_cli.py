@@ -510,6 +510,18 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
         assert not out.exists()
 
 
+def test_validate_refinement_over_budget_exits_1(tmp_path, caplog):
+    # Resolution 88 refines the 44 grid: 2,464 + 9,864 = 12,328 points.
+    out = tmp_path / "union.csv"
+    argv = ["validate", "--shape", "full_sphere", "--dim", "2", "--radius", "1", "--family",
+            "sphere_schoenberg", "--b", "0.5,0.5", "--resolution", "88", "--reps", "10",
+            "--seed", "0", "--output", str(out)]
+    assert main(argv) == 1
+    assert "invalid configuration" in caplog.text
+    assert "grid would have 12328 points" in caplog.text
+    assert not out.exists()
+
+
 def test_overflowing_analytic_values_exit_1(tmp_path, caplog):
     out = tmp_path / "overflow.csv"
     local = ["--family", "local", "--h-value", "1", "--seed", "0"]

@@ -1,10 +1,12 @@
 """Brute-force oracle pipeline: grids, sampling, intervals, reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from _oracles import value_matching_refine
 from excursion import validation
 from excursion.approximations import eec_approx, pickands_approx
 from excursion.covariance import (
@@ -150,6 +152,58 @@ def test_torus_grids_carry_their_lattice():
     ]:
         grid = build_grid(domain, res)
         assert grid.lattice is None and grid.refine().lattice is None
+
+
+def test_refine_matches_value_matching_oracle():
+    # refine takes its new points by index; the oracle finds them by
+    # matching coordinates.  On every built grid of the sweep, one and two
+    # refinements agree bit for bit in points, order, lattice and
+    # resolution, and are refused with the same message.
+    domains = [
+        FullTorus((1.0,)),
+        FullTorus((1.0, 1.0)),
+        FullTorus((0.7, 3.0)),
+        FullTorus((1.0, 2.5, 0.7)),
+        Rectangle((1.0,)),
+        Rectangle((1.0, 2.0)),
+        Rectangle((0.7, 3.0, 1.3)),
+        FullSphere(1, 1.0),
+        FullSphere(1, 2.0),
+        FullSphere(2, 1.0),
+        GreatCircle(1.0),
+        GreatCircle(2.5),
+    ]
+    for domain in domains:
+        for res in range(2, 41):
+            try:
+                grid = build_grid(domain, res)
+            except ValidationError:
+                continue
+            for depth in (1, 2):
+                try:
+                    expected = value_matching_refine(grid)
+                except ValidationError as err:
+                    with pytest.raises(ValidationError, match=re.escape(str(err))):
+                        grid.refine()
+                    break
+                grid = grid.refine()
+                where = (domain, res, depth)
+                assert grid.resolution == expected.resolution, where
+                assert grid.chart == expected.chart, where
+                assert np.array_equal(grid.coords, expected.coords), where
+                if expected.lattice is None:
+                    assert grid.lattice is None, where
+                else:
+                    assert np.array_equal(grid.lattice, expected.lattice), where
+
+
+def test_refinement_over_the_budget_is_refused():
+    # The 44 and 88 latitude grids fit the budget, their union of
+    # 2,464 + 9,864 = 12,328 points does not.
+    coarse = build_grid(FullSphere(2, 1.0), 44)
+    assert len(coarse) == 2464
+    with pytest.raises(ValidationError, match="grid would have 12328 points"):
+        coarse.refine()
 
 
 def test_single_point_grid_matches_marginal():
