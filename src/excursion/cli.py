@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands:
-
-* ``lk``             curvature vector of a catalogue domain
-* ``eec``            Euler-characteristic approximation over a level grid
-* ``pickands``       fractional-index tail approximation over a level grid
-* ``pickands-const`` Monte Carlo estimate of the constant H_{alpha, N}
-* ``validate``       analytic value vs brute-force Monte Carlo, as a table
+Each subcommand is declared once, in ``_COMMANDS``, with its help, its
+runner and the config parts it takes; ``build_parser`` and ``resolve``
+both read it.  ``lk`` (curvature vector) takes a domain; ``eec`` (the
+Euler-characteristic approximation) a domain and a smooth model with
+levels; ``pickands`` (the fractional-index tail approximation) adds a
+seed with H, and ``validate`` (analytic value vs brute-force Monte
+Carlo) a grid as well; ``pickands-const`` takes the window fields of
+its Monte Carlo estimate of H_{alpha, N}.
 
 Configuration comes from a JSON file (--config) with flag overrides;
 flags win.  A run manifest produced by an earlier run can be fed back
@@ -16,10 +17,13 @@ manifest records it; BLAS results can differ in the last bits between
 thread counts).
 
 Shapes and covariance families are declared once, in ``_DOMAINS`` and
-``_MODELS``: each name maps to its constructor and its required fields
-in constructor order, with the converter that checks each.  The same
-tables drive flag-over-file merging, field checks, building, and the
-``--shape`` / ``--family`` choices.  Constructors are named, not
+``_MODELS`` (each name maps to its constructor and its required fields
+in constructor order, with the converter that checks each), and
+pickands-const's fields with their defaults in ``_PC_FIELDS``.  These
+tables generate the field flags and drive flag-over-file merging, field
+checks, building and the ``--shape`` / ``--family`` choices.  A flag
+value goes through the same converter as a config-file value, so a bad
+one is reported under its field path.  Constructors are named, not
 imported: the package's lazy exports load them on first use.
 
 The ``mc`` block of ``pickands`` holds only the seed of the H estimate
@@ -31,9 +35,9 @@ resolved config, so a replay does not read them.
 
 Rules the implementation keeps to:
 
-* every field is validated before any computation starts, and all
-  computation finishes before any file is opened: a failing run leaves
-  no partial output;
+* every field is validated before any computation starts (the levels
+  too, before an H estimate), and all computation finishes before any
+  file is opened: a failing run leaves no partial output;
 * the seed is always explicit in the resolved config (drawn once and
   recorded when the user did not give one);
 * data goes to the output target; logging goes to standard error;
@@ -91,10 +95,9 @@ def _parse_floats(text: str, field: str) -> list[float]:
 
 def _as_float(value, field: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    return out
 
 
 def _as_floats(value, field: str) -> list[float]:
@@ -115,6 +118,17 @@ def _as_int(value, field: str) -> int:
     return out
 
 
+def _resolve_seed(raw_seed, field: str) -> int:
+    if raw_seed is None:
+        seed = secrets.randbits(63)
+        log.info("no seed given; drew %d", seed)
+        return seed
+    seed = _as_int(raw_seed, field)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(field, f"seed must fit in 64 bits, got {seed}")
+    return seed
+
+
 _LOCAL_FIELDS = (("c", _as_float), ("alpha", _as_float))
 
 # Models take the domain's manifold as their first constructor argument.
@@ -133,6 +147,28 @@ _MODELS = {
     "local": ("LocallyIsotropicModel", _LOCAL_FIELDS),
 }
 _SECTIONS = {"domain": ("shape", _DOMAINS), "model": ("family", _MODELS)}
+
+# pickands-const's fields in estimate_pickands's argument order: name, converter,
+# default and flag help.  The window defaults (None) depend on dim; a missing seed is drawn.
+_PC_FIELDS = (
+    ("alpha", _as_float, 2.0, "index in (0, 2]"),
+    ("dim", _as_int, 1, "lattice dimension N"),
+    ("cube_side", _as_float, None, "window side K"),
+    ("spacing", _as_float, None, "lattice pitch"),
+    ("reps", _as_int, 10_000, "replications"),
+    ("seed", _resolve_seed, None, "base seed (64-bit)"),
+)
+
+# Flags of each config part besides its _DOMAINS / _MODELS fields.
+_PART_FLAGS = {
+    "model": (("--u", "levels, comma separated"),),
+    "grid": (("--resolution", "grid resolution per axis"), ("--reps", "Monte Carlo replications")),
+    "seed": (
+        ("--seed", "base seed (64-bit)"),
+        ("--h-value", "Pickands constant override (skips estimation)"),
+    ),
+    "window": tuple(("--" + name.replace("_", "-"), text) for name, _, _, text in _PC_FIELDS),
+}
 
 
 def _load_config_file(path: str) -> dict:
@@ -165,12 +201,20 @@ def _with_flags(rec: dict, args, keys) -> dict:
     return {**rec, **{k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}}
 
 
+def _fields(table: dict) -> dict:
+    """Each field of ``table``'s entries: its converter and the entries taking it."""
+    out = {}
+    for name, (_, fields) in table.items():
+        for field, kind in fields:
+            out.setdefault(field, (kind, []))[1].append(name)
+    return out
+
+
 def _resolve_entry(cfg: dict, args, section: str) -> dict:
     """One ``domain`` or ``model`` record: flags over file, then checked."""
     key, table = _SECTIONS[section]
     rec = _with_flags(_section(cfg, section), args, (key,))
-    kinds = {field: kind for _, fields in table.values() for field, kind in fields}
-    for field, kind in kinds.items():
+    for field, (kind, _) in _fields(table).items():
         flag = getattr(args, field, None)
         if flag is not None:
             path = f"{section}.{field}"
@@ -214,7 +258,7 @@ def _domain_and_model(config: dict):
     return domain, _construct(config, "model", domain.manifold)
 
 
-def _resolve_u_grid(cfg: dict, args) -> list[float]:
+def _resolve_u_grid(cfg: dict, args, tail: bool) -> list[float]:
     if getattr(args, "u", None) is not None:
         levels = _parse_floats(args.u, "u_grid")
     elif "u_grid" in cfg:
@@ -223,18 +267,11 @@ def _resolve_u_grid(cfg: dict, args) -> list[float]:
         levels = list(_DEFAULT_U_GRID)
     if not levels:
         raise ConfigError("u_grid", "at least one level required")
+    need = "finite levels > 0 on the tail-formula route" if tail else "finite levels"
+    for u in levels:
+        if not (math.isfinite(u) and (u > 0 or not tail)):
+            raise ConfigError("u_grid", f"expected {need}, got {u}")
     return levels
-
-
-def _resolve_seed(raw_seed, field: str) -> int:
-    if raw_seed is None:
-        seed = secrets.randbits(63)
-        log.info("no seed given; drew %d", seed)
-        return seed
-    seed = _as_int(raw_seed, field)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(field, f"seed must fit in 64 bits, got {seed}")
-    return seed
 
 
 def _resolve_mc(cfg: dict, args, *, grid: bool) -> dict:
@@ -283,10 +320,7 @@ def _resolve_output(args) -> str:
 
 def _approx_csv(results) -> str:
     terms = [f"term_{j}" for j in range(len(results[0].terms))]
-    rows = (
-        [res.method, res.u, res.total, *res.terms, res.h_value, res.h_provenance]
-        for res in results
-    )
+    rows = ([r.method, r.u, r.total, *r.terms, r.h_value, r.h_provenance] for r in results)
     return csv_text(["method", "u", "total", *terms, "H_value", "H_provenance"], rows)
 
 
@@ -318,8 +352,7 @@ def _run_approx(config: dict) -> str:
 def _run_pickands_const(config: dict) -> str:
     from .pickands import estimate_pickands
 
-    fields = ("alpha", "dim", "cube_side", "spacing", "reps", "seed")
-    est = estimate_pickands(*(config[f] for f in fields))
+    est = estimate_pickands(*(config[name] for name, *_ in _PC_FIELDS))
     inputs = [est.alpha, est.n_dim, est.cube_side, est.spacing, est.reps, est.seed]
     return csv_text(
         ["alpha", "N", "K", "spacing", "reps", "seed", "estimate", "stderr"],
@@ -360,55 +393,59 @@ def _run_validate(config: dict) -> str:
     return validation.ComparisonTable(tuple(rows)).to_csv()
 
 
-_RUNNERS = {
-    "lk": _run_lk,
-    "eec": _run_approx,
-    "pickands": _run_approx,
-    "pickands-const": _run_pickands_const,
-    "validate": _run_validate,
+# Each subcommand's help, runner and config parts.  A part list without
+# "seed" (which brings H) is the Euler-characteristic route.
+_COMMANDS = {
+    "lk": ("curvature vector of a domain", _run_lk, ("domain",)),
+    "eec": ("Euler-characteristic approximation", _run_approx, ("domain", "model")),
+    "pickands": ("fractional-index tail approximation", _run_approx, ("domain", "model", "seed")),
+    "pickands-const": ("Monte Carlo estimate of H", _run_pickands_const, ("window",)),
+    "validate": (
+        "analytic vs brute-force comparison", _run_validate, ("domain", "model", "grid", "seed")
+    ),
 }
 
 
 def _resolve_pickands_const(cfg: dict, args) -> dict:
     from .pickands import _DEFAULT_WINDOW
 
-    pc = _with_flags(cfg, args, ("alpha", "dim", "cube_side", "spacing", "reps", "seed"))
-    alpha = _as_float(pc.get("alpha", 2.0), "alpha")
-    dim = _as_int(pc.get("dim", 1), "dim")
-    if dim < 1:
-        raise ConfigError("dim", f"must be at least 1, got {dim}")
-    default_side, default_spacing = _DEFAULT_WINDOW.get(dim, (None, None))
-    if default_side is None and not ("cube_side" in pc and "spacing" in pc):
-        raise ConfigError(
-            "cube_side",
-            f"no default window for dimension {dim}; pass --cube-side and --spacing",
-        )
-    return {
-        "alpha": alpha,
-        "dim": dim,
-        "cube_side": _as_float(pc.get("cube_side", default_side), "cube_side"),
-        "spacing": _as_float(pc.get("spacing", default_spacing), "spacing"),
-        "reps": _as_int(pc.get("reps", 10_000), "reps"),
-        "seed": _resolve_seed(pc.get("seed"), "seed"),
-    }
+    pc = _with_flags(cfg, args, [name for name, *_ in _PC_FIELDS])
+    out = {}
+    for name, kind, default, _ in _PC_FIELDS:
+        out[name] = kind(pc.get(name, default), name)
+        if name == "dim":
+            if out["dim"] < 1:
+                raise ConfigError("dim", f"must be at least 1, got {out['dim']}")
+            window = _DEFAULT_WINDOW.get(out["dim"])
+            if window is None and not ("cube_side" in pc and "spacing" in pc):
+                raise ConfigError(
+                    "cube_side",
+                    f"no default window for dimension {out['dim']}; "
+                    "pass --cube-side and --spacing",
+                )
+            pc = {**dict(zip(("cube_side", "spacing"), window or ())), **pc}
+    return out
 
 
 def resolve(args) -> ResolvedRun:
     """Merge config file, flags, and defaults into a validated run."""
     cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
     sub = args.subcommand
+    parts = _COMMANDS[sub][2]
     output = _resolve_output(args)
-    if sub == "pickands-const":
+    if "window" in parts:
         return ResolvedRun(sub, _resolve_pickands_const(cfg, args), output)
 
-    config = {"domain": _resolve_entry(cfg, args, "domain")}
-    if sub == "lk":
+    config = {part: _resolve_entry(cfg, args, part) for part in parts if part in _SECTIONS}
+    if "model" not in parts:
         return ResolvedRun(sub, config, output)
 
-    config["model"] = _resolve_entry(cfg, args, "model")
-    config["u_grid"] = _resolve_u_grid(cfg, args)
     smooth = _is_smooth(config["model"]["family"])
-    if sub == "eec":
+    # The tail formula runs on an H pinned or estimated here; a smooth grid run
+    # takes the Euler-characteristic route and records none (a pinned one is checked).
+    tail = "seed" in parts and not (smooth and "grid" in parts)
+    config["u_grid"] = _resolve_u_grid(cfg, args, tail)
+    if "seed" not in parts:
         if not smooth:
             raise ConfigError(
                 "model.family",
@@ -417,20 +454,17 @@ def resolve(args) -> ResolvedRun:
             )
         return ResolvedRun(sub, config, output)
 
-    config["mc"] = _resolve_mc(cfg, args, grid=(sub == "validate"))
-    # The tail formula runs on an H that is pinned or estimated here; a
-    # smooth validate run takes the Euler-characteristic route and records
-    # none (a pinned one is still checked).
+    config["mc"] = _resolve_mc(cfg, args, grid="grid" in parts)
     h = _pinned_h(cfg, args)
     diagnostics = {}
-    if sub == "pickands" or not smooth:
+    if tail:
         if h is None:
             from .covariance import local_expansion
             from .pickands import resolve_constant
             from .sampling import _check_draws
 
             domain, model = _domain_and_model(config)
-            if sub == "validate":
+            if "grid" in parts:
                 # The run's own grid and draw checks, before the estimate.
                 _validate_grids(config, domain)
                 _check_draws(config["mc"]["reps"], config["mc"]["seed"])
@@ -454,7 +488,7 @@ def run(run_spec: ResolvedRun, *, started: float, threads: int | None = None) ->
     run was started under, or None when none was set; it goes into the
     manifest only, as do the run's ``diagnostics``.
     """
-    data = _RUNNERS[run_spec.subcommand](run_spec.config)
+    data = _COMMANDS[run_spec.subcommand][1](run_spec.config)
     wall = time.monotonic() - started
 
     if run_spec.output == "-":
@@ -531,56 +565,22 @@ def build_parser() -> argparse.ArgumentParser:
         "with brute-force Monte Carlo validation.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    def io(p):
+    for name, (help_text, _, parts) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (a run manifest also works)")
         p.add_argument("--output", help="output file, or - for stdout (default)")
         p.add_argument("--threads", type=int, help="cap the BLAS/OpenMP thread pool")
-        return p
-
-    def common(p, *, model: bool = False, h: bool = False, grid: bool = False):
-        io(p)
-        p.add_argument("--shape", choices=list(_DOMAINS), help="domain shape")
-        p.add_argument("--sides", help="rectangle side lengths, comma separated")
-        p.add_argument("--periods", help="torus periods, comma separated")
-        p.add_argument("--radius", help="sphere/ball/circle radius")
-        p.add_argument("--dim", type=int, help="sphere/ball dimension")
-        if model:
-            p.add_argument("--family", choices=list(_MODELS), help="covariance family")
-            p.add_argument("--length-scale", dest="length_scale", help="squared-exponential scale")
-            p.add_argument("--b", help="Schoenberg coefficients, comma separated")
-            p.add_argument("--c", help="local expansion coefficient")
-            p.add_argument("--alpha", help="local expansion exponent")
-            p.add_argument("--u", help="levels, comma separated")
-        if grid:
-            p.add_argument("--resolution", type=int, help="grid resolution per axis")
-            p.add_argument("--reps", type=int, help="Monte Carlo replications")
-        if h:
-            p.add_argument("--seed", type=int, help="base seed (64-bit)")
-            p.add_argument(
-                "--h-value",
-                dest="h_value",
-                help="Pickands constant override (skips estimation)",
-            )
-
-    common(sub.add_parser("lk", help="curvature vector of a domain"))
-    common(sub.add_parser("eec", help="Euler-characteristic approximation"), model=True)
-    common(
-        sub.add_parser("pickands", help="fractional-index tail approximation"), model=True, h=True
-    )
-    pc = io(sub.add_parser("pickands-const", help="Monte Carlo estimate of H"))
-    pc.add_argument("--alpha", type=float, help="index in (0, 2]")
-    pc.add_argument("--dim", type=int, help="lattice dimension N")
-    pc.add_argument("--cube-side", dest="cube_side", type=float, help="window side K")
-    pc.add_argument("--spacing", type=float, help="lattice pitch")
-    pc.add_argument("--reps", type=int, help="replications")
-    pc.add_argument("--seed", type=int, help="base seed (64-bit)")
-    common(
-        sub.add_parser("validate", help="analytic vs brute-force comparison"),
-        model=True,
-        h=True,
-        grid=True,
-    )
+        for part in parts:
+            if part in _SECTIONS:
+                key, table = _SECTIONS[part]
+                p.add_argument("--" + key, choices=list(table), help=f"{part} {key}")
+                for field, (kind, users) in _fields(table).items():
+                    listed = ", comma separated" if kind is _as_floats else ""
+                    p.add_argument(
+                        "--" + field.replace("_", "-"), help=f"{'/'.join(users)} {field}{listed}"
+                    )
+            for flag, flag_help in _PART_FLAGS.get(part, ()):
+                p.add_argument(flag, help=flag_help)
     return parser
 
 

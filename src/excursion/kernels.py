@@ -22,9 +22,9 @@ doubles.  The coefficients, the branch points, the underflow cut and
 the Horner order are Cephes', so the result is bit-identical to
 ``scipy.special.erfc``, provided the exponential is the C library's
 ``exp``: ``math.exp`` calls it, whereas ``np.exp`` has its own SIMD
-loops that differ from it in the last bit.  Keeping the port here keeps
-``scipy.special`` out of every command-line run; only the scaled tail,
-which no command uses, imports it.
+loops that differ from it in the last bit.  The scaled tail reads the
+same rational pieces without their exponential factor, so no module of
+the package imports scipy.
 """
 
 from __future__ import annotations
@@ -122,6 +122,7 @@ _U = (
 )
 # Natural log of the largest double: exp(-x^2) underflows past it.
 _MAXLOG = 7.09782712893383996843e2
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 def _polevl(x: float, coef) -> float:
@@ -155,6 +156,26 @@ def _erfc(a: float) -> float:
     return 2.0 - y if a < 0.0 else y
 
 
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x) of a finite float."""
+    if x < 1.0:
+        try:
+            return math.exp(x * x) * _erfc(x)
+        except OverflowError:
+            return math.inf
+    if x > 5e7:
+        # The next term of the asymptotic series is below an ulp here, and
+        # the degree-6 rational overflows to nan above about 2e51.
+        return _INV_SQRT_PI / x
+    if x < 8.0:
+        return _polevl(x, _P) / _p1evl(x, _Q)
+    return _polevl(x, _R) / _p1evl(x, _S)
+
+
+def _elementwise(fn, x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(fn, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
 def gaussian_tail(u):
     """Standard normal upper tail Psi(u) = P{N(0,1) >= u}.
 
@@ -168,9 +189,7 @@ def gaussian_tail(u):
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValidationError("gaussian_tail argument must be finite")
-    x = u / math.sqrt(2.0)
-    erfc = np.fromiter(map(_erfc, x.ravel().tolist()), dtype=float, count=x.size)
-    out = 0.5 * erfc.reshape(x.shape)
+    out = 0.5 * _elementwise(_erfc, u / math.sqrt(2.0))
     return out if out.ndim else float(out)
 
 
@@ -179,13 +198,13 @@ def gaussian_tail_scaled(u):
 
     Stays representable far beyond the underflow point of Psi itself;
     used for Mills-ratio checks and leading-order tail algebra at large u.
+    Where e^{u^2/2} overflows (u below about -37.7) the value is inf, as
+    ``scipy.special.erfcx`` gives it.
     """
-    from scipy import special
-
     u = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(u)):
         raise ValidationError("gaussian_tail_scaled argument must be finite")
-    out = 0.5 * special.erfcx(u / math.sqrt(2.0))
+    out = 0.5 * _elementwise(_erfcx, u / math.sqrt(2.0))
     return out if out.ndim else float(out)
 
 

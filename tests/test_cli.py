@@ -682,6 +682,89 @@ def test_numerical_failure_exits_2_without_partial_output(tmp_path, caplog):
             assert f"smallest eigenvalue {smallest}" in caplog.text
 
 
+# Each subcommand's option strings, as the hand-written parser declared them.
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--output", "--threads"}
+_DOMAIN_OPTIONS = {"--shape", "--sides", "--periods", "--radius", "--dim"}
+_MODEL_OPTIONS = {"--family", "--length-scale", "--b", "--c", "--alpha", "--u"}
+_OPTION_STRINGS = {
+    "lk": _COMMON_OPTIONS | _DOMAIN_OPTIONS,
+    "eec": _COMMON_OPTIONS | _DOMAIN_OPTIONS | _MODEL_OPTIONS,
+    "pickands": _COMMON_OPTIONS | _DOMAIN_OPTIONS | _MODEL_OPTIONS | {"--seed", "--h-value"},
+    "pickands-const": _COMMON_OPTIONS
+    | {"--alpha", "--dim", "--cube-side", "--spacing", "--reps", "--seed"},
+    "validate": _COMMON_OPTIONS
+    | _DOMAIN_OPTIONS
+    | _MODEL_OPTIONS
+    | {"--resolution", "--reps", "--seed", "--h-value"},
+}
+
+
+def test_subcommand_option_strings_are_pinned():
+    import argparse
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(_OPTION_STRINGS)
+    for name, sub in subparsers.choices.items():
+        options = [s for action in sub._actions for s in action.option_strings]
+        assert len(options) == len(set(options)), name
+        assert set(options) == _OPTION_STRINGS[name], name
+
+
+def test_non_numeric_flags_name_their_field(caplog):
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    rough = [*torus, "--family", "stable_on_chart", "--c", "1", "--h-value", "0.9"]
+    cases = [
+        (["lk", "--shape", "ball", "--radius", "1", "--dim", "x"], "domain.dim"),
+        (["lk", "--shape", "rectangle", "--sides", "1", "--dim", "2.5"], "domain.dim"),
+        (["validate", *rough, "--alpha", "1", "--resolution", "x"], "mc.resolution"),
+        (["validate", *rough, "--alpha", "1", "--reps", "1e3"], "mc.reps"),
+        (["pickands", *rough, "--alpha", "1", "--seed", "x"], "mc.seed"),
+        (["pickands", *rough, "--alpha", "one"], "model.alpha"),
+        (["pickands-const", "--dim", "x"], "dim"),
+        (["pickands-const", "--reps", "x"], "reps"),
+        (["pickands-const", "--seed", "0.5"], "seed"),
+        (["pickands-const", "--alpha", "x"], "alpha"),
+        (["pickands-const", "--cube-side", "x", "--spacing", "0.5"], "cube_side"),
+    ]
+    for argv, field in cases:
+        caplog.clear()
+        assert main(argv) == 1, argv
+        assert f"invalid configuration: {field}: expected " in caplog.text, (argv, caplog.text)
+
+
+def test_levels_checked_before_the_h_estimate(monkeypatch):
+    import excursion.pickands
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("H estimated before the levels were checked")
+
+    monkeypatch.setattr(excursion.pickands, "resolve_constant", no_estimate)
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    local = [*torus, "--family", "stable_on_chart", "--c", "1", "--seed", "0"]
+    rough = [*local, "--alpha", "1"]
+    grid = ["--resolution", "8", "--reps", "100"]
+    smooth = [*torus, "--family", "squared_exponential", "--length-scale", "0.3"]
+    refused = [
+        ["validate", *rough, *grid, "--u=nan"],
+        ["validate", *rough, *grid, "--u=2,inf"],
+        ["validate", *rough, *grid, "--u=0,2"],
+        ["pickands", *rough, "--u=-1,2"],
+        ["pickands", *local, "--alpha", "2", "--u=-1,2"],
+        ["eec", *smooth, "--u=nan"],
+        ["validate", *smooth, *grid, "--seed", "0", "--u=-inf"],
+    ]
+    for argv in refused:
+        with pytest.raises(ConfigError) as err:
+            _resolve(argv)
+        assert err.value.field == "u_grid", argv
+    # The Euler-characteristic route, a smooth validate run included,
+    # takes levels at or below zero.
+    assert _resolve(["eec", *smooth, "--u=-1,0"]).config["u_grid"] == [-1.0, 0.0]
+    spec = _resolve(["validate", *smooth, *grid, "--seed", "0", "--u=-1,0"])
+    assert spec.config["u_grid"] == [-1.0, 0.0] and "h" not in spec.config
+
+
 def test_usage_errors_exit_1():
     assert main(["lk", "--no-such-flag"]) == 1
     assert main([]) == 1
@@ -835,6 +918,44 @@ def test_cli_runs_leave_scipy_special_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "eec.csv").exists() and (tmp_path / "pickands.csv").exists()
     assert (tmp_path / "validate.csv").exists()
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with its import blocked, every
+    # public kernel and every subcommand at a small size still runs.
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    rough = [*torus, "--family", "stable_on_chart", "--c", "1", "--alpha", "1"]
+    commands = [
+        ["lk", "--shape", "full_sphere", "--dim", "2", "--radius", "1"],
+        ["eec", *torus, "--family", "squared_exponential", "--length-scale", "0.2", "--u", "3"],
+        ["pickands", "--shape", "great_circle", "--radius", "1", "--family", "local", "--c", "1",
+         "--alpha", "2", "--u", "3", "--seed", "0"],
+        ["pickands-const", "--alpha", "1", "--dim", "1", "--cube-side", "1", "--spacing", "0.25",
+         "--reps", "1000", "--seed", "0"],
+        ["validate", *rough, "--h-value", "0.9", "--u", "2", "--resolution", "6", "--reps", "50",
+         "--seed", "0"],
+        ["validate", "--shape", "full_sphere", "--dim", "2", "--radius", "1", "--family",
+         "sphere_schoenberg", "--b", "0.5,0.5", "--u", "2", "--resolution", "4", "--reps", "50",
+         "--seed", "0"],
+    ]
+    runs = "".join(
+        f"assert main({argv + ['--output', str(tmp_path / f'{i}.csv')]!r}) == 0\n"
+        for i, argv in enumerate(commands)
+    )
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from excursion import kernels\n"
+        "from excursion.cli import main\n"
+        "for name in kernels.__all__:\n"
+        "    fn = getattr(kernels, name)\n"
+        "    out = fn(2, [0.5, 40.0]) if name in ('hermite', 'beta_j') else fn([0.5, 40.0])\n"
+        "    assert len(out) == 2, name\n"
+        + runs
+    )
+    proc = run_fresh(code)
+    assert proc.returncode == 0, proc.stderr
+    assert all((tmp_path / f"{i}.csv").stat().st_size > 0 for i in range(len(commands)))
 
 
 def test_thread_cap_flag(monkeypatch, capsys):

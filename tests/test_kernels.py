@@ -152,6 +152,27 @@ def test_gaussian_tail_scaled_far_tail():
     assert 0.999 < mills < 1.0
 
 
+def test_gaussian_tail_scaled_matches_scipy_erfcx():
+    # The scaled tail reads Cephes' rational pieces instead of calling
+    # scipy.special.erfcx; the two agree to a few ulp, and both give inf
+    # where e^{u^2/2} overflows (u below about -37.7).
+    def scipy_scaled(u):
+        return 0.5 * special.erfcx(np.asarray(u, dtype=float) / math.sqrt(2.0))
+
+    grid = np.linspace(-37.0, 40.0, 77_001)
+    far = np.array([1e3, 1e100, 1e300, 1.7e308])
+    for u in (grid, far):
+        assert np.all(np.isfinite(scipy_scaled(u)))
+        assert np.allclose(gaussian_tail_scaled(u), scipy_scaled(u), rtol=1e-14, atol=0.0)
+    for v in far.tolist():
+        assert gaussian_tail_scaled(v) == pytest.approx(float(scipy_scaled(v)), rel=1e-14)
+    low = np.concatenate([np.linspace(-38.0, -37.5, 5_001), [-40.0, -1e3, -1e300]])
+    out, ref = gaussian_tail_scaled(low), scipy_scaled(low)
+    assert np.isinf(ref).any() and np.array_equal(np.isinf(out), np.isinf(ref))
+    finite = np.isfinite(ref)
+    assert np.allclose(out[finite], ref[finite], rtol=1e-14, atol=0.0)
+
+
 def test_gaussian_tail_scaled_consistent_at_moderate_levels():
     for u in (0.0, 1.0, 3.0, 5.0):
         assert gaussian_tail_scaled(u) == pytest.approx(
