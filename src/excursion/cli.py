@@ -211,20 +211,32 @@ def _fields(table: dict) -> dict:
 
 
 def _resolve_entry(cfg: dict, args, section: str) -> dict:
-    """One ``domain`` or ``model`` record: flags over file, then checked."""
+    """One ``domain`` or ``model`` record: flags over file, then checked.
+
+    A field flag the chosen entry does not take is refused; a config
+    file's record may carry other fields, which are dropped."""
     key, table = _SECTIONS[section]
     rec = _with_flags(_section(cfg, section), args, (key,))
-    for field, (kind, _) in _fields(table).items():
+    flagged = {}
+    for field, (kind, users) in _fields(table).items():
         flag = getattr(args, field, None)
         if flag is not None:
             path = f"{section}.{field}"
             rec[field] = kind(_parse_floats(flag, path) if kind is _as_floats else flag, path)
+            flagged[field] = users
 
     name = rec.get(key)
     if name is None:
         raise ConfigError(f"{section}.{key}", "required (one of: " + ", ".join(table) + ")")
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"{section}.{key}", f"unknown {key} {name!r}")
+    taken = {field for field, _ in table[name][1]}
+    for field, users in flagged.items():
+        if field not in taken:
+            raise ConfigError(
+                f"{section}.{field}",
+                f"not a field of {key} {name!r} (taken by {key} {', '.join(users)})",
+            )
     out = {key: name}
     for field, kind in table[name][1]:
         path = f"{section}.{field}"
@@ -407,7 +419,7 @@ _COMMANDS = {
 
 
 def _resolve_pickands_const(cfg: dict, args) -> dict:
-    from .pickands import _DEFAULT_WINDOW
+    from .pickands import _DEFAULT_WINDOW, _RANGE_RULES
 
     pc = _with_flags(cfg, args, [name for name, *_ in _PC_FIELDS])
     out = {}
@@ -424,6 +436,11 @@ def _resolve_pickands_const(cfg: dict, args) -> dict:
                     "pass --cube-side and --spacing",
                 )
             pc = {**dict(zip(("cube_side", "spacing"), window or ())), **pc}
+    for name, check in _RANGE_RULES.items():
+        try:
+            check(out[name])
+        except ValidationError as exc:
+            raise ConfigError(name, str(exc)) from None
     return out
 
 

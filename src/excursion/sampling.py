@@ -24,6 +24,12 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   path peaks at the slabs, about n^2 / 2 doubles, plus a few
   n x ROW_BLOCK panels: about 0.47 GB at the ``_MAX_GRID_POINTS``
   budget.  A whole matrix is accepted too, and read by block columns.
+  A covariance that an involution of its points keeps (the Pickands
+  lattice under the swap of two axes) splits into an even and an odd
+  block, which ``factor_covariance`` factors apart at one absolute
+  ``shift``; ``PairedFactor`` holds the two factors and maps their
+  draws back to the points.  Its slabs are about n^2 / 4 doubles, and
+  its product makes about half the dense one's multiply-adds.
 
 * ``factor_circulant``: the spectral square root of a covariance that
   is block-circulant on a regular lattice, as a stationary kernel is on
@@ -51,10 +57,10 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   seed in the high word and an index in the low word, so streams are
   distinct across both seeds and indices, reproducible, order
   independent, and parallelizable.  ``replicate_generator`` defines
-  the stream.  A dense, tilted or circulant draw takes one stream per
-  replication, indexed by the replication; a feature draw takes one
-  per block of BATCH replications, indexed by the block's first
-  replication, and fills the whole block's normals in one call (a
+  the stream.  A dense, paired, tilted or circulant draw takes one
+  stream per replication, indexed by the replication; a feature draw
+  takes one per block of BATCH replications, indexed by the block's
+  first replication, and fills the whole block's normals in one call (a
   replication needs only r normals there, so re-keying a stream for
   each would be most of the draw).  ``draw_in_batches`` defines both
   schemes.  Either way replication i's normals depend on (seed, i)
@@ -87,11 +93,14 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   ``DenseFactor`` keeps a step of BATCH, since the partition decides
   how a BLAS product rounds, and multiplies slab by slab: the zeros
   right of the diagonal blocks are neither stored nor multiplied, and
-  at n <= ROW_BLOCK it is ``L @ z`` bit for bit.  A ``TiltedFactor``
-  (importance sampling) is a dense one whose ``normals`` also draws an
-  integer from the stream and adds the factor row it names; the row
-  depends on the stream alone, so tilted draws keep every property
-  above.
+  at n <= ROW_BLOCK it is ``L @ z`` bit for bit.  A ``PairedFactor``
+  multiplies each block slab by slab into its rows of one output block
+  and recombines the pairs' rows in place.  A ``TiltedFactor`` (importance
+  sampling) wraps a dense or paired factor; its ``normals`` also draws
+  an integer from the stream and adds the factor row it names, which
+  the wrapped factor's ``row`` gives as one or two (start, values)
+  parts; the row depends on the stream alone, so tilted draws keep
+  every property above.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -101,10 +110,11 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   the Pickands estimators refuse more than ``_MAX_REPS`` replications
   before the per-replication statistics are allocated.  A draw loop
   holds one step's normals and the product it makes of them, and keeps
-  no reference to a block it has yielded.  A dense or feature loop's
-  block is n x BATCH, the last one too, however few replications it
-  holds.  A circulant block, with its normals and
-  transforms, is a small multiple of the step budget, whatever n: at
+  no reference to a block it has yielded.  A dense, paired or feature
+  loop's block is n x BATCH, the last one too, however few
+  replications it holds; a paired product adds one ROW_BLOCK x BATCH
+  chunk to it while it recombines the pairs.  A circulant block, with
+  its normals and transforms, is a small multiple of the step budget, whatever n: at
   the point budget the step is 12 replications, and the loop holds a
   few MB.
 """
@@ -121,6 +131,7 @@ __all__ = [
     "CovarianceColumns",
     "factor_covariance",
     "DenseFactor",
+    "PairedFactor",
     "CirculantFactor",
     "factor_circulant",
     "FeatureFactor",
@@ -139,6 +150,8 @@ _CIRCULANT_STEP_BYTES = 2 << 20
 # Rows per block of the lower-triangular draw product.  Fixed for the
 # same reason: the blocking decides how each entry's sum is rounded.
 ROW_BLOCK = 256
+
+_SQRT_HALF = math.sqrt(0.5)
 
 _BASE_REL_JITTER = 1e-12
 _MAX_REL_JITTER = 1e-6
@@ -307,7 +320,7 @@ def _block_cholesky(cov: CovarianceColumns, shift: float) -> DenseFactor | None:
 
 
 def factor_covariance(
-    cov, *, fixed_rel_jitter: float | None = None
+    cov, *, fixed_rel_jitter: float | None = None, shift: float | None = None
 ) -> tuple[DenseFactor, float]:
     """Lower Cholesky factor of a covariance.
 
@@ -317,7 +330,10 @@ def factor_covariance(
     that L @ L.T = Cov + shift * I; shift is 0.0 when no inflation was
     needed.  ``fixed_rel_jitter`` bypasses the ladder
     and applies exactly that relative shift, so that a grid and its
-    refinement share it (see ``validation.sample_field``).
+    refinement share it (see ``validation.sample_field``); ``shift``
+    applies an absolute one, so that the blocks of one covariance share
+    it (see ``pickands._factor_w``).  Either raises FactorizationError
+    where the shifted matrix does not factor.
 
     Only the lower triangle is read: a retry builds the block columns
     again with the shift on their diagonal, and only a refusal builds
@@ -332,15 +348,16 @@ def factor_covariance(
     if not scale > 0:
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
 
-    if fixed_rel_jitter is None:
-        return _shift_ladder(
-            lambda shift: _block_cholesky(cov, shift),
-            scale,
-            lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
-        )
-    shift = float(fixed_rel_jitter) * scale
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+    if shift is None:
+        if fixed_rel_jitter is None:
+            return _shift_ladder(
+                lambda shift: _block_cholesky(cov, shift),
+                scale,
+                lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
+            )
+        shift = float(fixed_rel_jitter) * scale
+        if not (math.isfinite(shift) and shift >= 0):
+            raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
     factor = _block_cholesky(cov, shift)
     if factor is None:
         raise FactorizationError(
@@ -382,8 +399,9 @@ class DenseFactor(_Factor):
     def __len__(self) -> int:
         return sum(slab.shape[0] for slab in self.slabs)
 
-    def product(self, zt: np.ndarray) -> np.ndarray:
-        """L z for each row z of ``zt``, one column per row.
+    def product(self, zt: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """L z for each row z of ``zt``, one column per row, in ``out``
+        (a new array by default).
 
         Rows a:b of the result are L[a:b, :b] @ z[:b], one product per
         slab, so the zeros right of each diagonal block are never
@@ -393,13 +411,79 @@ class DenseFactor(_Factor):
         n <= ROW_BLOCK the one slab is the whole ``L @ z``, bit for bit.
         """
         z = zt.T
-        out = np.empty((len(self), z.shape[1]))
+        if out is None:
+            out = np.empty((len(self), z.shape[1]))
         a = 0
         for slab in self.slabs:
             b = a + slab.shape[0]
             np.matmul(slab, z[: slab.shape[1]], out=out[a:b])
             a = b
         return out
+
+    def row(self, tau: int) -> list[tuple[int, np.ndarray]]:
+        """Row ``tau`` of L as (start, values) parts: its first tau + 1
+        entries, the nonzero ones, read from the row's slab."""
+        return [(0, self.slabs[tau // ROW_BLOCK][tau % ROW_BLOCK, : tau + 1])]
+
+
+class PairedFactor(_Factor):
+    """A factor of a covariance C that an involution sigma of its points
+    maps to itself, C[sigma p, sigma q] = C[p, q], held as the factors
+    of its even and odd blocks.
+
+    Each pair {p, sigma p} of distinct points gives the even variable
+    (X_p + X_sigma p) / sqrt(2) and the odd one (X_p - X_sigma p) /
+    sqrt(2), and each fixed point f gives X_f itself, an even variable.
+    Even and odd variables are uncorrelated, so the covariance of the
+    new variables is block diagonal, and since the change of variables
+    is orthogonal, factors with E E^T = C_even + shift I and
+    O O^T = C_odd + shift I give one of C + shift I.  ``even`` holds the
+    pairs' rows first, then the fixed points'; ``odd`` the pairs' rows,
+    in the same order.  The normals are the even block's and then the
+    odd block's, and the field's rows are the pairs' first points, the
+    fixed points, and the pairs' second points: ``len`` is len(even) +
+    len(odd).  The slabs hold about n^2 / 4 doubles, and a product
+    makes about half the multiply-adds of the n-point ``DenseFactor``.
+    """
+
+    __slots__ = ("even", "odd", "n_even", "pairs")
+
+    def __init__(self, even: DenseFactor, odd: DenseFactor):
+        self.even = even
+        self.odd = odd
+        self.n_even, self.pairs = len(even), len(odd)
+
+    def __len__(self) -> int:
+        return self.n_even + self.pairs
+
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        """The field for each row of normals in ``zt``, one column per row.
+
+        Each block's product is written slab by slab into its rows of one
+        output block; the pairs' rows are then recombined in place, a
+        ROW_BLOCK of rows at a time, into X_p and X_sigma p."""
+        n_even, pairs = self.n_even, self.pairs
+        out = np.empty((len(self), zt.shape[0]))
+        self.even.product(zt[:, :n_even], out[:n_even])
+        self.odd.product(zt[:, n_even:], out[n_even:])
+        for a in range(0, pairs, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, pairs)
+            plus, minus = out[a:b], out[n_even + a : n_even + b]
+            diff = plus - minus
+            plus += minus
+            plus *= _SQRT_HALF
+            np.multiply(diff, _SQRT_HALF, out=minus)
+        return out
+
+    def row(self, tau: int) -> list[tuple[int, np.ndarray]]:
+        """Row ``tau`` of the factor as (start, values) parts: a fixed
+        point's even row, or the scaled even and odd rows of a pair."""
+        n_even, pairs = self.n_even, self.pairs
+        if pairs <= tau < n_even:
+            return self.even.row(tau)
+        k, sign = (tau, _SQRT_HALF) if tau < pairs else (tau - n_even, -_SQRT_HALF)
+        ((_, even),), ((_, odd),) = self.even.row(k), self.odd.row(k)
+        return [(0, _SQRT_HALF * even), (n_even, sign * odd)]
 
 
 class CirculantFactor(_Factor):
@@ -472,9 +556,9 @@ class FeatureFactor(_Factor):
         return self.features @ zt.T
 
 
-class TiltedFactor(DenseFactor):
-    """A ``DenseFactor`` L drawn under the equal mixture of its
-    exponential tilts.
+class TiltedFactor(_Factor):
+    """A ``DenseFactor`` or ``PairedFactor`` L drawn under the equal
+    mixture of its exponential tilts.
 
     The mixture runs over tau in range(``points``).  Component tau is
     the law of X = L z reweighted by e^{X(tau) - Var X(tau) / 2}, which
@@ -483,22 +567,29 @@ class TiltedFactor(DenseFactor):
     variance: their row is 0, and their component is the untilted law.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ("factor", "points")
 
-    def __init__(self, factor: DenseFactor, points: int):
+    def __init__(self, factor, points: int):
         if points < len(factor):
             raise ValidationError(f"{points} tilt points for a factor of {len(factor)} rows")
-        super().__init__(factor.slabs)
+        self.factor = factor
         self.points = points
+
+    def __len__(self) -> int:
+        return len(self.factor)
+
+    def product(self, zt: np.ndarray) -> np.ndarray:
+        return self.factor.product(zt)
 
     def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
         """z, then tau = ``gen.integers(points)`` from the same stream,
-        and z + L[tau]: only the first tau + 1 entries, the nonzero ones,
-        are added, read from row tau's slab, and none for tau >= n."""
+        and z + L[tau]: only the parts ``L.row(tau)`` names are added,
+        and none for tau >= n."""
         gen.standard_normal(out=row)
         tau = int(gen.integers(self.points))
         if tau < row.shape[0]:
-            row[: tau + 1] += self.slabs[tau // ROW_BLOCK][tau % ROW_BLOCK, : tau + 1]
+            for start, part in self.factor.row(tau):
+                row[start : start + part.shape[0]] += part
 
 
 def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:

@@ -733,6 +733,56 @@ def test_non_numeric_flags_name_their_field(caplog):
         assert f"invalid configuration: {field}: expected " in caplog.text, (argv, caplog.text)
 
 
+def test_field_flags_the_entry_does_not_take_are_refused(tmp_path, caplog):
+    # Each refusal names the field and the entries that take it; the
+    # run exits 1 instead of dropping the flag.
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    stable = ["--family", "stable_on_chart", "--c", "1", "--alpha", "1"]
+    cases = [
+        (["lk", "--shape", "rectangle", "--sides", "1,2", "--radius", "5"],
+         "domain.radius: not a field of shape 'rectangle' "
+         "(taken by shape ball, full_sphere, great_circle)"),
+        (["pickands", *torus, *stable, "--length-scale", "0.3", "--h-value", "0.9"],
+         "model.length_scale: not a field of family 'stable_on_chart' "
+         "(taken by family squared_exponential)"),
+    ]
+    for argv, message in cases:
+        caplog.clear()
+        assert main(argv) == 1, argv
+        assert f"invalid configuration: {message}" in caplog.text, (argv, caplog.text)
+    # A config file's record may still carry fields its entry does not
+    # take: they are dropped, as before.
+    config = tmp_path / "lk.json"
+    config.write_text(json.dumps({"domain": {"shape": "rectangle", "sides": [1, 2], "radius": 5}}))
+    assert _resolve(["lk", "--config", str(config)]).config == {
+        "domain": {"shape": "rectangle", "sides": [1.0, 2.0]}
+    }
+
+
+def test_pickands_const_ranges_name_their_field(monkeypatch):
+    # The estimator's own range rules, run at resolution: refused under
+    # the field, before any lattice is built.
+    import excursion.pickands
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a lattice was built before the ranges were checked")
+
+    monkeypatch.setattr(excursion.pickands, "cube_lattice", unreachable)
+    cases = [
+        (["--reps", "100"], "reps", "replication count must lie in"),
+        (["--dim", "4", "--cube-side", "0.5", "--spacing", "0.125"], "cube_side", "at least 1"),
+        (["--alpha", "1.5", "--dim", "4", "--cube-side", "1", "--spacing", "0.5"], "spacing",
+         "(0, 0.25]"),
+        (["--alpha", "2.5"], "alpha", "(0, 2]"),
+    ]
+    for extra, field, message in cases:
+        with pytest.raises(ConfigError) as err:
+            _resolve(["pickands-const", "--seed", "0", *extra])
+        assert err.value.field == field, extra
+        assert message in str(err.value), extra
+        assert main(["pickands-const", "--seed", "0", *extra]) == 1, extra
+
+
 def test_levels_checked_before_the_h_estimate(monkeypatch):
     import excursion.pickands
 

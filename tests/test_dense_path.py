@@ -96,7 +96,8 @@ def _captured_cov_w(monkeypatch, alpha, lattice):
         return factor_covariance(cov, **kwargs)
 
     monkeypatch.setattr(pickands, "factor_covariance", capture)
-    pickands._factor_w(alpha, lattice)
+    # The whole covariance, as simulate_z factors it on a caller's lattice.
+    pickands._factor_w(alpha, lattice, paired=False)
     (cov_w,) = seen
     return cov_w
 
@@ -301,9 +302,9 @@ def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
 
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
-    factor, active, _ = pickands._factor_w(alpha, lattice)
+    factor, active, _ = pickands._factor_w(alpha, lattice, paired=False)
     factor = lower_matrix(factor)
-    assert active.sum() > ROW_BLOCK
+    assert len(active) > ROW_BLOCK
     cov_w = broadcast_pickands_cov_w(alpha, lattice)
     # At alpha = 2, W is linear in s: rank 2, so it takes the ladder, at
     # LAPACK's shift, 1e-12 of the mean diagonal 2.94.
@@ -365,10 +366,11 @@ def test_plain_factorization_peak_is_the_factor():
 def test_pickands_factorization_resident_peak_is_the_factor(monkeypatch):
     # The default 2-D window, 1680 points, in a fresh single-thread
     # process, so that the resident peak counts what tracemalloc cannot
-    # see: the slabs and a few n x ROW_BLOCK panels, 25.5 MiB.  The
-    # slabs grew it by 22.7 MiB, an n x n factor by 34.5 MiB, and the
-    # whole-matrix path by 4 n^2 doubles: the distance table, the
-    # covariance, LAPACK's copy and its output.
+    # see: the slabs and a few n x ROW_BLOCK panels.  The two blocks'
+    # slabs (860 and 820 points) bound it at 20.1 MiB and grew it by
+    # 14.5 MiB; one block's slabs grew it by 22.7 MiB, an n x n factor
+    # by 34.5 MiB, and the whole-matrix path by 4 n^2 doubles: the
+    # distance table, the covariance, LAPACK's copy and its output.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = (
         "from excursion import pickands\n"
@@ -376,13 +378,13 @@ def test_pickands_factorization_resident_peak_is_the_factor(monkeypatch):
         "before = peak()\n"
         "factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)\n"
         "grown = peak() - before\n"
-        "print(int(active.sum()), grown)\n"
+        "print(len(active), grown)\n"
     )
     proc = run_with_peak(code)
     assert proc.returncode == 0, proc.stderr
     n, grown = map(int, proc.stdout.split())
     assert n == 1680
-    bound = 8 * (_slab_doubles(n) + 4 * n * ROW_BLOCK)
+    bound = 8 * (_slab_doubles(860) + _slab_doubles(820) + 4 * n * ROW_BLOCK)
     assert grown <= bound, grown / bound
 
 

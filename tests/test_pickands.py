@@ -17,7 +17,14 @@ from excursion.pickands import (
     resolve_constant,
     simulate_z,
 )
-from excursion.sampling import TiltedFactor, draw_in_batches
+from excursion.sampling import (
+    ROW_BLOCK,
+    DenseFactor,
+    PairedFactor,
+    TiltedFactor,
+    draw_in_batches,
+    factor_covariance,
+)
 
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -144,6 +151,13 @@ def test_estimator_deterministic_and_nonnegative():
     assert 0.0 < a.estimate <= 0.25**-1
 
 
+def _window_lattice(n_dim, cube_side, spacing, centred):
+    lattice = cube_lattice(n_dim, cube_side, spacing)
+    if centred:
+        lattice = lattice - spacing * (pickands._lattice_steps(cube_side, spacing) // 2)
+    return lattice
+
+
 def _single_and_paired(alpha, n_dim, cube_side, spacing, reps, seed):
     """(estimate, stderr) of the Dieker-Yakir ratio on the draws Z alone,
     and of the antithetic pair means with Z' = -2 drift - Z, rebuilt
@@ -196,12 +210,103 @@ def test_estimates_frozen_below_the_row_block():
     assert (b.estimate, b.stderr) == paired
 
 
+def _dense_rows(factor):
+    """The factor as an n x n matrix: its product of the identity."""
+    return factor.product(np.eye(len(factor)))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("centred", [False, True], ids=["window", "centred"])
+@pytest.mark.parametrize(
+    "n_dim,cube_side,spacing", [(2, 2.0, 0.25), (2, 1.4, 0.2), (3, 1.0, 0.25), (3, 1.0, 0.2)]
+)
+def test_paired_factor_reconstructs_the_covariance(
+    monkeypatch, n_dim, cube_side, spacing, centred, alpha
+):
+    # Window and centred cube lattices at even (8, 4) and odd (7, 5)
+    # step counts.  At alpha = 2 Cov(Z) has rank N, so neither block
+    # factors unshifted: both must take one shift, the one F F^T adds.
+    shifts = []
+
+    def record(cov, **kwargs):
+        factor, shift = factor_covariance(cov, **kwargs)
+        shifts.append(shift)
+        return factor, shift
+
+    monkeypatch.setattr(pickands, "factor_covariance", record)
+    lattice = _window_lattice(n_dim, cube_side, spacing, centred)
+    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True)
+    assert isinstance(factor, PairedFactor)
+    # Every positive-variance point once, the pinned origin not at all.
+    assert np.array_equal(np.sort(active), np.flatnonzero(drift > 0.0))
+    # The kept factor's two blocks were the last two factored.
+    shift = shifts[-1]
+    assert shifts[-2] == shift and (shift > 0.0) == (alpha == 2.0)
+    pts = lattice[active]
+    gap = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)) ** alpha
+    cov_z = drift[active][:, None] + drift[active][None, :] - gap
+    rows = _dense_rows(factor)
+    err = np.abs(rows @ rows.T - cov_z - shift * np.eye(len(active))).max()
+    assert err <= 1e-12 * np.abs(cov_z).max(), err
+
+
+def test_paired_factor_rows_are_its_dense_rows():
+    # 24 factorized points: every tilt row, of a pair's first or second
+    # point or of a fixed one, is the row of the densified factor.
+    lattice = cube_lattice(2, 1.0, 0.25)
+    factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)
+    assert isinstance(factor, PairedFactor) and len(active) == 24
+    rows = _dense_rows(factor)
+    for tau in range(24):
+        row = np.zeros(24)
+        for start, part in factor.row(tau):
+            row[start : start + part.shape[0]] += part
+        assert np.array_equal(row, rows[tau]), tau
+
+
+def _slab_doubles(factor):
+    blocks = (factor.even, factor.odd) if isinstance(factor, PairedFactor) else (factor,)
+    return sum(slab.size for block in blocks for slab in block.slabs)
+
+
+def test_paired_factor_halves_the_slabs():
+    # The default 2-D window: 1680 points in blocks of 860 and 820.  The
+    # slabs, and so the multiply-adds of one replication's product, are
+    # 908,192 doubles against the one-block factor's 1,618,176: 0.561,
+    # where the upper triangles of the diagonal blocks stay stored.
+    lattice = cube_lattice(2, 4.0, 0.1)
+    paired, _, _ = pickands._factor_w(1.0, lattice, of_z=True)
+    dense, _, _ = pickands._factor_w(1.0, lattice, of_z=True, paired=False)
+    assert (len(paired.even), len(paired.odd), len(dense)) == (860, 820, 1680)
+    assert all(slab.shape[0] <= ROW_BLOCK for slab in paired.even.slabs + paired.odd.slabs)
+    assert (_slab_doubles(paired), _slab_doubles(dense)) == (908_192, 1_618_176)
+    assert _slab_doubles(paired) <= 0.57 * _slab_doubles(dense)
+
+
+def test_one_dimension_and_caller_lattices_keep_one_block(monkeypatch):
+    # N = 1 has no axis to swap, and simulate_z factors a caller's
+    # lattice whole, in lattice order, even a cube lattice.
+    seen = []
+
+    def record(cov, **kwargs):
+        seen.append(len(cov))
+        return factor_covariance(cov, **kwargs)
+
+    monkeypatch.setattr(pickands, "factor_covariance", record)
+    factor, active, _ = pickands._factor_w(1.0, cube_lattice(1, 8.0, 0.25))
+    assert isinstance(factor, DenseFactor) and np.array_equal(active, np.arange(1, 33))
+    lattice = cube_lattice(2, 1.0, 0.25)
+    seen.clear()
+    simulate_z(1.0, 2, lattice, 3)
+    assert seen == [24]
+
+
 def test_pairing_is_the_mirror_image_at_smooth_alpha():
     # At alpha = 2, W(s) = <s, xi>, so Z' = -sqrt(2) W - drift is Z(-s),
     # and on an exactly centred lattice (20 steps per axis) the pair
     # mean equals the single-draw ratio.  The gap is the rounding of the
     # diagonal shift on this rank-N covariance: 7.5e-9 (N = 1) and
-    # 1.7e-8 (N = 2) relative, measured; the bound leaves 5x over the
+    # 7.3e-9 (N = 2) relative, measured; the bound leaves 13x over the
     # larger.  A draw Z' with the drift's sign flipped misses by O(1).
     for n_dim, seed in ((1, 21), (2, 22)):
         single, paired = _single_and_paired(2.0, n_dim, 2.0, 0.1, 2000, seed)
