@@ -29,9 +29,10 @@ imported: the package's lazy exports load them on first use.
 The ``mc`` block of ``pickands`` holds only the seed of the H estimate
 (``resolve_constant`` fixes its window and replication count);
 ``validate`` adds the grid resolution and the replication count.  An H
-estimated during resolution leaves its window, replication count and
-standard error in the manifest's ``diagnostics.h``, outside the
-resolved config, so a replay does not read them.
+estimated during resolution draws from streams of its own, under the
+run's seed with its top bit flipped, and leaves its window, replication
+count, seed and standard error in the manifest's ``diagnostics.h``,
+outside the resolved config, so a replay does not read them.
 
 Rules the implementation keeps to:
 
@@ -75,6 +76,11 @@ _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _DEFAULT_U_GRID = (2.0, 2.5, 3.0, 3.5)
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+# An H estimated during resolution draws under the run's seed with its
+# top bit flipped: a bijection with no fixed point, so its streams,
+# replicate_generator(seed ^ _H_SEED_FLIP, i), are never the grid draws'.
+_H_SEED_FLIP = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -419,26 +425,23 @@ _COMMANDS = {
 
 
 def _resolve_pickands_const(cfg: dict, args) -> dict:
-    from .pickands import _DEFAULT_WINDOW, _RANGE_RULES
+    from .pickands import _RANGE_RULES, _window
 
     pc = _with_flags(cfg, args, [name for name, *_ in _PC_FIELDS])
     out = {}
     for name, kind, default, _ in _PC_FIELDS:
-        out[name] = kind(pc.get(name, default), name)
-        if name == "dim":
-            if out["dim"] < 1:
-                raise ConfigError("dim", f"must be at least 1, got {out['dim']}")
-            window = _DEFAULT_WINDOW.get(out["dim"])
-            if window is None and not ("cube_side" in pc and "spacing" in pc):
-                raise ConfigError(
-                    "cube_side",
-                    f"no default window for dimension {out['dim']}; "
-                    "pass --cube-side and --spacing",
-                )
-            pc = {**dict(zip(("cube_side", "spacing"), window or ())), **pc}
-    for name, check in _RANGE_RULES.items():
+        # Field by field, converted and then range-checked, so the window
+        # defaults are looked up for a dimension already checked.
         try:
-            check(out[name])
+            if name == "cube_side":
+                pc["cube_side"], pc["spacing"] = _window(
+                    out["dim"], pc.get("cube_side"), pc.get("spacing")
+                )
+            out[name] = kind(pc.get(name, default), name)
+            if name in _RANGE_RULES:
+                _RANGE_RULES[name](out[name])
+        except ConfigError:
+            raise
         except ValidationError as exc:
             raise ConfigError(name, str(exc)) from None
     return out
@@ -486,11 +489,12 @@ def resolve(args) -> ResolvedRun:
                 _validate_grids(config, domain)
                 _check_draws(config["mc"]["reps"], config["mc"]["seed"])
             _, alpha = local_expansion(model)
-            resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"])
+            resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"] ^ _H_SEED_FLIP)
             h = {"value": resolved.value, "provenance": resolved.provenance}
             if resolved.mc is not None:
                 diagnostics["h"] = {
-                    f: getattr(resolved.mc, f) for f in ("cube_side", "spacing", "reps", "stderr")
+                    f: getattr(resolved.mc, f)
+                    for f in ("cube_side", "spacing", "reps", "seed", "stderr")
                 }
         config["h"] = h
     return ResolvedRun(sub, config, output, diagnostics)

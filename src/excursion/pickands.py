@@ -62,8 +62,7 @@ Its component tau tilts P by one lattice point's e^{sqrt(2) W(tau)},
 which shifts the normals by a row of the factor of Cov(Z) (see
 ``sampling.TiltedFactor``; the pinned origin's row is 0), so it is
 sampled exactly.  At alpha = 1, N = 2, K = 4, spacing 0.1 and 10,000
-replications it gives 1.0873 +- 0.0062 at seed 0; the plain antithetic
-pair means, on the one-block factor, gave 1.0489 +- 0.0731.  Where e^Z
+replications it gives 1.0873 +- 0.0062 at seed 0.  Where e^Z
 or e^Z' would overflow or lose its last bits (|Z| or 2 |s|^alpha above
 ``_EXP_SAFE``: wide windows at alpha near 2), the ratio is taken in
 logarithms.
@@ -89,15 +88,15 @@ covariance splits into the swap's even and odd blocks (Fassler and
 Stiefel 1992, Group Theoretical Methods and Their Applications): each
 pair {p, sigma p} of mirror points becomes (W_p + W_sigma p) / sqrt(2)
 and (W_p - W_sigma p) / sqrt(2), each point on the diagonal s_0 = s_1
-stays as it is, and the two sets are uncorrelated.  The blocks, 860
-and 820 points on the default 2-D window, are factored apart at one
-shared diagonal shift (``_factor_w``, ``sampling.PairedFactor``): a
-quarter of the one-block factorization's flops, slabs of about n^2 / 4
-doubles instead of n^2 / 2, and 0.56 of its multiply-adds per
-replication.  The draws have the same law, their rows in the factor's
-order.  N = 1, and ``simulate_z`` on a caller's lattice, keep the one
-block in lattice order.  alpha = 2 has the exact value
-H_{2, N} = pi^{-N/2}, which the resolver returns without simulation.
+stays as it is, and the two sets are uncorrelated.  The lattice is a
+C-order cube, so the estimators find sigma by index, the axes of the
+cube's index array swapped, and ``_factor_w`` factors the blocks apart
+at one shared diagonal shift (``sampling.PairedFactor``): 860 and 820
+points on the default 2-D window, with slabs of about n^2 / 4 doubles.
+The rows come out in the factor's order.  N = 1, and ``simulate_z`` on
+a caller's lattice, keep one block in lattice order.  alpha = 2 has the
+exact value H_{2, N} = pi^{-N/2}, which the resolver returns without
+simulation.
 """
 
 from __future__ import annotations
@@ -223,24 +222,8 @@ def _drift(lattice: np.ndarray, alpha: float) -> np.ndarray:
     return (np.sum(lattice**2, axis=1)) ** (alpha / 2.0)
 
 
-def _axis_swap(lattice: np.ndarray) -> np.ndarray | None:
-    """The index of each point's image under the swap of axes 0 and 1,
-    or None where that swap does not map the lattice onto itself (N = 1
-    included)."""
-    if lattice.shape[1] < 2:
-        return None
-    swapped = lattice.copy()
-    swapped[:, [0, 1]] = lattice[:, [1, 0]]
-    order, image = np.lexsort(lattice.T[::-1]), np.lexsort(swapped.T[::-1])
-    if not np.array_equal(lattice[order], swapped[image]):
-        return None
-    mirror = np.empty(lattice.shape[0], dtype=np.intp)
-    mirror[image] = order
-    return mirror if np.array_equal(mirror[mirror], np.arange(mirror.shape[0])) else None
-
-
 def _factor_w(
-    alpha: float, lattice: np.ndarray, *, of_z: bool = False, paired: bool = True
+    alpha: float, lattice: np.ndarray, *, of_z: bool = False, mirror: np.ndarray | None = None
 ) -> tuple[DenseFactor | PairedFactor, np.ndarray, np.ndarray]:
     """Factor Cov(W), or with ``of_z`` Cov(sqrt(2) W) = Cov(Z), on the
     positive-variance lattice points.
@@ -250,13 +233,13 @@ def _factor_w(
     are pinned to 0.  With no positive-variance point the factor has no
     slabs and nothing is factorized.
 
-    Where ``paired`` and the swap of axes 0 and 1 maps the lattice onto
-    itself, as it does every cube lattice with N >= 2, the covariance,
-    which the swap keeps, is factored in its even and odd blocks under
-    the swap (``PairedFactor``), each by ``factor_covariance`` at one
-    shared diagonal shift: the least on ``_shift_ladder`` at which both
-    factor.  Otherwise the whole covariance is one ``DenseFactor``, its
-    rows in lattice order.
+    With ``mirror``, the index of each lattice point's image under an
+    involution that keeps the covariance and has pairs of distinct
+    points (the swap of two axes of a cube lattice), the covariance is
+    factored in its even and odd blocks under it (``PairedFactor``),
+    each by ``factor_covariance`` at one shared diagonal shift: the
+    least on ``_shift_ladder`` at which both factor.  Otherwise the
+    whole covariance is one ``DenseFactor``, its rows in lattice order.
     """
     drift = _drift(lattice, alpha)
     active = np.flatnonzero(drift > 0.0)
@@ -275,14 +258,13 @@ def _factor_w(
         col *= coef
         return col
 
-    mirror = _axis_swap(lattice) if paired else None
-    first = active[mirror[active] > active] if mirror is not None else active[:0]
-    if first.shape[0] == 0:
+    if mirror is None:
         columns = CovarianceColumns(lambda a, b: cov(active[a:], active[a:b]), var[active])
         return factor_covariance(columns)[0], active, drift
 
     # Even rows: the pairs' first points p, then the fixed points f;
     # odd rows: the pairs.  sigma p is the image of p.
+    first = active[mirror[active] > active]
     second = mirror[first]
     fixed = active[mirror[active] == active]
     pairs = first.shape[0]
@@ -343,7 +325,7 @@ def simulate_z(alpha: float, n_dim: int, lattice: np.ndarray, seed: int) -> np.n
     n_dim = _check_dim(n_dim)
     lattice = _validate_lattice(n_dim, lattice)
     stream = replicate_generator(seed, 0)
-    factor, active, drift = _factor_w(alpha, lattice, paired=False)
+    factor, active, drift = _factor_w(alpha, lattice)
     z = stream.standard_normal((1, len(factor)))
     out = np.zeros(lattice.shape[0])
     out[active] = SQRT2 * factor.product(z)[:, 0]
@@ -368,18 +350,30 @@ def _check_reps(reps: int) -> int:
     return _check_count("replication count", reps, 1000, _MAX_REPS)
 
 
-# The estimators' range rules, by argument name: ``pickands-const``
-# runs them on its fields before any lattice is built.
+# The estimators' range rules, by ``pickands-const`` field name: it runs
+# them on its fields before any lattice is built.
 _RANGE_RULES = {
     "alpha": _check_alpha,
+    "dim": _check_dim,
     "cube_side": _check_side,
     "spacing": _check_spacing,
     "reps": _check_reps,
 }
 
 
-def _check_window(cube_side: float, spacing: float, reps: int) -> tuple[float, float, int]:
-    return _check_side(cube_side), _check_spacing(spacing), _check_reps(reps)
+def _window(n_dim: int, cube_side: float | None, spacing: float | None) -> tuple:
+    """(cube_side, spacing), each one not given (None) taken from the
+    default window of dimension ``n_dim``; a dimension with no default
+    window needs both."""
+    if cube_side is None or spacing is None:
+        if n_dim not in _DEFAULT_WINDOW:
+            raise ValidationError(
+                f"no default MC window for dimension {n_dim}; pass cube_side and spacing"
+            )
+        default_side, default_spacing = _DEFAULT_WINDOW[n_dim]
+        cube_side = default_side if cube_side is None else cube_side
+        spacing = default_spacing if spacing is None else spacing
+    return cube_side, spacing
 
 
 def _lattice_mean(
@@ -395,18 +389,24 @@ def _lattice_mean(
     tilt mixture Q+ (see the module docstring) from the factor of
     Cov(Z), so the tilt adds a factor row as it is.  Otherwise the lattice is
     centred on the origin, the norm spacing^-N, and W is drawn under P.
-    The estimate and its standard error are those of the ``reps``
-    independent values.
+    For N >= 2 the factor is in the blocks of the swap of axes 0 and 1,
+    whose mirror index is the cube's index array with those axes
+    swapped.  The estimate and its standard error are those of the
+    ``reps`` independent values.
     """
     alpha = _check_alpha(alpha)
     n_dim = _check_dim(n_dim)
-    cube_side, spacing, reps = _check_window(cube_side, spacing, reps)
+    cube_side, spacing, reps = _check_side(cube_side), _check_spacing(spacing), _check_reps(reps)
     seed = _check_stream(seed, reps - 1)
 
     lattice = cube_lattice(n_dim, cube_side, spacing)
+    steps = _lattice_steps(cube_side, spacing)
     if not window:
-        lattice = lattice - spacing * (_lattice_steps(cube_side, spacing) // 2)
-    factor, active, drift = _factor_w(alpha, lattice, of_z=window)
+        lattice = lattice - spacing * (steps // 2)
+    mirror = None
+    if n_dim > 1:
+        mirror = np.arange(lattice.shape[0]).reshape((steps + 1,) * n_dim).swapaxes(0, 1).ravel()
+    factor, active, drift = _factor_w(alpha, lattice, of_z=window, mirror=mirror)
     if window:
         factor = TiltedFactor(factor, lattice.shape[0])
     drift_active = drift[active][:, None]
@@ -530,14 +530,6 @@ def resolve_constant(
     n_dim = _check_dim(n_dim)
     if alpha == 2.0:
         return ResolvedConstant(value=math.pi ** (-n_dim / 2.0), provenance="exact")
-    if cube_side is None or spacing is None:
-        try:
-            default_side, default_spacing = _DEFAULT_WINDOW[n_dim]
-        except KeyError:
-            raise ValidationError(
-                f"no default MC window for dimension {n_dim}; pass cube_side and spacing"
-            ) from None
-        cube_side = default_side if cube_side is None else cube_side
-        spacing = default_spacing if spacing is None else spacing
+    cube_side, spacing = _window(n_dim, cube_side, spacing)
     est = estimate_pickands_dy(alpha, n_dim, cube_side, spacing, reps, seed)
     return ResolvedConstant(value=est.estimate, provenance="mc", mc=est)

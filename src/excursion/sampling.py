@@ -24,12 +24,12 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   path peaks at the slabs, about n^2 / 2 doubles, plus a few
   n x ROW_BLOCK panels: about 0.47 GB at the ``_MAX_GRID_POINTS``
   budget.  A whole matrix is accepted too, and read by block columns.
-  A covariance that an involution of its points keeps (the Pickands
-  lattice under the swap of two axes) splits into an even and an odd
-  block, which ``factor_covariance`` factors apart at one absolute
-  ``shift``; ``PairedFactor`` holds the two factors and maps their
-  draws back to the points.  Its slabs are about n^2 / 4 doubles, and
-  its product makes about half the dense one's multiply-adds.
+  A caller that must share one shift across matrices passes it as
+  ``shift``, absolute, and the ladder is skipped.  A covariance that an
+  involution of its points keeps (the Pickands lattice under the swap
+  of two axes) splits into an even and an odd block, factored apart at
+  one such shift; ``PairedFactor`` holds the two factors and maps their
+  draws back to the points.  Its slabs are about n^2 / 4 doubles.
 
 * ``factor_circulant``: the spectral square root of a covariance that
   is block-circulant on a regular lattice, as a stationary kernel is on
@@ -71,36 +71,35 @@ Five pieces shared by the simulation layers, and the budgets they keep:
   Because a dense draw's streams are per replication, its sample
   on a grid that extends another grid (extra points appended)
   restricts to the sample on the smaller grid if both take one
-  diagonal shift (``fixed_rel_jitter``):
-  the draws extend exactly, and the factor's leading block is the
-  smaller grid's factor up to rounding (the last block column and the
-  products' shapes depend on the matrix size), amplified by
-  conditioning.  A circulant factor mixes
+  diagonal ``shift``: the draws extend exactly, and the factor's
+  leading block is the smaller grid's factor up to rounding (the last
+  block column and the products' shapes depend on the matrix size),
+  amplified by conditioning.  A circulant factor mixes
   every normal into every point, so its sample restricts to no smaller
   grid's.  A feature row depends on its own point alone, so a feature
   sample restricts to the feature sample of any subset of its points:
   each value is the same r-term dot product, up to rounding (BLAS may
   order its sum differently at another product height).
   ``draw_in_batches`` reads every factor through one protocol: ``len``
-  normals per replication; ``fill(stream, zt, start, count)``, which
-  writes the normals of replications start, start + 1, ... into the
-  rows of ``zt``, where ``stream(index)`` is the generator of
-  replicate_generator(seed, index), re-keyed rather than constructed
-  (``_replicate_streams``); and ``product(zt)``, which returns the fields of
-  ``step`` such rows as the columns of a new block; the loop yields
-  its leading columns.  The default ``fill`` writes each row through
-  ``normals(gen, row)`` from its replication's stream.  A
-  ``DenseFactor`` keeps a step of BATCH, since the partition decides
+  normals per replication; ``step`` replications per block;
+  ``fill(stream, zt, start, count)``, which writes the normals of
+  replications start, start + 1, ... into the rows of ``zt``, where
+  ``stream(index)`` is the generator of replicate_generator(seed,
+  index), re-keyed rather than constructed (``_replicate_streams``);
+  and ``product(zt)``, which returns the fields of ``step`` such rows
+  as the columns of a new block; the loop yields its leading columns.
+  The default ``fill`` draws each row from its replication's stream.
+  A ``DenseFactor`` keeps a step of BATCH, since the partition decides
   how a BLAS product rounds, and multiplies slab by slab: the zeros
   right of the diagonal blocks are neither stored nor multiplied, and
   at n <= ROW_BLOCK it is ``L @ z`` bit for bit.  A ``PairedFactor``
   multiplies each block slab by slab into its rows of one output block
-  and recombines the pairs' rows in place.  A ``TiltedFactor`` (importance
-  sampling) wraps a dense or paired factor; its ``normals`` also draws
-  an integer from the stream and adds the factor row it names, which
-  the wrapped factor's ``row`` gives as one or two (start, values)
-  parts; the row depends on the stream alone, so tilted draws keep
-  every property above.
+  and recombines the pairs' rows in place.  A ``TiltedFactor``
+  (importance sampling) wraps a factor that also answers ``row``, a
+  dense or paired one; its ``fill`` also draws an integer from each
+  row's stream and adds the factor row it names, which ``row`` gives
+  as one or two (start, values) parts; the row depends on the stream
+  alone, so tilted draws keep every property above.
 
 * the budgets: ``_cap_points`` refuses any point set larger than
   ``_MAX_GRID_POINTS`` before its covariance is allocated, and
@@ -319,21 +318,18 @@ def _block_cholesky(cov: CovarianceColumns, shift: float) -> DenseFactor | None:
     return DenseFactor(slabs)
 
 
-def factor_covariance(
-    cov, *, fixed_rel_jitter: float | None = None, shift: float | None = None
-) -> tuple[DenseFactor, float]:
+def factor_covariance(cov, *, shift: float | None = None) -> tuple[DenseFactor, float]:
     """Lower Cholesky factor of a covariance.
 
     ``cov`` is a ``CovarianceColumns`` source, or a whole square matrix,
     which is read by block columns.  Returns (L, shift) with L a
     ``DenseFactor``, the row slabs of a lower-triangular matrix such
     that L @ L.T = Cov + shift * I; shift is 0.0 when no inflation was
-    needed.  ``fixed_rel_jitter`` bypasses the ladder
-    and applies exactly that relative shift, so that a grid and its
-    refinement share it (see ``validation.sample_field``); ``shift``
-    applies an absolute one, so that the blocks of one covariance share
-    it (see ``pickands._factor_w``).  Either raises FactorizationError
-    where the shifted matrix does not factor.
+    needed.  A given ``shift``, finite and nonnegative, bypasses the
+    ladder and is applied as it is, so that matrices can share it: a
+    grid and its refinement (see ``validation.sample_field``), or the
+    blocks of one covariance (see ``pickands._factor_w``).  It raises
+    FactorizationError where the shifted matrix does not factor.
 
     Only the lower triangle is read: a retry builds the block columns
     again with the shift on their diagonal, and only a refusal builds
@@ -349,15 +345,14 @@ def factor_covariance(
         raise ValidationError(f"covariance diagonal must be positive on average, got {scale}")
 
     if shift is None:
-        if fixed_rel_jitter is None:
-            return _shift_ladder(
-                lambda shift: _block_cholesky(cov, shift),
-                scale,
-                lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
-            )
-        shift = float(fixed_rel_jitter) * scale
-        if not (math.isfinite(shift) and shift >= 0):
-            raise ValidationError(f"fixed jitter must be nonnegative, got {fixed_rel_jitter}")
+        return _shift_ladder(
+            lambda shift: _block_cholesky(cov, shift),
+            scale,
+            lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
+        )
+    shift = float(shift)
+    if not (math.isfinite(shift) and shift >= 0):
+        raise ValidationError(f"shift must be finite and nonnegative, got {shift}")
     factor = _block_cholesky(cov, shift)
     if factor is None:
         raise FactorizationError(
@@ -375,14 +370,10 @@ class _Factor:
     step = BATCH
 
     def fill(self, stream, zt: np.ndarray, start: int, count: int) -> None:
-        """Row j < ``count`` of ``zt`` from replication start + j's own
-        stream, ``stream(start + j)``, through ``normals``."""
-        normals = self.normals
+        """Row j < ``count`` of ``zt``: standard normals from
+        replication start + j's own stream, ``stream(start + j)``."""
         for j, row in zip(range(count), zt):
-            normals(stream(start + j), row)
-
-    def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
-        gen.standard_normal(out=row)
+            stream(start + j).standard_normal(out=row)
 
 
 class DenseFactor(_Factor):
@@ -581,15 +572,19 @@ class TiltedFactor(_Factor):
     def product(self, zt: np.ndarray) -> np.ndarray:
         return self.factor.product(zt)
 
-    def normals(self, gen: np.random.Generator, row: np.ndarray) -> None:
-        """z, then tau = ``gen.integers(points)`` from the same stream,
-        and z + L[tau]: only the parts ``L.row(tau)`` names are added,
-        and none for tau >= n."""
-        gen.standard_normal(out=row)
-        tau = int(gen.integers(self.points))
-        if tau < row.shape[0]:
-            for start, part in self.factor.row(tau):
-                row[start : start + part.shape[0]] += part
+    def fill(self, stream, zt: np.ndarray, start: int, count: int) -> None:
+        """Row j < ``count`` of ``zt`` from replication start + j's own
+        stream: z, then tau = ``integers(points)`` from the same stream,
+        and z + L[tau], of which only the parts ``L.row(tau)`` names are
+        added, and none for tau >= n."""
+        points, factor_row = self.points, self.factor.row
+        for j, row in zip(range(count), zt):
+            gen = stream(start + j)
+            gen.standard_normal(out=row)
+            tau = int(gen.integers(points))
+            if tau < row.shape[0]:
+                for first, part in factor_row(tau):
+                    row[first : first + part.shape[0]] += part
 
 
 def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFactor, float]:
@@ -695,9 +690,9 @@ def draw_in_batches(factor, reps: int, seed: int):
     The streams come in two schemes, both keyed by the seed and one
     index, as replicate_generator(seed, index) is:
 
-    * per replication (the ``_Factor`` default: dense, tilted and
-      circulant factors): row j is ``factor.normals`` from
-      replicate_generator(seed, i + j), one re-keyed stream per row;
+    * per replication (dense, paired, tilted and circulant factors):
+      row j is drawn from replicate_generator(seed, i + j), one re-keyed
+      stream per row;
     * per block (``FeatureFactor``): the block's whole (step, len)
       array is one ``standard_normal`` call on
       replicate_generator(seed, i), row after row, so row j holds that

@@ -288,7 +288,8 @@ def _factor(model, grid: Grid, fixed_rel_jitter):
         few = FEATURE_MAX_SHARE * len(grid)
         if isinstance(model, SphereSchoenberg) and model.feature_count() < few:
             return FeatureFactor(model.features(grid.chart, grid.coords))
-    return factor_covariance(_columns(model, grid), fixed_rel_jitter=fixed_rel_jitter)[0]
+    # The grid's diagonal is pinned to 1, so the relative jitter is the shift.
+    return factor_covariance(_columns(model, grid), shift=fixed_rel_jitter)[0]
 
 
 def _columns(model, grid: Grid) -> CovarianceColumns:

@@ -153,6 +153,22 @@ def broadcast_pickands_cov_w(alpha, lattice):
     return 0.5 * (cov_w + cov_w.T)
 
 
+def axis_swap(lattice):
+    """The index of each point's image under the swap of axes 0 and 1,
+    found by sorting the points and their swapped copies, or None where
+    that swap does not map the lattice onto itself (N = 1 included)."""
+    if lattice.shape[1] < 2:
+        return None
+    swapped = lattice.copy()
+    swapped[:, [0, 1]] = lattice[:, [1, 0]]
+    order, image = np.lexsort(lattice.T[::-1]), np.lexsort(swapped.T[::-1])
+    if not np.array_equal(lattice[order], swapped[image]):
+        return None
+    mirror = np.empty(lattice.shape[0], dtype=np.intp)
+    mirror[image] = order
+    return mirror if np.array_equal(mirror[mirror], np.arange(mirror.shape[0])) else None
+
+
 # The whole-array expressions the dense covariance path was first
 # written in.  The in-place builds must reproduce them bit for bit.
 

@@ -317,6 +317,8 @@ def test_dense_path_kept_off_the_rule(monkeypatch, model, grid, kwargs):
         raise AssertionError("the circulant factor was built off the selection rule")
 
     monkeypatch.setattr(validation, "factor_circulant", unreachable)
-    factor, _ = factor_covariance(model.covariance_matrix(grid.chart, grid.coords), **kwargs)
+    # A grid covariance has a unit diagonal: the relative jitter is the shift.
+    cov = model.covariance_matrix(grid.chart, grid.coords)
+    factor, _ = factor_covariance(cov, shift=kwargs.get("fixed_rel_jitter"))
     expected = np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, 40, 9)])
     assert np.array_equal(sample_field(model, grid, 40, 9, **kwargs), expected)

@@ -419,9 +419,12 @@ def test_estimated_h_leaves_its_record_outside_the_config(tmp_path):
             "--output", str(first)]
     assert main(argv) == 0
     manifest = json.loads((tmp_path / "pk.csv.manifest.json").read_text())
-    mc = resolve_constant(1.0, 1, seed=5).mc
+    # H is estimated under the run's seed with its top bit flipped.
+    h_seed = 5 ^ (1 << 63)
+    mc = resolve_constant(1.0, 1, seed=h_seed).mc
     assert manifest["diagnostics"] == {
-        "h": {"cube_side": 8.0, "spacing": 0.05, "reps": 10_000, "stderr": mc.stderr}
+        "h": {"cube_side": 8.0, "spacing": 0.05, "reps": 10_000, "seed": h_seed,
+              "stderr": mc.stderr}
     }
     assert manifest["resolved_config"]["h"] == {"value": mc.estimate, "provenance": "mc"}
     # The replay reads H from the config and estimates nothing.
@@ -434,6 +437,31 @@ def test_estimated_h_leaves_its_record_outside_the_config(tmp_path):
     assert replayed["diagnostics"] == {}
 
 
+def test_validate_estimates_h_on_streams_of_its_own(tmp_path, monkeypatch):
+    # A rough validate run with no H pinned draws its H estimate and its
+    # grid sample under two seeds, so they share no replication stream.
+    import excursion.pickands
+    import excursion.validation
+
+    seeds = []
+    for module in (excursion.pickands, excursion.validation):
+
+        def record(factor, reps, seed, draw=module.draw_in_batches):
+            seeds.append(seed)
+            return draw(factor, reps, seed)
+
+        monkeypatch.setattr(module, "draw_in_batches", record)
+    out = tmp_path / "v.csv"
+    argv = ["validate", "--shape", "great_circle", "--radius", "1", "--family",
+            "stable_on_chart", "--c", "1", "--alpha", "1", "--u", "3", "--resolution", "8",
+            "--reps", "100", "--seed", "5", "--output", str(out)]
+    assert main(argv) == 0
+    assert seeds == [5 ^ (1 << 63), 5]
+    manifest = json.loads((tmp_path / "v.csv.manifest.json").read_text())
+    assert manifest["diagnostics"]["h"]["seed"] == 5 ^ (1 << 63)
+    assert manifest["resolved_config"]["mc"]["seed"] == 5
+
+
 def test_pickands_const_default_windows():
     from excursion.pickands import _DEFAULT_WINDOW
 
@@ -442,7 +470,7 @@ def test_pickands_const_default_windows():
         assert (config["cube_side"], config["spacing"]) == window
     # No default beyond the table: both window flags are required.
     for extra in ([], ["--cube-side", "1"], ["--spacing", "0.25"]):
-        with pytest.raises(ConfigError, match="--cube-side and --spacing"):
+        with pytest.raises(ConfigError, match="cube_side: .*pass cube_side and spacing"):
             _resolve(["pickands-const", "--dim", "4", "--seed", "0", *extra])
     config = _resolve(
         ["pickands-const", "--dim", "4", "--cube-side", "1", "--spacing", "0.25", "--seed", "0"]
@@ -451,7 +479,7 @@ def test_pickands_const_default_windows():
     # A dimension below 1 is refused as such, with or without a window.
     for dim in ("0", "-1"):
         for window in ([], ["--cube-side", "1", "--spacing", "0.25"]):
-            with pytest.raises(ConfigError, match="dim: must be at least 1"):
+            with pytest.raises(ConfigError, match="dim: dimension must be a positive integer"):
                 _resolve(["pickands-const", "--dim", dim, "--seed", "0", *window])
 
 
@@ -1087,7 +1115,19 @@ _BENCH_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _BENCH_COMMANDS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *_BENCH_COMMANDS,
+        # The dense Cholesky path, which no workload takes: 15 x 15 points.
+        pytest.param(
+            ["validate", "--shape", "rectangle", "--sides", "1,1", "--family", "stable_on_chart",
+             "--c", "1", "--alpha", "1", "--h-value", "0.98", "--u", "2,2.5,3",
+             "--resolution", "16", "--reps", "200"],
+            id="validate-rectangle-dense",
+        ),
+    ],
+)
 def test_traced_run_writes_the_untraced_bytes(tmp_path, argv):
     # bench/traced.py wraps the package's functions in place; an output
     # that depended on timing, or on the wrappers, would differ here.

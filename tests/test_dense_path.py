@@ -97,7 +97,7 @@ def _captured_cov_w(monkeypatch, alpha, lattice):
 
     monkeypatch.setattr(pickands, "factor_covariance", capture)
     # The whole covariance, as simulate_z factors it on a caller's lattice.
-    pickands._factor_w(alpha, lattice, paired=False)
+    pickands._factor_w(alpha, lattice)
     (cov_w,) = seen
     return cov_w
 
@@ -260,10 +260,10 @@ def _assert_reconstructs(factor, shifted):
 @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
 def test_factor_matches_c_order_cholesky(n):
     mat = _scattered_covariance(n)
-    for jitter in (None, 1e-10):
-        factor, shift = factor_covariance(mat, fixed_rel_jitter=jitter)
+    for given in (None, 1e-10):
+        factor, shift = factor_covariance(mat, shift=given)
         factor = lower_matrix(factor)
-        assert shift == (0.0 if jitter is None else jitter * (float(np.trace(mat)) / n))
+        assert shift == (0.0 if given is None else given)
         shifted = mat + shift * np.eye(n)
         if n <= ROW_BLOCK:
             # One block column: LAPACK's factor of the whole matrix.
@@ -302,7 +302,7 @@ def test_pickands_factor_matches_c_order_cholesky(monkeypatch, alpha):
 
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = pickands.cube_lattice(2, 4.0, 0.2) - 2.0
-    factor, active, _ = pickands._factor_w(alpha, lattice, paired=False)
+    factor, active, _ = pickands._factor_w(alpha, lattice)
     factor = lower_matrix(factor)
     assert len(active) > ROW_BLOCK
     cov_w = broadcast_pickands_cov_w(alpha, lattice)
@@ -373,10 +373,12 @@ def test_pickands_factorization_resident_peak_is_the_factor(monkeypatch):
     # distance table, the covariance, LAPACK's copy and its output.
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     code = (
+        "import numpy as np\n"
         "from excursion import pickands\n"
         "lattice = pickands.cube_lattice(2, 4.0, 0.1)\n"
+        "mirror = np.arange(41 * 41).reshape(41, 41).T.ravel()\n"
         "before = peak()\n"
-        "factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)\n"
+        "factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True, mirror=mirror)\n"
         "grown = peak() - before\n"
         "print(len(active), grown)\n"
     )

@@ -7,7 +7,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from _oracles import pickands_window_alpha2
+from _oracles import axis_swap, pickands_window_alpha2
 from excursion import pickands
 from excursion.errors import ValidationError
 from excursion.pickands import (
@@ -164,7 +164,7 @@ def _single_and_paired(alpha, n_dim, cube_side, spacing, reps, seed):
     here from the draw blocks with the estimator's own arithmetic."""
     lattice = cube_lattice(n_dim, cube_side, spacing)
     lattice = lattice - spacing * (pickands._lattice_steps(cube_side, spacing) // 2)
-    factor, active, drift = pickands._factor_w(alpha, lattice)
+    factor, active, drift = pickands._factor_w(alpha, lattice, mirror=axis_swap(lattice))
     drift = drift[active][:, None]
     single, paired = np.empty(reps), np.empty(reps)
     for start, block in draw_in_batches(factor, reps, seed):
@@ -186,7 +186,7 @@ def _tilted_window_values(alpha, n_dim, cube_side, spacing, reps, seed):
     """The window estimator's per-replication values, rebuilt here from
     tilted draw blocks of the factor of Cov(Z)."""
     lattice = cube_lattice(n_dim, cube_side, spacing)
-    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True)
+    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True, mirror=axis_swap(lattice))
     drift = drift[active][:, None]
     tilted = TiltedFactor(factor, lattice.shape[0])
     blocks = draw_in_batches(tilted, reps, seed)
@@ -235,7 +235,7 @@ def test_paired_factor_reconstructs_the_covariance(
 
     monkeypatch.setattr(pickands, "factor_covariance", record)
     lattice = _window_lattice(n_dim, cube_side, spacing, centred)
-    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True)
+    factor, active, drift = pickands._factor_w(alpha, lattice, of_z=True, mirror=axis_swap(lattice))
     assert isinstance(factor, PairedFactor)
     # Every positive-variance point once, the pinned origin not at all.
     assert np.array_equal(np.sort(active), np.flatnonzero(drift > 0.0))
@@ -254,7 +254,7 @@ def test_paired_factor_rows_are_its_dense_rows():
     # 24 factorized points: every tilt row, of a pair's first or second
     # point or of a fixed one, is the row of the densified factor.
     lattice = cube_lattice(2, 1.0, 0.25)
-    factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True)
+    factor, active, _ = pickands._factor_w(1.0, lattice, of_z=True, mirror=axis_swap(lattice))
     assert isinstance(factor, PairedFactor) and len(active) == 24
     rows = _dense_rows(factor)
     for tau in range(24):
@@ -275,8 +275,8 @@ def test_paired_factor_halves_the_slabs():
     # 908,192 doubles against the one-block factor's 1,618,176: 0.561,
     # where the upper triangles of the diagonal blocks stay stored.
     lattice = cube_lattice(2, 4.0, 0.1)
-    paired, _, _ = pickands._factor_w(1.0, lattice, of_z=True)
-    dense, _, _ = pickands._factor_w(1.0, lattice, of_z=True, paired=False)
+    paired, _, _ = pickands._factor_w(1.0, lattice, of_z=True, mirror=axis_swap(lattice))
+    dense, _, _ = pickands._factor_w(1.0, lattice, of_z=True)
     assert (len(paired.even), len(paired.odd), len(dense)) == (860, 820, 1680)
     assert all(slab.shape[0] <= ROW_BLOCK for slab in paired.even.slabs + paired.odd.slabs)
     assert (_slab_doubles(paired), _slab_doubles(dense)) == (908_192, 1_618_176)
@@ -299,6 +299,37 @@ def test_one_dimension_and_caller_lattices_keep_one_block(monkeypatch):
     seen.clear()
     simulate_z(1.0, 2, lattice, 3)
     assert seen == [24]
+
+
+class _Factored(Exception):
+    """Raised in place of a factorization, once its arguments are seen."""
+
+
+def test_estimators_mirror_the_cube_by_index(monkeypatch):
+    # The estimators take the swap of axes 0 and 1 from the C-order
+    # cube's index; it must be the image the coordinates give, on the
+    # window (estimate_pickands) and centred (estimate_pickands_dy)
+    # lattices at N = 2 and 3, at even (40, 8, 4) and odd (7, 5) step
+    # counts, and there is none at N = 1.
+    seen = []
+
+    def record(alpha, lattice, *, of_z, mirror):
+        seen.append((lattice, mirror))
+        raise _Factored
+
+    monkeypatch.setattr(pickands, "_factor_w", record)
+    windows = [(1, 8.0, 0.25), (2, 4.0, 0.1), (2, 2.0, 0.25), (2, 1.4, 0.2), (3, 1.0, 0.25),
+               (3, 1.0, 0.2)]
+    for estimate in (estimate_pickands, estimate_pickands_dy):
+        for n_dim, cube_side, spacing in windows:
+            with pytest.raises(_Factored):
+                estimate(1.0, n_dim, cube_side, spacing, 1000, 0)
+            lattice, mirror = seen.pop()
+            expected = axis_swap(lattice)
+            if n_dim == 1:
+                assert mirror is None and expected is None
+            else:
+                assert expected is not None and np.array_equal(mirror, expected), (n_dim, spacing)
 
 
 def test_pairing_is_the_mirror_image_at_smooth_alpha():

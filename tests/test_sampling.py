@@ -10,6 +10,7 @@ from excursion.sampling import (
     ROW_BLOCK,
     DenseFactor,
     FeatureFactor,
+    PairedFactor,
     TiltedFactor,
     draw_in_batches,
     factor_covariance,
@@ -49,14 +50,14 @@ def test_factor_indefinite_reports_spectrum():
 
 
 def test_factor_fixed_jitter_path():
+    # A given shift skips the ladder and is applied as it is, absolute.
     mat = spd_matrix(4, 1)
-    scale = float(np.trace(mat)) / 4
-    factor, shift = factor_covariance(mat, fixed_rel_jitter=1e-10)
-    assert shift == pytest.approx(1e-10 * scale, rel=1e-12)
+    factor, shift = factor_covariance(mat, shift=1e-10)
+    assert shift == 1e-10
     low = lower_matrix(factor)
     assert low @ low.T == pytest.approx(mat + shift * np.eye(4), rel=1e-9)
     with pytest.raises(FactorizationError, match="requested diagonal shift"):
-        factor_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), fixed_rel_jitter=1e-10)
+        factor_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]), shift=1e-10)
 
 
 def test_factor_validation():
@@ -71,8 +72,12 @@ def test_factor_validation():
         factor_covariance(np.zeros((3, 3)))
     with pytest.raises(ValidationError):
         factor_covariance(np.zeros((0, 0)))
-    with pytest.raises(ValidationError):
-        factor_covariance(spd_matrix(3, 2), fixed_rel_jitter=-1e-9)
+    # A shift that is negative (which would factor C - 0.5 I), NaN or
+    # infinite is refused, on a matrix that factors at every finite
+    # nonnegative shift.
+    for shift in (-1e-9, -0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="shift must be finite and nonnegative"):
+            factor_covariance(spd_matrix(2, 2), shift=shift)
 
 
 def test_replicate_streams_deterministic_and_distinct():
@@ -353,14 +358,19 @@ def test_draws_extend_as_a_prefix_at_every_count():
     # one or two replications past a block, once took narrower BLAS
     # kernels than the longer run's and rounded their columns
     # differently.  Dense factors below and above ROW_BLOCK, a tilted
-    # one and a feature one.
+    # one, a feature one, and a paired one with more than ROW_BLOCK
+    # pairs, plain and tilted with tilt points past its rows, as the
+    # Pickands window draws it.
     dense = factor_covariance(spd_matrix(40, 3))[0]
     wide = factor_covariance(spd_matrix(ROW_BLOCK + 44, 3))[0]
+    paired = PairedFactor(wide, factor_covariance(spd_matrix(ROW_BLOCK + 20, 6))[0])
     factors = {
         "dense": dense,
         "row-blocked": wide,
         "tilted": TiltedFactor(wide, ROW_BLOCK + 50),
         "feature": FeatureFactor(np.random.default_rng(4).standard_normal((60, 9))),
+        "paired": paired,
+        "tilted-paired": TiltedFactor(paired, len(paired) + 6),
     }
     for name, factor in factors.items():
         _, long = collect(factor, 2 * BATCH + 76, 5)

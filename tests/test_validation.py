@@ -279,7 +279,7 @@ def test_refinement_monotonicity_with_shared_replications():
     # Structural half: within one fine run the coarse-prefix maximum
     # can never beat the full-grid maximum, replication by replication.
     cov = stable.covariance_matrix(fine_grid.chart, fine_grid.coords)
-    factor, _ = factor_covariance(cov, fixed_rel_jitter=1e-10)
+    factor, _ = factor_covariance(cov, shift=1e-10)
     n_coarse = len(coarse_grid)
     for _, block in draw_in_batches(factor, 1000, 11):
         assert np.all(block[:n_coarse].max(axis=0) <= block.max(axis=0))
@@ -434,7 +434,8 @@ def _no_covariance_matrix(monkeypatch):
 
 def _dense_sups(model, grid, reps, seed, **kwargs):
     cov = model.covariance_matrix(grid.chart, grid.coords)
-    factor, _ = factor_covariance(cov, **kwargs)
+    # A grid covariance has a unit diagonal: the relative jitter is the shift.
+    factor, _ = factor_covariance(cov, shift=kwargs.get("fixed_rel_jitter"))
     return np.concatenate([b.max(axis=0) for _, b in draw_in_batches(factor, reps, seed)])
 
 
