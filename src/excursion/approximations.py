@@ -83,6 +83,13 @@ def _check_level(u, *, positive: bool = False) -> float:
     return u
 
 
+def _check_h(h_value) -> float:
+    h_value = float(h_value)
+    if not (math.isfinite(h_value) and h_value > 0):
+        raise ValidationError(f"constant H must be finite and positive, got {h_value}")
+    return h_value
+
+
 def _check_manifolds(model, domain) -> None:
     if model.manifold != domain.manifold:
         raise ManifoldMismatchError(
@@ -109,9 +116,7 @@ def eec_approx(model: SmoothIsotropicModel, domain, u) -> ApproxResult:
 
 def _pickands_core(model, domain, u, h_value, h_provenance, k: int) -> ApproxResult:
     u = _check_level(u, positive=True)
-    h_value = float(h_value)
-    if not (math.isfinite(h_value) and h_value > 0):
-        raise ValidationError(f"constant H must be positive, got {h_value}")
+    h_value = _check_h(h_value)
     c, alpha = local_expansion(model)
     volume = float(lk_curvatures(domain)[-1])
     try:

@@ -36,9 +36,12 @@ outside the resolved config, so a replay does not read them.
 
 Rules the implementation keeps to:
 
-* every field is validated before any computation starts (the levels
-  too, before an H estimate), and all computation finishes before any
-  file is opened: a failing run leaves no partial output;
+* every field is validated before any computation starts, each bound
+  by the one function of the layer that owns it, its refusal raised
+  under the field's path; a ``validate`` run's grids are built and its
+  draws and model checked before any H estimate or analytic value;
+* all computation finishes before any file is opened: a failing run
+  leaves no partial output;
 * the seed is always explicit in the resolved config (drawn once and
   recorded when the user did not give one);
 * data goes to the output target; logging goes to standard error;
@@ -55,7 +58,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import re
 import secrets
@@ -124,15 +126,22 @@ def _as_int(value, field: str) -> int:
     return out
 
 
+def _checked(field: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, a library refusal raised under ``field``."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 def _resolve_seed(raw_seed, field: str) -> int:
     if raw_seed is None:
         seed = secrets.randbits(63)
         log.info("no seed given; drew %d", seed)
         return seed
-    seed = _as_int(raw_seed, field)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(field, f"seed must fit in 64 bits, got {seed}")
-    return seed
+    from .sampling import _check_stream
+
+    return _checked(field, _check_stream, _as_int(raw_seed, field), 0)
 
 
 _LOCAL_FIELDS = (("c", _as_float), ("alpha", _as_float))
@@ -265,10 +274,8 @@ def _is_smooth(family: str) -> bool:
 def _construct(config: dict, section: str, *head):
     key, table = _SECTIONS[section]
     rec = config[section]
-    try:
-        return _constructor(section, rec[key])(*head, *(rec[f] for f, _ in table[rec[key]][1]))
-    except ValidationError as exc:
-        raise ConfigError(section, str(exc))
+    fields = (rec[f] for f, _ in table[rec[key]][1])
+    return _checked(section, _constructor(section, rec[key]), *head, *fields)
 
 
 def _domain_and_model(config: dict):
@@ -277,6 +284,8 @@ def _domain_and_model(config: dict):
 
 
 def _resolve_u_grid(cfg: dict, args, tail: bool) -> list[float]:
+    from .approximations import _check_level
+
     if getattr(args, "u", None) is not None:
         levels = _parse_floats(args.u, "u_grid")
     elif "u_grid" in cfg:
@@ -285,24 +294,22 @@ def _resolve_u_grid(cfg: dict, args, tail: bool) -> list[float]:
         levels = list(_DEFAULT_U_GRID)
     if not levels:
         raise ConfigError("u_grid", "at least one level required")
-    need = "finite levels > 0 on the tail-formula route" if tail else "finite levels"
     for u in levels:
-        if not (math.isfinite(u) and (u > 0 or not tail)):
-            raise ConfigError("u_grid", f"expected {need}, got {u}")
+        _checked("u_grid", _check_level, u, positive=tail)
     return levels
 
 
 def _resolve_mc(cfg: dict, args, *, grid: bool) -> dict:
-    """The ``mc`` block: the seed, plus resolution and reps for a grid run."""
+    """The ``mc`` block: the seed, plus resolution and reps for a grid run
+    (the resolution is checked when the run's grids are built)."""
+    from .sampling import _check_draws
+
     mc = _with_flags(_section(cfg, "mc"), args, ("resolution", "reps", "seed"))
     out = {}
     if grid:
         out["resolution"] = _as_int(mc.get("resolution", 40), "mc.resolution")
-        if out["resolution"] < 2:
-            raise ConfigError("mc.resolution", f"must be at least 2, got {out['resolution']}")
-        out["reps"] = _as_int(mc.get("reps", 100_000), "mc.reps")
-        if out["reps"] < 1:
-            raise ConfigError("mc.reps", f"must be positive, got {out['reps']}")
+        reps = _as_int(mc.get("reps", 100_000), "mc.reps")
+        out["reps"] = _checked("mc.reps", _check_draws, reps, 0)[0]
     out["seed"] = _resolve_seed(mc.get("seed"), "mc.seed")
     return out
 
@@ -317,9 +324,9 @@ def _pinned_h(cfg: dict, args) -> dict | None:
             return None
         if not isinstance(h_cfg, dict) or "value" not in h_cfg:
             raise ConfigError("h.value", "expected an object with a 'value' entry")
-    value = _as_float(h_cfg["value"], "h.value")
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError("h.value", f"must be finite and positive, got {value}")
+    from .approximations import _check_h
+
+    value = _checked("h.value", _check_h, _as_float(h_cfg["value"], "h.value"))
     # Only the provenances the program writes: the value lands in a CSV cell.
     provenance = h_cfg.get("provenance", "user")
     if provenance not in ("exact", "mc", "user"):
@@ -432,18 +439,12 @@ def _resolve_pickands_const(cfg: dict, args) -> dict:
     for name, kind, default, _ in _PC_FIELDS:
         # Field by field, converted and then range-checked, so the window
         # defaults are looked up for a dimension already checked.
-        try:
-            if name == "cube_side":
-                pc["cube_side"], pc["spacing"] = _window(
-                    out["dim"], pc.get("cube_side"), pc.get("spacing")
-                )
-            out[name] = kind(pc.get(name, default), name)
-            if name in _RANGE_RULES:
-                _RANGE_RULES[name](out[name])
-        except ConfigError:
-            raise
-        except ValidationError as exc:
-            raise ConfigError(name, str(exc)) from None
+        if name == "cube_side":
+            window = (out["dim"], pc.get("cube_side"), pc.get("spacing"))
+            pc["cube_side"], pc["spacing"] = _checked(name, _window, *window)
+        out[name] = kind(pc.get(name, default), name)
+        if name in _RANGE_RULES:
+            _checked(name, _RANGE_RULES[name], out[name])
     return out
 
 
@@ -476,18 +477,22 @@ def resolve(args) -> ResolvedRun:
 
     config["mc"] = _resolve_mc(cfg, args, grid="grid" in parts)
     h = _pinned_h(cfg, args)
+    domain, model = _domain_and_model(config)
+    if "grid" in parts:
+        # The run's grids are built, and its model asked for one covariance
+        # entry: the bare local expansion (c, alpha) has none to sample.
+        from .validation import _scheme
+
+        _checked("domain.shape", _scheme, domain)
+        grid = _checked("mc.resolution", _validate_grids, config, domain)[0]
+        point = grid.coords[:1]
+        _checked("model.family", model.covariance_table, grid.chart, point, point)
     diagnostics = {}
     if tail:
         if h is None:
             from .covariance import local_expansion
             from .pickands import resolve_constant
-            from .sampling import _check_draws
 
-            domain, model = _domain_and_model(config)
-            if "grid" in parts:
-                # The run's own grid and draw checks, before the estimate.
-                _validate_grids(config, domain)
-                _check_draws(config["mc"]["reps"], config["mc"]["seed"])
             _, alpha = local_expansion(model)
             resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"] ^ _H_SEED_FLIP)
             h = {"value": resolved.value, "provenance": resolved.provenance}

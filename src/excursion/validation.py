@@ -219,8 +219,6 @@ def _sphere(domain, resolution: int):
         _cap_points(resolution)
         polar = [[math.pi / 2.0]] * (domain.manifold.dim - 1)
         return _tensor([*polar, np.arange(resolution) * (2.0 * math.pi / resolution)])
-    if domain.k != 2:
-        raise UnsupportedShapeError(f"no grid scheme for spheres of dimension {domain.k}")
     # Every latitude row holds at least one point, so the row count is
     # checked first, then the point count; only then are longitudes built.
     _cap_points(resolution)
@@ -244,7 +242,10 @@ _SCHEMES = {
 
 
 def _scheme(domain) -> tuple:
-    """The scheme of the domain's type or of its nearest catalogue base."""
+    """The scheme of the domain's type or of its nearest catalogue base;
+    the sphere scheme lays out circles and 2-spheres only."""
+    if isinstance(domain, FullSphere) and domain.k > 2:
+        raise UnsupportedShapeError(f"no grid scheme for spheres of dimension {domain.k}")
     for kind in type(domain).__mro__:
         if kind in _SCHEMES:
             return _SCHEMES[kind]

@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -175,12 +177,55 @@ def test_model_and_mc_field_paths():
     with pytest.raises(ConfigError) as err:
         _resolve(grid + ["--resolution", "1"])
     assert err.value.field == "mc.resolution"
-    with pytest.raises(ConfigError) as err:
-        _resolve(grid + ["--reps", "0"])
-    assert err.value.field == "mc.reps"
-    with pytest.raises(ConfigError) as err:
-        _resolve(model + ["--seed", "-1"])
-    assert err.value.field == "mc.seed"
+    for reps in ("0", "10000001"):
+        with pytest.raises(ConfigError) as err:
+            _resolve(grid + ["--reps", reps])
+        assert err.value.field == "mc.reps"
+    for seed in ("-1", str(2**64)):
+        with pytest.raises(ConfigError) as err:
+            _resolve(model + ["--seed", seed])
+        assert err.value.field == "mc.seed"
+
+
+def test_validate_refusals_name_their_field_on_every_route(monkeypatch):
+    # Each validate route checks its grid, its replication count and its
+    # model in cli.resolve, under the field's path, before H is estimated
+    # or any analytic value is computed.
+    from excursion import approximations, pickands
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("computed before the run's fields were checked")
+
+    for name in ("eec_approx", "pickands_approx_submanifold"):
+        monkeypatch.setattr(approximations, name, unreachable)
+    monkeypatch.setattr(pickands, "resolve_constant", unreachable)
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    ball = ["--shape", "ball", "--dim", "2", "--radius", "1"]
+    smooth = ["--family", "squared_exponential", "--length-scale", "0.3"]
+    rough = ["--family", "stable_on_chart", "--c", "1", "--alpha", "1"]
+    local = ["--family", "local", "--c", "1", "--alpha", "1"]
+    grid = ["--resolution", "20", "--reps", "10"]
+    routes = {
+        "eec": (smooth, []),
+        "pinned H": (rough, ["--h-value", "0.9"]),
+        "estimated H": (rough, []),
+    }
+    for route, (family, pin) in routes.items():
+        head = ["validate", "--u", "2", "--seed", "0", *pin]
+        cases = [
+            ([*torus, *family, "--resolution", "200", "--reps", "10"], "mc.resolution"),
+            ([*torus, *family, "--resolution", "20", "--reps", "10000001"], "mc.reps"),
+            ([*ball, *family, *grid], "domain.shape"),
+        ]
+        if family is rough:
+            cases.append(([*torus, *local, *grid], "model.family"))
+        for extra, field in cases:
+            with pytest.raises(ConfigError) as err:
+                _resolve(head + extra)
+            assert err.value.field == field, (route, extra)
+        if pin or family is smooth:
+            # The same run within its budgets resolves, computing nothing.
+            assert _resolve(head + [*torus, *family, *grid]).config["mc"]["reps"] == 10
 
 
 def test_h_constant_resolution():
@@ -342,8 +387,9 @@ def test_validate_budgets_checked_before_the_h_estimate(monkeypatch, caplog):
     base = ["validate", "--shape", "full_torus", "--periods", "1,1", "--family",
             "stable_on_chart", "--c", "1", "--alpha", "1", "--u", "2", "--seed", "0"]
     cases = [
-        (["--resolution", "1000", "--reps", "100"], "grid would have 250000 points"),
-        (["--resolution", "20", "--reps", "20000000"], "replication count must lie in"),
+        (["--resolution", "1000", "--reps", "100"],
+         "mc.resolution: grid would have 250000 points"),
+        (["--resolution", "20", "--reps", "20000000"], "mc.reps: replication count must lie in"),
     ]
     for extra, message in cases:
         caplog.clear()
@@ -841,6 +887,29 @@ def test_levels_checked_before_the_h_estimate(monkeypatch):
     assert _resolve(["eec", *smooth, "--u=-1,0"]).config["u_grid"] == [-1.0, 0.0]
     spec = _resolve(["validate", *smooth, *grid, "--seed", "0", "--u=-1,0"])
     assert spec.config["u_grid"] == [-1.0, 0.0] and "h" not in spec.config
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``excursion`` line in the README's "Command line"
+    block, continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("excursion ")]
+
+
+def test_readme_command_line_block_runs_and_replays(tmp_path, monkeypatch, capsys):
+    # Every command the README shows runs as written, in order, and its
+    # manifest replay writes the bytes of the run it replays.
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "lk", "eec", "pickands", "pickands-const", "validate", "validate"
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out.startswith("j,L_j\n")
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
 
 
 def test_usage_errors_exit_1():
