@@ -42,7 +42,13 @@ import numpy as np
 
 from .covariance import LocallyIsotropicModel, SmoothIsotropicModel, local_expansion
 from .curvatures import lk_curvatures, rescale_lk
-from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError
+from .errors import (
+    DegenerateModelError,
+    ManifoldMismatchError,
+    ValidationError,
+    _check_count,
+    _check_real,
+)
 from .kernels import beta_j, gaussian_tail
 
 __all__ = [
@@ -75,19 +81,12 @@ class ApproxResult:
 
 
 def _check_level(u, *, positive: bool = False) -> float:
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValidationError(f"level u must be finite, got {u}")
-    if positive and u <= 0:
-        raise ValidationError(f"tail formula needs u > 0, got {u}")
-    return u
+    """A level; the tail formula (``positive``) needs u > 0."""
+    return _check_real("level u", u, gt=0 if positive else None)
 
 
 def _check_h(h_value) -> float:
-    h_value = float(h_value)
-    if not (math.isfinite(h_value) and h_value > 0):
-        raise ValidationError(f"constant H must be finite and positive, got {h_value}")
-    return h_value
+    return _check_real("constant H", h_value, gt=0)
 
 
 def _check_manifolds(model, domain) -> None:
@@ -175,9 +174,7 @@ def metric_sqrt_field(manifold, chart: str | None = None, scale: float = 1.0):
     identity.  A point where the chart degenerates raises
     ``DegenerateChartError``.
     """
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValidationError(f"scale must be positive, got {scale}")
+    scale = _check_real("scale", scale, gt=0)
     if not hasattr(manifold, "metric_diagonal"):
         raise ValidationError(f"no metric field for {type(manifold).__name__}")
     if chart is None:
@@ -221,11 +218,7 @@ def euclidean_det_integral(field, lower, upper, resolution=512) -> float:
         raise ValidationError(
             f"resolution must be one value or {n} values, one per axis, got {resolution!r}"
         ) from None
-    if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in res):
-        raise ValidationError(f"resolution must be integers, got {resolution!r}")
-    res = res.astype(int)
-    if np.any(res < 1):
-        raise ValidationError(f"resolution must be at least 1 per axis, got {resolution}")
+    res = np.array([_check_count("resolution", r, 1) for r in res])
 
     widths = (upper - lower) / res
     cell = float(np.prod(widths))

@@ -65,7 +65,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ExcursionError, FactorizationError, ValidationError
+from .errors import ConfigError, ExcursionError, FactorizationError, ValidationError, _check_count
 from .serialize import csv_text
 
 __all__ = ["main", "run"]
@@ -102,10 +102,12 @@ def _parse_floats(text: str, field: str) -> list[float]:
 
 
 def _as_float(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field, f"expected a number, got {value!r}")
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(field, f"expected a number, got {value!r}")
 
 
 def _as_floats(value, field: str) -> list[float]:
@@ -432,7 +434,8 @@ _COMMANDS = {
 
 
 def _resolve_pickands_const(cfg: dict, args) -> dict:
-    from .pickands import _RANGE_RULES, _window
+    from .pickands import _RANGE_RULES, _lattice_steps, _window
+    from .sampling import _cap_points
 
     pc = _with_flags(cfg, args, [name for name, *_ in _PC_FIELDS])
     out = {}
@@ -445,6 +448,9 @@ def _resolve_pickands_const(cfg: dict, args) -> dict:
         out[name] = kind(pc.get(name, default), name)
         if name in _RANGE_RULES:
             _checked(name, _RANGE_RULES[name], out[name])
+    # The lattice the window spans, checked against the point budget.
+    steps = _checked("spacing", _lattice_steps, out["cube_side"], out["spacing"])
+    _checked("spacing", _cap_points, steps + 1, out["dim"])
     return out
 
 
@@ -561,8 +567,7 @@ def _apply_thread_cap(threads: int | None) -> int | None:
             threads = int(raw)
         except ValueError:
             raise ConfigError("threads", f"{_THREAD_ENV} must be an integer, got {raw!r}")
-    if threads < 1:
-        raise ConfigError("threads", f"thread cap must be positive, got {threads}")
+    _checked("threads", _check_count, "thread cap", threads, 1)
     for var in _BLAS_VARS:
         os.environ[var] = str(threads)
     return threads

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError
+from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError, _check_real
 from .manifolds import ChartPoint, Sphere, _ManifoldBase
 
 __all__ = [
@@ -144,9 +144,7 @@ class SquaredExponential(SmoothIsotropicModel):
     length_scale: float
 
     def __post_init__(self):
-        ell = float(self.length_scale)
-        if not (math.isfinite(ell) and ell > 0):
-            raise ValidationError(f"length scale must be positive, got {self.length_scale}")
+        ell = _check_real("length scale", self.length_scale, gt=0)
         object.__setattr__(self, "length_scale", ell)
         self._check_rho_prime_0(f"length scale {ell!r}")
 
@@ -180,11 +178,9 @@ class SphereSchoenberg(SmoothIsotropicModel):
     def __post_init__(self):
         if not isinstance(self.manifold, Sphere):
             raise ValidationError("SphereSchoenberg is defined on spheres only")
-        coeffs = tuple(float(b) for b in self.coefficients)
+        coeffs = tuple(_check_real("coefficient", b, ge=0) for b in self.coefficients)
         if len(coeffs) == 0:
             raise ValidationError("SphereSchoenberg needs at least one coefficient")
-        if not all(math.isfinite(b) and b >= 0 for b in coeffs):
-            raise ValidationError(f"coefficients must be nonnegative, got {coeffs}")
         total = math.fsum(coeffs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ValidationError(
@@ -274,14 +270,8 @@ class LocallyIsotropicModel(_ModelBase):
     full_model: _ModelBase | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        c = float(self.c)
-        alpha = float(self.alpha)
-        if not (math.isfinite(c) and c > 0):
-            raise ValidationError(f"local expansion coefficient must be positive, got {self.c}")
-        if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
-            raise ValidationError(f"local expansion exponent must lie in (0, 2], got {self.alpha}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "c", _check_real("c", self.c, gt=0))
+        object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, gt=0, le=2))
         # Points are checked against this manifold, then measured by the full model's.
         if self.full_model is not None and self.full_model.manifold != self.manifold:
             raise ManifoldMismatchError(

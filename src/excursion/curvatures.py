@@ -26,8 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, UnsupportedShapeError, ValidationError
-from .manifolds import Euclidean, FlatTorus, Sphere, _check_dim
+from .errors import (
+    DegenerateModelError,
+    UnsupportedShapeError,
+    ValidationError,
+    _check_count,
+    _check_real,
+)
+from .manifolds import Euclidean, FlatTorus, Sphere
 
 __all__ = [
     "Rectangle",
@@ -45,15 +51,13 @@ __all__ = [
 
 def unit_ball_volume(m: int) -> float:
     """omega_m = pi^{m/2} / Gamma(m/2 + 1); omega_0 = 1."""
-    if m < 0:
-        raise ValidationError(f"ball dimension must be nonnegative, got {m}")
+    _check_real("dimension", m, ge=0)
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
 def unit_sphere_area(m: int) -> float:
     """s_m = 2 pi^{(m+1)/2} / Gamma((m+1)/2); s_0 = 2 (two points)."""
-    if m < 0:
-        raise ValidationError(f"sphere dimension must be nonnegative, got {m}")
+    _check_real("dimension", m, ge=0)
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
@@ -65,15 +69,6 @@ def _elementary_symmetric(values: tuple[float, ...]) -> np.ndarray:
     return coeffs
 
 
-def _positive_lengths(values, what: str) -> tuple[float, ...]:
-    values = tuple(float(v) for v in values)
-    if len(values) == 0:
-        raise ValidationError(f"{what} needs at least one length")
-    if not all(math.isfinite(v) and v > 0 for v in values):
-        raise ValidationError(f"{what} lengths must be positive, got {values}")
-    return values
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned box prod_i [0, T_i] in R^N."""
@@ -81,7 +76,10 @@ class Rectangle:
     sides: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sides", _positive_lengths(self.sides, "Rectangle"))
+        sides = tuple(_check_real("side", side, gt=0) for side in self.sides)
+        if len(sides) == 0:
+            raise ValidationError("Rectangle needs at least one side")
+        object.__setattr__(self, "sides", sides)
 
     @property
     def manifold(self) -> Euclidean:
@@ -103,9 +101,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim, "Ball"))
-        (radius,) = _positive_lengths((self.radius,), "Ball")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "dim", _check_count("dimension", self.dim, 1))
+        object.__setattr__(self, "radius", _check_real("radius", self.radius, gt=0))
 
     @property
     def manifold(self) -> Euclidean:
@@ -131,9 +128,8 @@ class FullSphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim, "FullSphere"))
-        (radius,) = _positive_lengths((self.radius,), "FullSphere")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "dim", _check_count("dimension", self.dim, 1))
+        object.__setattr__(self, "radius", _check_real("radius", self.radius, gt=0))
 
     @property
     def manifold(self) -> Sphere:
@@ -160,7 +156,7 @@ class FullTorus:
     periods: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "periods", _positive_lengths(self.periods, "FullTorus"))
+        object.__setattr__(self, "periods", FlatTorus(self.periods).periods)
 
     @property
     def manifold(self) -> FlatTorus:
@@ -183,8 +179,7 @@ class GreatCircle:
     radius: float
 
     def __post_init__(self):
-        (radius,) = _positive_lengths((self.radius,), "GreatCircle")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "radius", _check_real("radius", self.radius, gt=0))
 
     @property
     def manifold(self) -> Sphere:
@@ -236,9 +231,7 @@ def tube_volume(domain, r: float) -> float:
         raise UnsupportedShapeError(
             f"tube volume is defined for convex Euclidean shapes, not {type(domain).__name__}"
         )
-    r = float(r)
-    if not (math.isfinite(r) and r >= 0):
-        raise ValidationError(f"tube radius must be nonnegative, got {r}")
+    r = _check_real("tube radius", r, ge=0)
     lk = domain.lk()
     k = domain.k
     return float(sum(unit_ball_volume(k - j) * r ** (k - j) * lk[j] for j in range(k + 1)))

@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_count
 
 __all__ = ["hermite", "gaussian_tail", "gaussian_tail_scaled", "beta_j"]
 
@@ -45,14 +45,9 @@ def hermite(j: int, x):
     The three-term recurrence is numerically stable for the small
     degrees (j <= a few dozen) used here.
     """
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ValidationError(f"hermite degree must be an integer, got {j!r}")
-    if j < 0:
-        raise ValidationError(f"hermite degree must be >= 0, got {j}")
-    if j > 64:
-        # The expansions here never need more than the domain dimension;
-        # the cap keeps the recurrence in a well-conditioned regime.
-        raise ValidationError(f"hermite degree capped at 64, got {j}")
+    # The expansions here never need more than the domain dimension; the
+    # cap at 64 keeps the recurrence in a well-conditioned regime.
+    j = _check_count("hermite degree", j, 0, 64)
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValidationError("hermite argument must be finite")
@@ -214,10 +209,7 @@ def beta_j(j: int, u):
     beta_0 is the Gaussian tail; for j >= 1,
     beta_j(u) = (2 pi)^{-(j+1)/2} H_{j-1}(u) e^{-u^2/2}.
     """
-    if not isinstance(j, (int, np.integer)) or isinstance(j, bool):
-        raise ValidationError(f"beta_j index must be an integer, got {j!r}")
-    if j < 0:
-        raise ValidationError(f"beta_j index must be >= 0, got {j}")
+    j = _check_count("beta_j index", j, 0)
     if j == 0:
         return gaussian_tail(u)
     u_arr = np.asarray(u, dtype=float)

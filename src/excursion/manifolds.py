@@ -51,7 +51,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChartError, ManifoldMismatchError, ValidationError
+from .errors import (
+    DegenerateChartError,
+    ManifoldMismatchError,
+    ValidationError,
+    _check_count,
+    _check_real,
+)
 from .sampling import _axis_sum_of_squares
 
 __all__ = [
@@ -85,13 +91,6 @@ class ChartPoint:
     @property
     def array(self) -> np.ndarray:
         return np.asarray(self.coords, dtype=float)
-
-
-def _check_dim(dim, what: str) -> int:
-    """A positive integer dimension (numpy integers too, never a bool)."""
-    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
-        raise ValidationError(f"{what} dimension must be a positive integer, got {dim!r}")
-    return int(dim)
 
 
 class _ManifoldBase:
@@ -175,7 +174,7 @@ class Euclidean(_ManifoldBase):
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim, "Euclidean"))
+        object.__setattr__(self, "dim", _check_count("dimension", self.dim, 1))
         object.__setattr__(self, "charts", ("main",))
 
     def geodesic_distance(self, p: ChartPoint, q: ChartPoint) -> float:
@@ -210,11 +209,9 @@ class FlatTorus(_ManifoldBase):
     periods: tuple[float, ...]
 
     def __post_init__(self):
-        periods = tuple(float(p) for p in self.periods)
+        periods = tuple(_check_real("period", p, gt=0) for p in self.periods)
         if len(periods) == 0:
             raise ValidationError("FlatTorus needs at least one period")
-        if not all(math.isfinite(p) and p > 0 for p in periods):
-            raise ValidationError(f"torus periods must be positive, got {periods}")
         object.__setattr__(self, "periods", periods)
         object.__setattr__(self, "charts", ("main",))
 
@@ -285,11 +282,8 @@ class Sphere(_ManifoldBase):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _check_dim(self.dim, "Sphere"))
-        radius = float(self.radius)
-        if not (math.isfinite(radius) and radius > 0):
-            raise ValidationError(f"Sphere radius must be positive, got {self.radius}")
-        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "dim", _check_count("dimension", self.dim, 1))
+        object.__setattr__(self, "radius", _check_real("radius", self.radius, gt=0))
         object.__setattr__(self, "charts", ("north", "south"))
 
     def _validate_coords(self, p: ChartPoint) -> None:

@@ -103,16 +103,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .errors import FactorizationError, ValidationError
+from .errors import FactorizationError, ValidationError, _check_count, _check_real
 from .sampling import (
     _MAX_REPS,
     _SQRT_HALF,
     _axis_sum_of_squares,
     _cap_points,
-    _check_count,
     _check_stream,
     _shift_ladder,
     CovarianceColumns,
@@ -145,17 +145,16 @@ _DEFAULT_WINDOW = {1: (8.0, 0.05), 2: (4.0, 0.1), 3: (2.0, 0.25)}
 _SNAP_REL = 1e-9
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha <= 2.0):
-        raise ValidationError(f"alpha must lie in (0, 2], got {alpha}")
-    return alpha
-
-
-def _check_dim(n_dim: int) -> int:
-    if not isinstance(n_dim, (int, np.integer)) or isinstance(n_dim, bool) or n_dim < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {n_dim!r}")
-    return int(n_dim)
+# The estimators' range rules, by ``pickands-const`` field name: the
+# estimators check their arguments with them, and ``pickands-const`` its
+# fields, before any lattice is built.
+_RANGE_RULES = {
+    "alpha": partial(_check_real, "alpha", gt=0, le=2),
+    "dim": partial(_check_count, "dimension", low=1),
+    "cube_side": partial(_check_real, "cube side", ge=1),
+    "spacing": partial(_check_real, "spacing", gt=0, le=0.25),
+    "reps": partial(_check_count, "replication count", low=1000, high=_MAX_REPS),
+}
 
 
 @dataclass(frozen=True)
@@ -204,13 +203,9 @@ def cube_lattice(n_dim: int, cube_side: float, spacing: float) -> np.ndarray:
 
     Returns an (m, N) array in lexicographic order; the origin is row 0.
     """
-    n_dim = _check_dim(n_dim)
-    cube_side = float(cube_side)
-    spacing = float(spacing)
-    if not (math.isfinite(cube_side) and cube_side > 0):
-        raise ValidationError(f"cube side must be positive, got {cube_side}")
-    if not (math.isfinite(spacing) and 0.0 < spacing <= cube_side):
-        raise ValidationError(f"spacing must lie in (0, cube_side], got {spacing}")
+    n_dim = _RANGE_RULES["dim"](n_dim)
+    cube_side = _check_real("cube side", cube_side, gt=0)
+    spacing = _check_real("spacing", spacing, gt=0, le=cube_side)
     steps = _lattice_steps(cube_side, spacing)
     _cap_points(steps + 1, n_dim)
     per_axis = np.arange(steps + 1) * spacing
@@ -321,8 +316,7 @@ def _validate_lattice(n_dim: int, lattice: np.ndarray) -> np.ndarray:
 
 def simulate_z(alpha: float, n_dim: int, lattice: np.ndarray, seed: int) -> np.ndarray:
     """One exact joint sample of Z over the lattice points."""
-    alpha = _check_alpha(alpha)
-    n_dim = _check_dim(n_dim)
+    alpha, n_dim = _RANGE_RULES["alpha"](alpha), _RANGE_RULES["dim"](n_dim)
     lattice = _validate_lattice(n_dim, lattice)
     stream = replicate_generator(seed, 0)
     factor, active, drift = _factor_w(alpha, lattice)
@@ -330,35 +324,6 @@ def simulate_z(alpha: float, n_dim: int, lattice: np.ndarray, seed: int) -> np.n
     out = np.zeros(lattice.shape[0])
     out[active] = SQRT2 * factor.product(z)[:, 0]
     return out - drift
-
-
-def _check_side(cube_side: float) -> float:
-    cube_side = float(cube_side)
-    if not cube_side >= 1.0:
-        raise ValidationError(f"cube side must be at least 1, got {cube_side}")
-    return cube_side
-
-
-def _check_spacing(spacing: float) -> float:
-    spacing = float(spacing)
-    if not 0.0 < spacing <= 0.25:
-        raise ValidationError(f"spacing must lie in (0, 0.25], got {spacing}")
-    return spacing
-
-
-def _check_reps(reps: int) -> int:
-    return _check_count("replication count", reps, 1000, _MAX_REPS)
-
-
-# The estimators' range rules, by ``pickands-const`` field name: it runs
-# them on its fields before any lattice is built.
-_RANGE_RULES = {
-    "alpha": _check_alpha,
-    "dim": _check_dim,
-    "cube_side": _check_side,
-    "spacing": _check_spacing,
-    "reps": _check_reps,
-}
 
 
 def _window(n_dim: int, cube_side: float | None, spacing: float | None) -> tuple:
@@ -394,9 +359,8 @@ def _lattice_mean(
     swapped.  The estimate and its standard error are those of the
     ``reps`` independent values.
     """
-    alpha = _check_alpha(alpha)
-    n_dim = _check_dim(n_dim)
-    cube_side, spacing, reps = _check_side(cube_side), _check_spacing(spacing), _check_reps(reps)
+    args = (alpha, n_dim, cube_side, spacing, reps)
+    alpha, n_dim, cube_side, spacing, reps = (f(a) for f, a in zip(_RANGE_RULES.values(), args))
     seed = _check_stream(seed, reps - 1)
 
     lattice = cube_lattice(n_dim, cube_side, spacing)
@@ -526,8 +490,7 @@ def resolve_constant(
     record in ``mc`` reports both through K and delta, with reps, seed
     and stderr.
     """
-    alpha = _check_alpha(alpha)
-    n_dim = _check_dim(n_dim)
+    alpha, n_dim = _RANGE_RULES["alpha"](alpha), _RANGE_RULES["dim"](n_dim)
     if alpha == 2.0:
         return ResolvedConstant(value=math.pi ** (-n_dim / 2.0), provenance="exact")
     cube_side, spacing = _window(n_dim, cube_side, spacing)

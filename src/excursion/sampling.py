@@ -124,7 +124,7 @@ import math
 
 import numpy as np
 
-from .errors import FactorizationError, ValidationError
+from .errors import FactorizationError, ValidationError, _check_count, _check_real
 
 __all__ = [
     "CovarianceColumns",
@@ -350,9 +350,7 @@ def factor_covariance(cov, *, shift: float | None = None) -> tuple[DenseFactor, 
             scale,
             lambda: float(np.linalg.eigvalsh(cov.block(0, n))[0]),
         )
-    shift = float(shift)
-    if not (math.isfinite(shift) and shift >= 0):
-        raise ValidationError(f"shift must be finite and nonnegative, got {shift}")
+    shift = _check_real("shift", shift, ge=0)
     factor = _block_cholesky(cov, shift)
     if factor is None:
         raise FactorizationError(
@@ -619,22 +617,9 @@ def factor_circulant(row: np.ndarray, index: np.ndarray) -> tuple[CirculantFacto
 def _check_stream(seed, index) -> int:
     """``seed`` as an int, after refusing a seed or a replication index
     that does not fit its 64-bit word of the Philox key."""
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError(f"seed must fit in 64 bits, got {seed}")
-    if not isinstance(index, (int, np.integer)) or not 0 <= index < 2**64:
-        raise ValidationError(f"replication index must fit in 64 bits, got {index!r}")
-    return int(seed)
-
-
-def _check_count(name: str, value, low: int, high: int) -> int:
-    """``value`` as an int, after refusing a bool, a non-integer or a
-    count outside [low, high]."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integral and low <= value <= high):
-        raise ValidationError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return int(value)
+    seed = _check_count("seed", seed, 0, 2**64 - 1)
+    _check_count("replication index", index, 0, 2**64 - 1)
+    return seed
 
 
 def _check_draws(reps, seed) -> tuple[int, int]:

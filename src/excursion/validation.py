@@ -71,12 +71,11 @@ import numpy as np
 
 from .covariance import SphereSchoenberg
 from .curvatures import FullSphere, FullTorus, GreatCircle, Rectangle
-from .errors import UnsupportedShapeError, ValidationError
+from .errors import UnsupportedShapeError, ValidationError, _check_count, _check_real
 from .sampling import (
     CovarianceColumns,
     FeatureFactor,
     _cap_points,
-    _check_count,
     _check_draws,
     draw_in_batches,
     factor_circulant,
@@ -132,10 +131,8 @@ def wilson_interval(count: int, n: int) -> tuple[float, float]:
     Well behaved at zero and full counts (never collapses to a point,
     never leaves [0, 1]).
     """
-    if not 0 <= count <= n:
-        raise ValidationError(f"count {count} outside [0, {n}]")
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    _check_real("sample size", n, ge=1)
+    _check_real("count", count, ge=0, le=n)
     p = count / n
     denom = 1.0 + Z95 * Z95 / n
     center = (p + Z95 * Z95 / (2.0 * n)) / denom
@@ -196,14 +193,6 @@ def _tensor(axes: list) -> tuple[np.ndarray, tuple[int, ...]]:
     return np.stack([g.ravel() for g in grids], axis=-1), grids[0].shape
 
 
-def _check_resolution(resolution: int) -> int:
-    if not isinstance(resolution, (int, np.integer)) or isinstance(resolution, bool):
-        raise ValidationError(f"resolution must be an integer, got {resolution!r}")
-    if resolution < 2:
-        raise ValidationError(f"resolution must be at least 2, got {resolution}")
-    return int(resolution)
-
-
 def _rectangle(box: Rectangle, resolution: int):
     _cap_points(resolution, box.k)
     return _tensor([np.linspace(0.0, side, resolution) for side in box.sides])
@@ -254,7 +243,7 @@ def _scheme(domain) -> tuple:
 
 def build_grid(domain, resolution: int) -> Grid:
     """Quasi-uniform evaluation grid on a catalogue domain."""
-    resolution = _check_resolution(resolution)
+    resolution = _check_count("resolution", resolution, 2)
     chart, points, _, lattice = _scheme(domain)
     coords, _ = points(domain, resolution)
     return Grid(domain, chart, coords, resolution, np.arange(len(coords)) if lattice else None)
@@ -353,9 +342,7 @@ def estimates_from_sups(
     reps = sups.shape[0]
     out = []
     for u in u_grid:
-        u = float(u)
-        if not math.isfinite(u):
-            raise ValidationError(f"levels must be finite, got {u}")
+        u = _check_real("level u", u)
         count = int(np.sum(sups >= u))
         low, high = wilson_interval(count, reps)
         out.append(

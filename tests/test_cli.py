@@ -389,7 +389,8 @@ def test_validate_budgets_checked_before_the_h_estimate(monkeypatch, caplog):
     cases = [
         (["--resolution", "1000", "--reps", "100"],
          "mc.resolution: grid would have 250000 points"),
-        (["--resolution", "20", "--reps", "20000000"], "mc.reps: replication count must lie in"),
+        (["--resolution", "20", "--reps", "20000000"],
+         "mc.reps: replication count must be an integer in"),
     ]
     for extra, message in cases:
         caplog.clear()
@@ -525,14 +526,20 @@ def test_pickands_const_default_windows():
     # A dimension below 1 is refused as such, with or without a window.
     for dim in ("0", "-1"):
         for window in ([], ["--cube-side", "1", "--spacing", "0.25"]):
-            with pytest.raises(ConfigError, match="dim: dimension must be a positive integer"):
+            with pytest.raises(ConfigError, match=r"dim: dimension must be an integer in \[1,"):
                 _resolve(["pickands-const", "--dim", dim, "--seed", "0", *window])
 
 
-def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
+def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog, monkeypatch):
+    import excursion.pickands
+
+    def unreachable(*args):
+        raise AssertionError("the estimate ran before the lattice was checked")
+
+    monkeypatch.setattr(excursion.pickands, "estimate_pickands", unreachable)
     out = tmp_path / "big.csv"
     pickands_const = ["pickands-const", "--alpha", "1"]
-    commands = [
+    lattices = [
         # 161^3 points are refused from their count, before any allocation.
         (
             [*pickands_const, "--dim", "3", "--cube-side", "8", "--spacing", "0.05"],
@@ -549,6 +556,14 @@ def test_pickands_const_lattice_over_budget_exits_1(tmp_path, caplog):
           "--reps", "1000"], "5^6200 points"),
         ([*pickands_const, "--dim", "1000000000", "--cube-side", "1", "--spacing", "0.25",
           "--reps", "1000"], "5^1000000000 points"),
+    ]
+    # The lattice is checked in resolve, under the field that sets its pitch.
+    for command, _ in lattices:
+        with pytest.raises(ConfigError) as err:
+            _resolve([*command, "--seed", "0"])
+        assert err.value.field == "spacing", command
+    commands = [
+        *lattices,
         (
             ["validate", "--shape", "full_torus", "--periods", ",".join(["1"] * 15),
              "--family", "stable_on_chart", "--c", "1", "--alpha", "1", "--h-value", "1",
@@ -843,8 +858,8 @@ def test_pickands_const_ranges_name_their_field(monkeypatch):
 
     monkeypatch.setattr(excursion.pickands, "cube_lattice", unreachable)
     cases = [
-        (["--reps", "100"], "reps", "replication count must lie in"),
-        (["--dim", "4", "--cube-side", "0.5", "--spacing", "0.125"], "cube_side", "at least 1"),
+        (["--reps", "100"], "reps", "replication count must be an integer in"),
+        (["--dim", "4", "--cube-side", "0.5", "--spacing", "0.125"], "cube_side", "[1, inf)"),
         (["--alpha", "1.5", "--dim", "4", "--cube-side", "1", "--spacing", "0.5"], "spacing",
          "(0, 0.25]"),
         (["--alpha", "2.5"], "alpha", "(0, 2]"),
@@ -980,6 +995,9 @@ def test_config_file_errors(tmp_path, caplog):
     wrong_types = [
         ("lk", {"domain": ["rectangle"]}, "domain"),
         ("lk", {"domain": {"shape": "rectangle", "sides": 5}}, "domain.sides"),
+        # A JSON true is refused where a number is expected, as where an integer is.
+        ("lk", {"domain": {"shape": "full_sphere", "dim": 2, "radius": True}}, "domain.radius"),
+        ("lk", {"domain": {"shape": "rectangle", "sides": [1, True]}}, "domain.sides"),
         ("pickands", {"domain": torus, "model": model, "mc": "abc"}, "mc"),
     ]
     for sub, data, field in wrong_types:

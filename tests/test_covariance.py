@@ -185,6 +185,16 @@ def test_model_parameter_validation():
         PoweredExponential(Sphere(2, 1.0), 1.0, 1.5)
     with pytest.raises(ValidationError):
         LocallyIsotropicModel(c=1.0, alpha=0.0, manifold=e2)
+    # Each parameter refuses a bool, a value that is not finite and one
+    # out of range under its own name.
+    for make, field, outside in [
+        (lambda v: SquaredExponential(e2, v), "length scale", 0.0),
+        (lambda v: LocallyIsotropicModel(e2, v, 1.0), "c", -1.0),
+        (lambda v: LocallyIsotropicModel(e2, 1.0, v), "alpha", 2.5),
+    ]:
+        for value in (True, math.nan, math.inf, outside):
+            with pytest.raises(ValidationError, match=f"^{field} must"):
+                make(value)
     with pytest.raises(TypeError):
         PoweredExponential(e2, 1.0, 1.0, full_model=SquaredExponential(e2, 1.0))
     # A full covariance on another manifold would measure unwrapped

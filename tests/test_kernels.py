@@ -126,6 +126,12 @@ def test_hermite_degree_cap():
         hermite(65, 0.0)
     with pytest.raises(ValidationError):
         hermite(-1, 0.0)
+    # Degrees are integers: a bool or a float is refused under the degree's name.
+    for degree in (True, math.nan, math.inf, 2.0, -1):
+        with pytest.raises(ValidationError, match="^hermite degree must"):
+            hermite(degree, 0.0)
+        with pytest.raises(ValidationError, match="^beta_j index must"):
+            beta_j(degree, 0.0)
 
 
 def test_gaussian_tail_strictly_decreasing():

@@ -126,14 +126,17 @@ def test_estimator_preconditions(monkeypatch):
         for seed in (-1, 2**64, 1.5, True):
             with pytest.raises(ValidationError, match="seed"):
                 estimate(1.0, 2, 4.0, 0.1, 10_000, seed)
-        with pytest.raises(ValidationError):
-            estimate(2.0, 1, 0.5, 0.05, 2000, 0)
-        with pytest.raises(ValidationError):
-            estimate(2.0, 1, 8.0, 0.3, 2000, 0)
-        with pytest.raises(ValidationError):
-            estimate(2.0, 1, 8.0, 0.05, 999, 0)
         with pytest.raises(ValidationError, match="replication count"):
             estimate(2.0, 1, 8.0, 0.05, 10**14, 0)
+        # Each argument refuses a bool, a value that is not finite and one
+        # out of range under its own name.
+        valid = (2.0, 1, 8.0, 0.05, 2000)
+        fields = ("alpha", "dimension", "cube side", "spacing", "replication count")
+        for i, (field, outside) in enumerate(zip(fields, (2.5, 0, 0.5, 0.3, 999))):
+            for value in (True, math.nan, math.inf, outside):
+                args = (*valid[:i], value, *valid[i + 1 :], 0)
+                with pytest.raises(ValidationError, match=f"^{field} must"):
+                    estimate(*args)
 
 
 def test_estimator_deterministic_and_nonnegative():

@@ -75,8 +75,8 @@ def test_factor_validation():
     # A shift that is negative (which would factor C - 0.5 I), NaN or
     # infinite is refused, on a matrix that factors at every finite
     # nonnegative shift.
-    for shift in (-1e-9, -0.5, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match="shift must be finite and nonnegative"):
+    for shift in (-1e-9, -0.5, np.nan, np.inf, -np.inf, True):
+        with pytest.raises(ValidationError, match=r"shift must be a finite number in \[0, inf\)"):
             factor_covariance(spd_matrix(2, 2), shift=shift)
 
 

@@ -93,8 +93,9 @@ def test_grid_sphere_avoids_poles():
 
 
 def test_grid_guards():
-    with pytest.raises(ValidationError):
-        build_grid(FullTorus((1.0, 1.0)), 1)
+    for resolution in (1, True, math.nan, math.inf, 10.0):
+        with pytest.raises(ValidationError, match="^resolution must"):
+            build_grid(FullTorus((1.0, 1.0)), resolution)
     with pytest.raises(ValidationError):
         build_grid(FullTorus((1.0, 1.0)), 101)
     assert len(build_grid(FullTorus((1.0, 1.0)), 100)) == 10_000
