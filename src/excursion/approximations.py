@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import LocallyIsotropicModel, SmoothIsotropicModel, local_expansion
+from .covariance import LocallyIsotropicModel, SmoothIsotropicModel
 from .curvatures import lk_curvatures, rescale_lk
 from .errors import (
     DegenerateModelError,
@@ -116,7 +116,7 @@ def eec_approx(model: SmoothIsotropicModel, domain, u) -> ApproxResult:
 def _pickands_core(model, domain, u, h_value, h_provenance, k: int) -> ApproxResult:
     u = _check_level(u, positive=True)
     h_value = _check_h(h_value)
-    c, alpha = local_expansion(model)
+    c, alpha = model.local_expansion()
     volume = float(lk_curvatures(domain)[-1])
     try:
         total = volume * c ** (k / alpha) * h_value * u ** (2.0 * k / alpha) * gaussian_tail(u)

@@ -12,9 +12,9 @@ its Monte Carlo estimate of H_{alpha, N}.
 Configuration comes from a JSON file (--config) with flag overrides;
 flags win.  A run manifest produced by an earlier run can be fed back
 as the config (its resolved-config block is unwrapped), which
-reproduces the result files byte for byte at the same thread cap (the
-manifest records it; BLAS results can differ in the last bits between
-thread counts).
+reproduces the result files byte for byte at the same thread cap;
+docs/formats.md states that contract, and the ``sampling`` module
+docstring the streams it rests on.
 
 Shapes and covariance families are declared once, in ``_DOMAINS`` and
 ``_MODELS`` (each name maps to its constructor and its required fields
@@ -164,6 +164,10 @@ _MODELS = {
     "local": ("LocallyIsotropicModel", _LOCAL_FIELDS),
 }
 _SECTIONS = {"domain": ("shape", _DOMAINS), "model": ("family", _MODELS)}
+# The name a constructor's range rule gives each field it does not spell alike.
+_RULE_NAMES = dict(
+    dim="dimension", sides="side", periods="period", length_scale="length scale", b="coefficient"
+)
 
 # pickands-const's fields in estimate_pickands's argument order: name, converter,
 # default and flag help.  The window defaults (None) depend on dim; a missing seed is drawn.
@@ -276,8 +280,13 @@ def _is_smooth(family: str) -> bool:
 def _construct(config: dict, section: str, *head):
     key, table = _SECTIONS[section]
     rec = config[section]
-    fields = (rec[f] for f, _ in table[rec[key]][1])
-    return _checked(section, _constructor(section, rec[key]), *head, *fields)
+    try:
+        return _constructor(section, rec[key])(*head, *(rec[f] for f, _ in table[rec[key]][1]))
+    except ValidationError as exc:
+        # A range rule's refusal goes under the field it checked; any other
+        # (one that weighs fields together) under the section.
+        field = next((f for f in rec if exc.name == _RULE_NAMES.get(f, f)), None)
+        raise ConfigError(f"{section}.{field}" if field else section, str(exc)) from None
 
 
 def _domain_and_model(config: dict):
@@ -496,10 +505,9 @@ def resolve(args) -> ResolvedRun:
     diagnostics = {}
     if tail:
         if h is None:
-            from .covariance import local_expansion
             from .pickands import resolve_constant
 
-            _, alpha = local_expansion(model)
+            _, alpha = model.local_expansion()
             resolved = resolve_constant(alpha, domain.k, seed=config["mc"]["seed"] ^ _H_SEED_FLIP)
             h = {"value": resolved.value, "provenance": resolved.provenance}
             if resolved.mc is not None:

@@ -8,17 +8,16 @@ Two kinds of model:
 * locally isotropic: 1 - C(p, q) = c * d_M(p, q)^alpha * (1 + o(1))
   near the diagonal, for c > 0 and alpha in (0, 2], exposing (c, alpha).
 
-A locally isotropic model may carry a full covariance on the same
-manifold so it can be simulated; the bare parameter pair is enough for
-the fractional-index tail approximation.
+Every model states its own (c, alpha) through ``local_expansion()``,
+the only reading the fractional-index tail approximation takes.  A
+bare locally isotropic model is that pair and nothing more: it cannot
+be evaluated or simulated.
 
-Every model is evaluated by the shared base's ``covariance``,
+Every family is evaluated by the shared base's ``covariance``,
 ``covariance_table`` and ``covariance_matrix``: a family defines only
-the correlation hooks they read, and a locally isotropic model forwards
-those hooks to its full covariance.
+the correlation hooks they read.
 
-Construction checks parameter domains, and a full covariance's
-manifold, only.  Whether a family is in
+Construction checks parameter domains only.  Whether a family is in
 fact positive semidefinite on its manifold is a property of the pair
 (family, manifold); combinations that are not are still constructible
 here and fail later, at factorization time, when a simulation is
@@ -31,11 +30,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateModelError, ManifoldMismatchError, ValidationError, _check_real
+from .errors import DegenerateModelError, ValidationError, _check_real
 from .manifolds import ChartPoint, Sphere, _ManifoldBase
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "LocallyIsotropicModel",
     "PoweredExponential",
     "StableOnChart",
-    "local_expansion",
     "expansion_ratio_check",
 ]
 
@@ -59,7 +57,7 @@ class _ModelBase:
     manifold: _ManifoldBase
 
     # The correlation hooks, between two coordinate arrays and for one
-    # pair, are all a family or a wrapper defines; ``covariance_table``,
+    # pair, are all a family defines; ``covariance_table``,
     # ``covariance_matrix`` and ``covariance`` add the point checks, and
     # the matrix the diagonal pin.  Both default to geodesic distance.
     # The table hook hands the kernel the distance buffer it just made,
@@ -131,9 +129,13 @@ class SmoothIsotropicModel(_ModelBase):
         if not (math.isfinite(rho) and rho < 0):
             raise ValidationError(f"{what} puts rho'(0) outside the finite negative floats")
 
+    def local_expansion(self) -> tuple[float, float]:
+        """The (c, alpha) of 1 - C = c d^alpha (1 + o(1)): (-rho'(0), 2)."""
+        return (-self.rho_prime_0(), 2.0)
+
     def local_model(self) -> "LocallyIsotropicModel":
-        """The near-diagonal reading of this model: alpha = 2, c = -rho'(0)."""
-        return LocallyIsotropicModel(self.manifold, -self.rho_prime_0(), 2.0, full_model=self)
+        """The near-diagonal reading of this model, as a bare (c, alpha) pair."""
+        return LocallyIsotropicModel(self.manifold, *self.local_expansion())
 
 
 @dataclass(frozen=True)
@@ -258,61 +260,30 @@ class SphereSchoenberg(SmoothIsotropicModel):
 class LocallyIsotropicModel(_ModelBase):
     """Near-diagonal behaviour 1 - C = c d^alpha (1 + o(1)).
 
-    ``full_model`` optionally attaches a complete covariance, on the same
-    manifold, whose local expansion matches (c, alpha); the model then
-    evaluates through its correlation hooks.  Without one the model
-    supports the tail approximation but cannot be evaluated or simulated.
+    The bare pair supports the tail approximation but cannot be
+    evaluated or simulated; the subclasses below are full covariances
+    with this expansion.
     """
 
     manifold: _ManifoldBase
     c: float
     alpha: float
-    full_model: _ModelBase | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", _check_real("c", self.c, gt=0))
         object.__setattr__(self, "alpha", _check_real("alpha", self.alpha, gt=0, le=2))
-        # Points are checked against this manifold, then measured by the full model's.
-        if self.full_model is not None and self.full_model.manifold != self.manifold:
-            raise ManifoldMismatchError(
-                f"model lives on {self.manifold}, its full covariance on {self.full_model.manifold}"
-            )
 
     def local_expansion(self) -> tuple[float, float]:
+        """The (c, alpha) of 1 - C = c d^alpha (1 + o(1))."""
         return (self.c, self.alpha)
 
-    def _evaluable(self) -> _ModelBase:
-        if self.full_model is None:
-            raise ValidationError(
-                "model carries only the local expansion (c, alpha); attach a full "
-                "covariance family to evaluate or simulate it"
-            )
-        return self.full_model
-
-    # The hooks the evaluation methods read, taken from the full model;
-    # ``b`` goes through as the same object, so ``b is a`` still holds.
+    # Every evaluation reaches this hook, through the base's defaults.
     def correlation_from_distance(self, d):
-        return self._evaluable().correlation_from_distance(d)
-
-    def _correlation_table(self, chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._evaluable()._correlation_table(chart, a, b)
-
-    def _correlation(self, p: ChartPoint, q: ChartPoint) -> float:
-        return self._evaluable()._correlation(p, q)
+        raise ValidationError("a local expansion alone gives no covariance to evaluate or sample")
 
 
-@dataclass(frozen=True)
 class _ExpPowerKernel(LocallyIsotropicModel):
-    """Evaluates its own C = exp(-c d^alpha), in the distance the subclass measures.
-
-    The kernel is its own full covariance, so ``full_model`` cannot be set.
-    """
-
-    full_model: None = field(default=None, init=False, compare=False)
-
-    # The base's hooks, not the forwarders to a full model.
-    _correlation_table = _ModelBase._correlation_table
-    _correlation = _ModelBase._correlation
+    """Evaluates its own C = exp(-c d^alpha), in the distance the subclass measures."""
 
     def correlation_from_distance(self, d):
         return self._kernel(np.array(d, dtype=float))[()]
@@ -357,21 +328,12 @@ class StableOnChart(_ExpPowerKernel):
         return self.correlation_from_distance(self.manifold.chordal_distance(p, q))
 
 
-def local_expansion(model) -> tuple[float, float]:
-    """The (c, alpha) pair of a model's near-diagonal expansion."""
-    if isinstance(model, LocallyIsotropicModel):
-        return model.local_expansion()
-    if isinstance(model, SmoothIsotropicModel):
-        return model.local_model().local_expansion()
-    raise ValidationError(f"no local expansion defined for {type(model).__name__}")
-
-
 def expansion_ratio_check(model, p: ChartPoint, q_sequence) -> list[float]:
     """(1 - C(p, q)) / (c d^alpha) for each q; tends to 1 as q -> p.
 
     Requires an evaluable covariance; raises on any zero-distance pair.
     """
-    c, alpha = local_expansion(model)
+    c, alpha = model.local_expansion()
     out = []
     for q in q_sequence:
         d = model.manifold.geodesic_distance(p, q)

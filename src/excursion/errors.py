@@ -33,7 +33,12 @@ class ExcursionError(Exception):
 
 
 class ValidationError(ExcursionError, ValueError):
-    """An input violates a documented precondition."""
+    """An input violates a documented precondition.  A range rule's
+    refusal carries the name of the value it refused in ``name``."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
 
 
 class ConfigError(ValidationError):
@@ -70,7 +75,7 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> int:
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (integral and low <= value and (high is None or value <= high)):
         top = "inf)" if high is None else f"{high}]"
-        raise ValidationError(f"{name} must be an integer in [{low}, {top}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer in [{low}, {top}, got {value!r}", name)
     return int(value)
 
 
@@ -81,7 +86,7 @@ def _check_real(name: str, value, *, gt=None, ge=None, le=None) -> float:
     x = math.nan if isinstance(value, bool) else float(value)
     inside = (gt is None or x > gt) and (ge is None or x >= ge) and (le is None or x <= le)
     if not (math.isfinite(x) and inside):
-        low = f"({gt}" if gt is not None else "(-inf" if ge is None else f"[{ge}"
-        high = "inf)" if le is None else f"{le}]"
-        raise ValidationError(f"{name} must be a finite number in {low}, {high}, got {value!r}")
+        lo = f"({gt}" if gt is not None else "(-inf" if ge is None else f"[{ge}"
+        hi = "inf)" if le is None else f"{le}]"
+        raise ValidationError(f"{name} must be a finite number in {lo}, {hi}, got {value!r}", name)
     return x

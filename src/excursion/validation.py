@@ -45,21 +45,10 @@ Samplers: ``sample_field`` picks one of three factors in ``_factor``.
   on every grid when a fixed jitter is asked for; it is also the
   reference the tests compare both others against.
 
-Replication i's normals depend on (seed, i) alone, drawn from its own
-re-keyed stream or, on the feature path, from its BATCH block's, so on
-any path a run with more replications extends a shorter one, and
-a replay is byte-identical (on the circulant path, at any BLAS thread
-cap, since it makes no BLAS call).  On the dense path a refined run
-also restricts to the coarse run sample for sample if both matrices
-take one shift, as under ``fixed_rel_jitter``: up to rounding in the
-factorization, whose blocking depends on the matrix size, amplified by
-conditioning (6.0e-11 at most for ``StableOnChart(FlatTorus((1, 1)),
-1, 2)``, 6 x 6 against 12 x 12, at 1e-10; 2.3e-7 under the ladder,
-which picks 0 and 1e-12).  On the feature path it restricts up to
-rounding in the product (BLAS may sum a row's r terms in another order
-at another product height), when both grids take it.  On the
-circulant path it does not: the coarse rows of one run are the even
-sublattice of its draws, not the draws of a standalone coarse run.
+Replication i's normals depend on (seed, i) alone on every path, so a
+run with more replications extends a shorter one; the ``sampling``
+module docstring states the stream scheme and how each path's sample
+restricts to a coarser grid's.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import pytest
 from _oracles import run_with_peak
 from excursion import validation
 from excursion.covariance import (
-    LocallyIsotropicModel,
     PoweredExponential,
     SmoothIsotropicModel,
     SquaredExponential,
@@ -60,7 +59,6 @@ def _families(torus):
         PoweredExponential(torus, 2.0, 1.0),
         SquaredExponential(torus, 0.15),
         _DistanceOnly(torus, 0.2),
-        LocallyIsotropicModel(torus, 1.0, 1.0, full_model=StableOnChart(torus, 1.0, 1.5)),
     ]
 
 

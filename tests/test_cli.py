@@ -187,6 +187,47 @@ def test_model_and_mc_field_paths():
         assert err.value.field == "mc.seed"
 
 
+def test_constructor_range_refusals_name_their_field(caplog):
+    # A range rule that refuses a value inside a domain or model
+    # constructor names the entry's field; a refusal that weighs several
+    # values together stays under the section.
+    sphere = ["--shape", "full_sphere", "--dim", "2", "--radius", "1"]
+    eec = ["eec", "--shape", "full_torus", "--periods", "1,1", "--family", "squared_exponential"]
+    schoenberg = ["eec", *sphere, "--family", "sphere_schoenberg", "--b"]
+    cases = [
+        (["lk", "--shape", "full_sphere", "--dim", "2", "--radius", "0"],
+         "domain.radius: radius must be a finite number in (0, inf), got 0.0"),
+        (["lk", "--shape", "rectangle", "--sides", "1,0"],
+         "domain.sides: side must be a finite number in (0, inf), got 0.0"),
+        ([*eec, "--length-scale", "0"],
+         "model.length_scale: length scale must be a finite number in (0, inf), got 0.0"),
+        (["lk", "--shape", "ball", "--dim", "0", "--radius", "1"],
+         "domain.dim: dimension must be an integer in [1, inf), got 0"),
+        ([*schoenberg, "1.1,-0.1"],
+         "model.b: coefficient must be a finite number in [0, inf), got -0.1"),
+        ([*schoenberg, "0.5,0.6"], "model: coefficients must sum to 1 for unit variance, got 1.1"),
+    ]
+    for argv, refusal in cases:
+        caplog.clear()
+        assert main(argv) == 1, argv
+        assert caplog.messages == [f"invalid configuration: {refusal}"], argv
+
+
+def test_every_family_states_its_local_expansion():
+    # The tail formula and the H estimate read (c, alpha) off whichever
+    # model a run builds; a smooth family's is (-rho'(0), 2).
+    from excursion import cli
+
+    sphere = ["--shape", "full_sphere", "--dim", "2", "--radius", "1"]
+    values = {"length_scale": "0.5", "b": "0.5,0.5", "c": "1.5", "alpha": "1"}
+    smooth = {"squared_exponential": (2.0, 2.0), "sphere_schoenberg": (0.25, 2.0)}
+    for family, (_, fields) in cli._MODELS.items():
+        flags = [x for f, _ in fields for x in ("--" + f.replace("_", "-"), values[f])]
+        run = _resolve(["pickands", *sphere, "--family", family, *flags, "--h-value", "1"])
+        _, model = cli._domain_and_model(run.config)
+        assert model.local_expansion() == smooth.get(family, (1.5, 1.0)), family
+
+
 def test_validate_refusals_name_their_field_on_every_route(monkeypatch):
     # Each validate route checks its grid, its replication count and its
     # model in cli.resolve, under the field's path, before H is estimated
@@ -925,6 +966,45 @@ def test_readme_command_line_block_runs_and_replays(tmp_path, monkeypatch, capsy
         assert main(argv) == 0, argv
     assert capsys.readouterr().out.startswith("j,L_j\n")
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+
+
+def test_refusals_quoted_in_the_formats_doc_are_the_logged_ones(caplog):
+    # Each refusal docs/formats.md quotes, with a command that makes it:
+    # the quote must be in the doc and be what the run logs.
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text(encoding="utf-8")
+    doc = " ".join(doc.split())
+    torus = ["--shape", "full_torus", "--periods", "1,1"]
+    rough = ["--family", "stable_on_chart", "--c", "1", "--alpha", "1"]
+    local = ["--family", "local", "--c", "1", "--alpha", "1"]
+    head = ["validate", "--seed", "0", "--h-value", "0.9"]
+    grid = ["--resolution", "20", "--reps", "10"]
+    cases = [
+        (["lk", "--shape", "full_sphere", "--dim", "2", "--radius", "0"],
+         "domain.radius: radius must be a finite number in (0, inf), got 0.0"),
+        (["eec", "--shape", "full_sphere", "--dim", "2", "--radius", "1",
+          "--family", "sphere_schoenberg", "--b", "0.5,0.6"],
+         "model: coefficients must sum to 1 for unit variance, got 1.1"),
+        ([*head, *torus, *rough, "--resolution", "1"],
+         "mc.resolution: resolution must be an integer in [2, inf), got 1"),
+        ([*head, *torus, *rough, "--resolution", "200"],
+         "mc.resolution: grid would have 40000 points; more than 10000 is refused "
+         "(dense factorization budget)"),
+        ([*head, *torus, *rough, "--reps", "10000001"],
+         "mc.reps: replication count must be an integer in [1, 10000000], got 10000001"),
+        ([*head, "--shape", "ball", "--dim", "2", "--radius", "1", *rough, *grid],
+         "domain.shape: no grid scheme for Ball"),
+        ([*head, *torus, *local, *grid],
+         "model.family: a local expansion alone gives no covariance to evaluate or sample"),
+        (["pickands-const", "--seed", "0", "--alpha", "1", "--dim", "2", "--cube-side", "4",
+          "--spacing", "0.01"],
+         "spacing: grid would have 160801 points; more than 10000 is refused "
+         "(dense factorization budget)"),
+    ]
+    for argv, refusal in cases:
+        assert refusal in doc, refusal
+        caplog.clear()
+        assert main(argv) == 1, argv
+        assert caplog.messages == [f"invalid configuration: {refusal}"], argv
 
 
 def test_usage_errors_exit_1():

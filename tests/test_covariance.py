@@ -12,9 +12,8 @@ from excursion.covariance import (
     SquaredExponential,
     StableOnChart,
     expansion_ratio_check,
-    local_expansion,
 )
-from excursion.errors import DegenerateModelError, ManifoldMismatchError, ValidationError
+from excursion.errors import DegenerateModelError, ValidationError
 from excursion.manifolds import Euclidean, FlatTorus, Sphere
 
 
@@ -197,49 +196,37 @@ def test_model_parameter_validation():
                 make(value)
     with pytest.raises(TypeError):
         PoweredExponential(e2, 1.0, 1.0, full_model=SquaredExponential(e2, 1.0))
-    # A full covariance on another manifold would measure unwrapped
-    # distances on a torus: at (0, 0) and (5/6, 0), 0.249 for 0.946.
-    with pytest.raises(ManifoldMismatchError):
-        LocallyIsotropicModel(
-            FlatTorus((1.0, 1.0)), 2.0, 2.0, full_model=SquaredExponential(e2, 0.5)
-        )
 
 
 def test_bare_local_model_cannot_be_evaluated():
     e2 = Euclidean(2)
     bare = LocallyIsotropicModel(c=2.0, alpha=1.5, manifold=e2)
-    assert local_expansion(bare) == (2.0, 1.5)
-    with pytest.raises(ValidationError):
-        bare.covariance(e2.point(0.0, 0.0), e2.point(1.0, 0.0))
+    assert bare.local_expansion() == (2.0, 1.5)
+    p, q = e2.point(0.0, 0.0), e2.point(1.0, 0.0)
+    coords = np.array([[0.0, 0.0], [1.0, 0.0]])
+    for evaluate in (
+        lambda: bare.covariance(p, q),
+        lambda: bare.covariance_table("main", coords, coords[:1]),
+        lambda: bare.covariance_matrix("main", coords),
+        lambda: bare.correlation_from_distance(0.5),
+        lambda: expansion_ratio_check(bare, p, [q]),
+    ):
+        with pytest.raises(ValidationError, match="no covariance to evaluate"):
+            evaluate()
 
 
 def test_local_expansion_echo_and_conversion():
     e2 = Euclidean(2)
-    assert local_expansion(PoweredExponential(e2, 1.0, 1.0)) == (1.0, 1.0)
-    assert local_expansion(PoweredExponential(e2, 0.5, 1.5)) == (0.5, 1.5)
+    assert PoweredExponential(e2, 1.0, 1.0).local_expansion() == (1.0, 1.0)
+    assert PoweredExponential(e2, 0.5, 1.5).local_expansion() == (0.5, 1.5)
     smooth = SquaredExponential(e2, 2.0)
-    c, alpha = local_expansion(smooth)
+    c, alpha = smooth.local_expansion()
     assert alpha == 2.0
     assert c == pytest.approx(1.0 / 8.0, rel=1e-15)
     assert c == -smooth.rho_prime_0()
     converted = smooth.local_model()
     assert converted.local_expansion() == (c, alpha)
-    # The attached covariance is the original kernel, bit for bit in
-    # every evaluation method; the sphere's matrix is one symmetric
-    # product, which holds only if the table hook gets ``b is a``.
-    p, q = e2.point(0.0, 0.0), e2.point(0.3, 0.4)
-    assert converted.covariance(p, q) == smooth.covariance(p, q)
-    schoenberg = SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.3, 0.3, 0.2))
-    for model in (smooth, schoenberg):
-        local = model.local_model()
-        chart = model.manifold.charts[0]
-        coords = random_coords(model.manifold, 40, 5)
-        a, b = coords[:7], coords[7:]
-        table = local.covariance_table(chart, a, b)
-        assert np.array_equal(table, model.covariance_table(chart, a, b))
-        matrix = local.covariance_matrix(chart, coords)
-        assert np.array_equal(matrix, model.covariance_matrix(chart, coords))
-        assert np.array_equal(matrix, matrix.T)
+    assert converted.manifold == smooth.manifold
 
 
 def test_expansion_ratio_near_one():
@@ -249,7 +236,7 @@ def test_expansion_ratio_near_one():
     (ratio,) = expansion_ratio_check(model, p, [e1.point(1e-6)])
     assert abs(ratio - 1.0) <= 1e-6
 
-    smooth = SquaredExponential(e1, 1.0).local_model()
+    smooth = SquaredExponential(e1, 1.0)
     (ratio,) = expansion_ratio_check(smooth, p, [e1.point(1e-3)])
     assert abs(ratio - 1.0) <= 1e-6
 
@@ -286,12 +273,6 @@ def test_covariance_matrix_symmetric_unit_diagonal():
 DISTANCE_FAMILIES = [
     ("sqexp", SquaredExponential(Euclidean(2), 0.5)),
     ("schoenberg", SphereSchoenberg(Sphere(2, 1.0), (0.2, 0.5, 0.3))),
-    (
-        "local-with-full-model",
-        LocallyIsotropicModel(
-            Euclidean(2), 2.0, 2.0, full_model=SquaredExponential(Euclidean(2), 0.5)
-        ),
-    ),
     ("powexp", PoweredExponential(FlatTorus((1.0,)), 1.0, 1.0)),
     ("stable", StableOnChart(FlatTorus((1.0, 1.0)), 1.0, 1.5)),
 ]

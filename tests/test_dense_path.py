@@ -38,7 +38,6 @@ from _oracles import (
 )
 from excursion import pickands
 from excursion.covariance import (
-    LocallyIsotropicModel,
     PoweredExponential,
     SphereSchoenberg,
     SquaredExponential,
@@ -170,8 +169,6 @@ TILE_EDGE_SIZES = [1, 255, 256, 257, 600]
 
 def _oracle_covariance_matrix(model, chart, coords):
     """``covariance_matrix`` by whole-array expressions."""
-    if isinstance(model, LocallyIsotropicModel) and model.full_model is not None:
-        model = model.full_model
     manifold = model.manifold
     if isinstance(model, SphereSchoenberg):
         u = manifold._unit_embed_coords(chart, coords)
@@ -204,16 +201,10 @@ def _matrix_cases():
                 PoweredExponential(torus, 0.7, alpha), torus_grid, id=f"powexp-torus-{alpha}"
             ),
         ]
-    squared = SquaredExponential(Euclidean(2), 0.3)
     cases += [
-        pytest.param(squared, rect_grid, id="sqexp-rectangle"),
+        pytest.param(SquaredExponential(Euclidean(2), 0.3), rect_grid, id="sqexp-rectangle"),
         pytest.param(SquaredExponential(torus, 0.3), torus_grid, id="sqexp-torus"),
         pytest.param(StableOnChart(Euclidean(2), 1.0, 1.5), rect_grid, id="stable-rectangle"),
-        pytest.param(
-            LocallyIsotropicModel(Euclidean(2), 1.0 / 0.18, 2.0, full_model=squared),
-            rect_grid,
-            id="local-with-full-model",
-        ),
         pytest.param(
             SphereSchoenberg(sphere, (0.2, 0.3, 0.3, 0.2)), sphere_grid, id="schoenberg-sphere"
         ),

@@ -2,7 +2,8 @@
 
 Every library entry that takes a number checks it with ``_check_count``
 or ``_check_real``: a bool, a value that is not finite and one out of
-range are each refused under the field's name.  The entries with a test
+range are each refused under the field's name, which the error carries
+as ``name`` for the command line to place.  The entries with a test
 of their own (the covariance parameters, grid resolution, estimator
 arguments, Hermite degrees and factorization shift) are checked there;
 the others are in the table below.  The rules are written once, so no
@@ -52,8 +53,9 @@ _ENTRIES = [
 def test_number_entries_refuse_bools_non_finite_and_out_of_range_values():
     for make, field, outside in _ENTRIES:
         for value in (True, math.nan, math.inf, outside):
-            with pytest.raises(ValidationError, match=f"^{field} must"):
+            with pytest.raises(ValidationError, match=f"^{field} must") as err:
                 make(value)
+            assert err.value.name == field
 
 
 # Where a bool may be told apart: the rules themselves, the CLI's
